@@ -6,14 +6,17 @@ isolated-vertex counts and triangle counts.  The edge-resampling chain
 G(n, p); its jump probabilities are exact functions of a few graph counts,
 which keeps the pair-chain bounds free of nested simulation.
 
-Graphs are stored as bit-packed adjacency rows (uint64 words), so degree,
-isolated-edge and common-neighbour counts reduce to vectorized popcounts.
+Single graphs are stored as bit-packed adjacency rows (uint64 words).  The
+pair-chain evaluators take whole blocks of graphs as boolean adjacency
+stacks of shape (count, n, n), so degree, isolated-edge and common-neighbour
+counts are array reductions over the block rather than Python loops.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -27,6 +30,8 @@ from .smoothing import PairModel, exact_pair_stats
 from .tp import tp_dist, tp_params
 
 _MAX_Q_EVAL_N = 512  # per-graph jump evaluation beyond this uses moment-only paths
+_MAX_TWO_STEP_N = 64  # two-step triangle evaluation costs O(n^3) per graph
+_CHUNK_CELLS = 1 << 18  # adjacency cells per evaluation sub-chunk: a few MB of temporaries
 
 
 def _qpow(p: float, k: float) -> float:
@@ -76,17 +81,28 @@ def graph_from_edges(n: int, edges) -> GraphState:
     return GraphState(n, _pack(adj))
 
 
+@lru_cache(maxsize=16)
 def _triu_index_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(n, 1)
+    ii, jj = np.triu_indices(n, 1)
+    ii.flags.writeable = jj.flags.writeable = False
+    return ii, jj
+
+
+def _gnp_block(n: int, p: float, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Boolean adjacency stack (count, n, n) of independent G(n, p) draws.
+
+    Graph t takes uniforms t*C(n,2) .. (t+1)*C(n,2)-1 of ``rng`` in pair-slot
+    order, exactly what ``count`` successive one-graph draws consume.
+    """
+    ii, jj = _triu_index_arrays(n)
+    adj = np.zeros((count, n, n), dtype=bool)
+    adj[:, ii, jj] = rng.random((count, len(ii))) < p
+    adj |= adj.transpose(0, 2, 1)
+    return adj
 
 
 def _gnp(n: int, p: float, rng: np.random.Generator) -> GraphState:
-    ii, jj = _triu_index_arrays(n)
-    bits = rng.random(len(ii)) < p
-    adj = np.zeros((n, n), dtype=bool)
-    adj[ii[bits], jj[bits]] = True
-    adj |= adj.T
-    return GraphState(n, _pack(adj))
+    return GraphState(n, _pack(_gnp_block(n, p, rng, 1)[0]))
 
 
 def gnp_sample(n: int, p: float, seed: int) -> GraphState:
@@ -223,10 +239,18 @@ def _iso_q_from_counts(n: int, p: float, w, w1, e2):
     return q1, qn1, q2, qn2, q11, qn1n1, q22, qn2n2
 
 
+def _iso_counts(adj: np.ndarray):
+    """(W, W1, E2) of every graph in a (count, n, n) adjacency stack."""
+    deg = np.count_nonzero(adj, axis=2)
+    one = deg == 1
+    w = np.count_nonzero(deg == 0, axis=1)
+    e2 = np.count_nonzero(adj & one[:, :, None] & one[:, None, :], axis=(1, 2)) // 2
+    return w, np.count_nonzero(one, axis=1), e2
+
+
 def iso_q(G: GraphState, p: float) -> IsoQ:
-    s = graph_stats(G)
-    vals = _iso_q_from_counts(G.n, p, s.w_isolated, s.w1, s.e2)
-    return IsoQ(*(float(v) for v in vals))
+    vals = _iso_q_from_counts(G.n, p, *_iso_counts(_unpack(G)[None]))
+    return IsoQ(*(float(v[0]) for v in vals))
 
 
 def iso_q11_two_step(G: GraphState, p: float) -> float:
@@ -369,50 +393,93 @@ def tri_closed_forms(n: int, p: float) -> TriForms:
     return TriForms(q1, sigma2, var_q1, var_qn1, ediff_plus, ediff_minus)
 
 
-def _common_counts(G: GraphState):
-    ii, jj = _triu_index_arrays(G.n)
-    common = np.bitwise_count(G.words[ii] & G.words[jj]).sum(axis=1)
-    adj = _unpack(G)[ii, jj]
-    return ii, jj, common, adj
+def _check_tri_size(n: int, two_step: bool) -> None:
+    if n < 3:
+        raise InvalidParameter("n must be >= 3")
+    if n > _MAX_Q_EVAL_N:
+        raise TooLarge(f"per-graph jump evaluation capped at n = {_MAX_Q_EVAL_N}")
+    if two_step and n > _MAX_TWO_STEP_N:
+        raise TooLarge(f"two-step triangle enumeration capped at n = {_MAX_TWO_STEP_N}")
 
 
-def tri_q(G: GraphState, p: float) -> tuple[float, float]:
-    """Exact (Q(+1), Q(-1)) for the triangle count.
+def _tri_q_block(adj: np.ndarray, p: float, two_step: bool):
+    """(Q(+1), Q(-1), Q(1,1), Q(-1,-1)) of the triangle count for every graph
+    in a (count, n, n) adjacency stack; the two-step arrays are None unless
+    ``two_step`` is set.
 
     A resampled pair changes the count by exactly +-1 precisely when its two
     endpoints have exactly one common neighbour: adding the missing edge
-    completes one triangle, removing the present edge destroys one.
+    completes one triangle, removing the present edge destroys one.  The
+    common-neighbour counts come from one batched product A.A (float32 holds
+    these integers, at most n - 2, exactly).
+
+    The two-step values enumerate the first move over the pair slots in
+    upper-triangle order.  Toggling pair (i, j) changes only common(i, k), by
+    adj(j, k), and common(j, k), by adj(i, k), so the one-step count after the
+    move follows from two rows.  The terms are added per graph in slot
+    order, the order of a sum over that graph's candidate moves.
     """
-    if G.n < 3:
-        raise InvalidParameter("n must be >= 3")
-    if G.n > _MAX_Q_EVAL_N:
-        raise TooLarge(f"per-graph jump evaluation capped at n = {_MAX_Q_EVAL_N}")
-    c2 = comb(G.n, 2)
-    _, _, common, adj = _common_counts(G)
-    one = common == 1
-    q1 = p * int(np.sum(one & ~adj)) / c2
-    qn1 = (1 - p) * int(np.sum(one & adj)) / c2
-    return q1, qn1
+    n = adj.shape[1]
+    c2 = comb(n, 2)
+    a = adj.astype(np.float32)
+    common = np.matmul(a, a)
+    del a
+    ii, jj = _triu_index_arrays(n)
+    one = common[:, ii, jj] == 1
+    present = adj[:, ii, jj]
+    up = one & ~present
+    down = one & present
+    n_up = np.count_nonzero(up, axis=1)
+    n_down = np.count_nonzero(down, axis=1)
+    qp = p * n_up / c2
+    qm = (1 - p) * n_down / c2
+    if not two_step:
+        return qp, qm, None, None
+    eq0, eq1, eq2 = common == 0, common == 1, common == 2
+    del common, one, present
+    qpp = np.zeros(len(adj))
+    qmm = np.zeros(len(adj))
+    for t, (i, j) in enumerate(zip(ii.tolist(), jj.tolist())):
+        add, remove = up[:, t], down[:, t]
+        ai, aj = adj[:, i], adj[:, j]
+        if add.any():
+            # adding (i, j): common(i, k) += 1 where k ~ j only, and vice versa;
+            # a count of 0 becomes 1, a count of 1 leaves 1
+            only_j, only_i = aj & ~ai, ai & ~aj
+            gain = (
+                np.count_nonzero(only_j & eq0[:, i], axis=1)
+                + np.count_nonzero(only_i & eq0[:, j], axis=1)
+                - np.count_nonzero(only_j & eq1[:, i], axis=1)
+                - np.count_nonzero(only_i & eq1[:, j], axis=1)
+            )
+            q1_next = p * (n_up - 1 + gain) / c2
+            qpp += np.where(add, p / c2 * q1_next, 0.0)
+        if remove.any():
+            # removing (i, j): common(i, k) and common(j, k) drop by 1 where
+            # k ~ i and k ~ j; a count of 2 becomes 1, a count of 1 leaves 1
+            both = ai & aj
+            gain = (
+                np.count_nonzero(both & eq2[:, i], axis=1)
+                + np.count_nonzero(both & eq2[:, j], axis=1)
+                - np.count_nonzero(both & eq1[:, i], axis=1)
+                - np.count_nonzero(both & eq1[:, j], axis=1)
+            )
+            qn1_next = (1 - p) * (n_down - 1 + gain) / c2
+            qmm += np.where(remove, (1 - p) / c2 * qn1_next, 0.0)
+    return qp, qm, qpp, qmm
+
+
+def tri_q(G: GraphState, p: float) -> tuple[float, float]:
+    """Exact (Q(+1), Q(-1)) for the triangle count of one graph."""
+    _check_tri_size(G.n, False)
+    qp, qm, _, _ = _tri_q_block(_unpack(G)[None], p, False)
+    return float(qp[0]), float(qm[0])
 
 
 def tri_q11_two_step(G: GraphState, p: float) -> float:
     """Exact two-step probability of two consecutive +1 triangle moves."""
-    if G.n > 64:
-        raise TooLarge("two-step triangle enumeration capped at n = 64")
-    c2 = comb(G.n, 2)
-    ii, jj, common, adj = _common_counts(G)
-    cand = np.flatnonzero((common == 1) & ~adj)
-    if len(cand) == 0:
-        return 0.0
-    full = _unpack(G)
-    total = 0.0
-    for t in cand:
-        i, j = int(ii[t]), int(jj[t])
-        adj2 = full.copy()
-        adj2[i, j] = adj2[j, i] = True
-        q1_next, _ = tri_q(GraphState(G.n, _pack(adj2)), p)
-        total += p / c2 * q1_next
-    return total
+    _check_tri_size(G.n, True)
+    return float(_tri_q_block(_unpack(G)[None], p, True)[2][0])
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +492,7 @@ class ERPairModel(PairModel):
     ``statistic`` is "isolated" or "triangles".  Isolated-vertex jumps of
     size 1 and 2 carry closed-form two-step evaluators; triangle jumps of
     size 1 use the exact two-step enumeration when ``two_step`` is set
-    (practical for n up to a few dozen).
+    (n <= 64; the default sets it for n <= 16).
     """
 
     def __init__(self, n: int, p: float, statistic: str, two_step: bool | None = None):
@@ -433,59 +500,34 @@ class ERPairModel(PairModel):
             raise InvalidParameter("statistic must be 'isolated' or 'triangles'")
         if not 0.0 <= p <= 1.0:
             raise InvalidParameter("p must lie in [0, 1]")
-        self.n, self.p, self.statistic = n, p, statistic
         if two_step is None:
             two_step = statistic == "isolated" or n <= 16
+        if statistic == "isolated" and n < 2:
+            raise InvalidParameter("n must be >= 2")
+        if statistic == "triangles":
+            _check_tri_size(n, two_step)
+        self.n, self.p, self.statistic = n, p, statistic
         self.two_step = two_step
 
     def q_block(self, rng: np.random.Generator, count: int, m: int):
+        if self.statistic == "isolated" and m not in (1, 2):
+            raise InvalidParameter("isolated-vertex jumps support m in {1, 2}")
+        if self.statistic == "triangles" and m != 1:
+            raise InvalidParameter("triangle jumps support m = 1 only")
         n, p = self.n, self.p
-        qp = np.empty(count)
-        qm = np.empty(count)
-        qpp = np.empty(count) if self.two_step else None
-        qmm = np.empty(count) if self.two_step else None
-        for t in range(count):
-            G = _gnp(n, p, rng)
+        out = [np.empty(count) for _ in range(4 if self.two_step else 2)]
+        step = max(1, _CHUNK_CELLS // (n * n))
+        for start in range(0, count, step):
+            adj = _gnp_block(n, p, rng, min(step, count - start))
             if self.statistic == "isolated":
-                if m not in (1, 2):
-                    raise InvalidParameter("isolated-vertex jumps support m in {1, 2}")
-                v = iso_q(G, p)
-                if m == 1:
-                    qp[t], qm[t] = v.q1, v.q_neg1
-                    if self.two_step:
-                        qpp[t], qmm[t] = v.q11, v.q_neg1_neg1
-                else:
-                    qp[t], qm[t] = v.q2, v.q_neg2
-                    if self.two_step:
-                        qpp[t], qmm[t] = v.q22, v.q_neg2_neg2
+                q = _iso_q_from_counts(n, p, *_iso_counts(adj))
+                k = 2 * (m - 1)
+                vals = (q[k], q[k + 1], q[k + 4], q[k + 5])
             else:
-                if m != 1:
-                    raise InvalidParameter("triangle jumps support m = 1 only")
-                qp[t], qm[t] = tri_q(G, p)
-                if self.two_step:
-                    qpp[t] = tri_q11_two_step(G, p)
-                    # removing and re-removing mirrors adding: enumerate on the
-                    # complemented move by symmetry of the chain
-                    qmm[t] = _tri_qm1m1_two_step(G, p)
-        return qp, qm, qpp, qmm
-
-
-def _tri_qm1m1_two_step(G: GraphState, p: float) -> float:
-    """Exact two-step probability of two consecutive -1 triangle moves."""
-    c2 = comb(G.n, 2)
-    ii, jj, common, adj = _common_counts(G)
-    cand = np.flatnonzero((common == 1) & adj)
-    if len(cand) == 0:
-        return 0.0
-    full = _unpack(G)
-    total = 0.0
-    for t in cand:
-        i, j = int(ii[t]), int(jj[t])
-        adj2 = full.copy()
-        adj2[i, j] = adj2[j, i] = False
-        _, qn1_next = tri_q(GraphState(G.n, _pack(adj2)), p)
-        total += (1 - p) / c2 * qn1_next
-    return total
+                vals = _tri_q_block(adj, p, self.two_step)
+            for dst, v in zip(out, vals):
+                dst[start:start + len(adj)] = v
+        return tuple(out) if self.two_step else (*out, None, None)
 
 
 def er_pair_model(n: int, p: float, statistic: str, seed: int = 0) -> ERPairModel:
@@ -622,6 +664,7 @@ def _isolated_count_block(n: int, p: float, rng: np.random.Generator, count: int
         return out
     exp_edges = N * p
     chunk = int(exp_edges + 10 * math.sqrt(exp_edges + 1) + 16)
+    touched = np.empty(n, dtype=bool)
     for t in range(count):
         positions = np.cumsum(rng.geometric(p, size=chunk)) - 1
         while positions.size == 0 or positions[-1] < N - 1:
@@ -633,7 +676,9 @@ def _isolated_count_block(n: int, p: float, rng: np.random.Generator, count: int
             out[t] = n
             continue
         i, j = _decode_pairs(edges, n, starts)
-        out[t] = n - len(np.unique(np.concatenate([i, j])))
+        touched.fill(False)
+        touched[i] = touched[j] = True
+        out[t] = n - np.count_nonzero(touched)
     return out
 
 

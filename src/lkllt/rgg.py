@@ -179,6 +179,8 @@ def rgg_experiment(b: float, d: int, lambda_grid, replicates: int, seed: int) ->
             distance(emp, target, KOLMOGOROV),
             se_max,
             mean_w, var_w, var_w / lam,
-            float(np.nanmean(ann)),
+            # the diagnostic is nan on every replicate or on none (d != 1 or
+            # r > 1/6); nanmean would warn on an all-nan column
+            math.nan if np.isnan(ann).all() else float(np.nanmean(ann)),
         )
     return table

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 from math import comb
 
@@ -7,9 +8,13 @@ import numpy as np
 import pytest
 
 from lkllt.er import (
+    _CHUNK_CELLS,
     ERPairModel,
     GraphState,
     _gnp,
+    _iso_q_from_counts,
+    _tri_q_block,
+    _unpack,
     empirical_dist,
     enumerate_graphs_oracle,
     er_pair_model,
@@ -319,3 +324,125 @@ def test_per_graph_eval_size_guard():
     big = GraphState(600, np.zeros((600, 10), dtype=np.uint64))
     with pytest.raises(TooLarge):
         tri_q(big, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# block evaluators
+
+
+def _tri_counts_from_scratch(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Numbers of absent and of present pairs with exactly one common
+    neighbour, for each graph of a (count, n, n) stack, by integer products."""
+    a = adj.astype(np.int64)
+    one = np.triu(np.einsum("gik,gkj->gij", a, a) == 1, 1)
+    return (one & ~adj).sum(axis=(1, 2)), (one & adj).sum(axis=(1, 2))
+
+
+def _brute_tri_q(adj: np.ndarray, p: float) -> tuple[float, float, float, float]:
+    """(Q(+1), Q(-1), Q(1,1), Q(-1,-1)) of one graph: toggle each pair with one
+    common neighbour and recount every pair of the resulting graph.  The
+    two-step terms are summed over the candidate pairs in (i, j) order."""
+    n = len(adj)
+    c2 = comb(n, 2)
+    (up,), (down,) = _tri_counts_from_scratch(adj[None])
+    a = adj.astype(np.int64)
+    common = a @ a
+    cand = [(i, j) for i, j in itertools.combinations(range(n), 2) if common[i, j] == 1]
+    nxt = np.repeat(adj[None], len(cand), axis=0)
+    for k, (i, j) in enumerate(cand):
+        nxt[k, i, j] = nxt[k, j, i] = not adj[i, j]
+    up_next, down_next = _tri_counts_from_scratch(nxt)
+    qpp = qmm = 0.0
+    for k, (i, j) in enumerate(cand):
+        if adj[i, j]:
+            qmm += (1 - p) / c2 * ((1 - p) * int(down_next[k]) / c2)
+        else:
+            qpp += p / c2 * (p * int(up_next[k]) / c2)
+    return p * int(up) / c2, (1 - p) * int(down) / c2, qpp, qmm
+
+
+def _assert_brute_force(adj: np.ndarray, p: float, got) -> None:
+    for t, g in enumerate(adj):
+        want = _brute_tri_q(g, p)
+        assert tuple(float(v[t]) for v in got) == want, f"graph {t}"
+
+
+@pytest.mark.parametrize("p", [0.3, 0.7])
+def test_tri_block_matches_brute_force_on_every_graph_n5(p):
+    n = 5
+    pairs = list(itertools.combinations(range(n), 2))
+    adj = np.zeros((1 << len(pairs), n, n), dtype=bool)
+    for t, (i, j) in enumerate(pairs):
+        adj[:, i, j] = adj[:, j, i] = (np.arange(len(adj)) >> t) & 1 == 1
+    got = _tri_q_block(adj, p, True)
+    _assert_brute_force(adj, p, got)
+    for k in (0, 7, 300, 1023):
+        G = graph_from_edges(n, zip(*np.nonzero(np.triu(adj[k], 1))))
+        assert tri_q(G, p) == (got[0][k], got[1][k])
+        assert tri_q11_two_step(G, p) == got[2][k]
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("count", [1, 7, 2200])
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_tri_q_block_matches_brute_force_on_random_blocks(n, count, p):
+    got = ERPairModel(n, p, "triangles", two_step=True).q_block(block_rng(21, n), count, 1)
+    rng = block_rng(21, n)
+    adj = np.stack([_unpack(_gnp(n, p, rng)) for _ in range(count)])
+    _assert_brute_force(adj, p, got)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_iso_q_block_draws_match_per_graph_loop(m):
+    n, p, count = 30, 0.05, 1000
+    assert count > 2 * (_CHUNK_CELLS // n**2)  # spans several sub-chunks
+    got = ERPairModel(n, p, "isolated").q_block(block_rng(5, 0), count, m)
+    rng = block_rng(5, 0)
+    want = np.empty((4, count))
+    for t in range(count):
+        s = graph_stats(_gnp(n, p, rng))
+        v = _iso_q_from_counts(n, p, s.w_isolated, s.w1, s.e2)
+        want[:, t] = (v[0], v[1], v[4], v[5]) if m == 1 else (v[2], v[3], v[6], v[7])
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_tri_q_block_draws_match_per_graph_loop():
+    n, p, count = 40, 0.2, 500
+    assert count > 2 * (_CHUNK_CELLS // n**2)
+    qp, qm, qpp, qmm = ERPairModel(n, p, "triangles").q_block(block_rng(6, 0), count, 1)
+    assert qpp is None and qmm is None
+    rng = block_rng(6, 0)
+    want = np.array([tri_q(_gnp(n, p, rng), p) for _ in range(count)])
+    assert np.array_equal(qp, want[:, 0]) and np.array_equal(qm, want[:, 1])
+
+
+def test_tri_q_block_memory_is_bounded_by_sub_chunks():
+    # one block of 4096 graphs at n = 200 would hold 160 MB of adjacency alone
+    model = ERPairModel(200, 0.3, "triangles", two_step=False)
+    tracemalloc.start()
+    try:
+        qp, _, _, _ = model.q_block(block_rng(1, 0), 4096, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(qp) == 4096
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_pair_model_validates_before_drawing():
+    rng = block_rng(0, 0)
+    with pytest.raises(TooLarge):
+        ERPairModel(65, 0.3, "triangles", two_step=True).q_block(rng, 10, 1)
+    assert not ERPairModel(65, 0.3, "triangles").two_step  # one-step only: allowed
+    with pytest.raises(TooLarge):
+        ERPairModel(513, 0.3, "triangles", two_step=False)
+    with pytest.raises(InvalidParameter):
+        ERPairModel(2, 0.3, "triangles")
+    with pytest.raises(InvalidParameter):
+        ERPairModel(1, 0.3, "isolated")
+    with pytest.raises(InvalidParameter):
+        ERPairModel(8, 0.3, "triangles").q_block(rng, 10, 2)
+    with pytest.raises(InvalidParameter):
+        ERPairModel(8, 0.3, "isolated").q_block(rng, 10, 3)
+    assert rng.random() == block_rng(0, 0).random()  # no draw was consumed

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -96,6 +99,14 @@ def test_experiment_replicate_stability():
     b = dict(zip(tab_b.columns, tab_b.rows[0]))
     se = max(a["pmf_se_max"], b["pmf_se_max"])
     assert abs(a["dloc"] - b["dloc"]) <= 6 * se
+
+
+def test_experiment_d2_reports_nan_annulus_without_warning():
+    # the annulus diagnostic is defined for d = 1 only
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tab = rgg_experiment(0.2, 2, [20], 20, 1)
+    assert math.isnan(tab.column("empty_annulus_frac")[0])
 
 
 def test_experiment_validation():
