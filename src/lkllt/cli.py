@@ -308,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
         e.add_argument("--p-mode", choices=("const", "c-over-n", "power"), default="const")
         e.add_argument("--p-coeff", type=float, default=1.0)
         e.add_argument("--p-alpha", type=float, default=1.5)
-        e.add_argument("--m", type=int, default=1)
         e.add_argument("--reps", type=int, required=True)
         e.add_argument("--seed", type=int, default=1)
         _common_output(e)

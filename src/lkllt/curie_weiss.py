@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,6 +52,14 @@ def parity_shift(n: int) -> int:
     return (1 - (-1) ** n) // 2
 
 
+@lru_cache(maxsize=4)
+def _log_factorials(n: int) -> np.ndarray:
+    """Read-only table of log(i!) for i = 0..n."""
+    lf = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
+    lf.flags.writeable = False
+    return lf
+
+
 def cw_exact_pmf(params: CWParams, half_lattice: bool = False) -> LatticeDist:
     """Exact law of the magnetization W (or of (W + parity)/2).
 
@@ -60,10 +69,10 @@ def cw_exact_pmf(params: CWParams, half_lattice: bool = False) -> LatticeDist:
     the unit-span law of (W + parity_shift(n)) / 2.
     """
     n, beta, h = params.n, params.beta, params.h
-    k = np.arange(n + 1)
-    w = n - 2 * k
+    w = n - 2 * np.arange(n + 1)
+    lf = _log_factorials(n)
     logw = (
-        np.array([math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1) for i in k])
+        ((math.lgamma(n + 1) - lf) - lf[::-1])
         + beta * (w.astype(float) ** 2 - n) / (2.0 * n)
         + h * w
     )
@@ -174,7 +183,7 @@ class CWPairModel(PairModel):
         return exact_pair_stats(self.probs, qp, qm, qpp, qmm, m=2)
 
 
-def cw_pair_model(params: CWParams, seed: int = 0) -> CWPairModel:
+def cw_pair_model(params: CWParams) -> CWPairModel:
     return CWPairModel(params)
 
 

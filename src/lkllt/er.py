@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -530,7 +531,7 @@ class ERPairModel(PairModel):
         return tuple(out) if self.two_step else (*out, None, None)
 
 
-def er_pair_model(n: int, p: float, statistic: str, seed: int = 0) -> ERPairModel:
+def er_pair_model(n: int, p: float, statistic: str) -> ERPairModel:
     return ERPairModel(n, p, statistic)
 
 
@@ -541,6 +542,78 @@ def er_pair_model(n: int, p: float, statistic: str, seed: int = 0) -> ERPairMode
 def _edge_index_map(n: int):
     ii, jj = _triu_index_arrays(n)
     return list(zip(ii.tolist(), jj.tolist()))
+
+
+def _enumerate_graphs(n: int, p: float):
+    """Every edge mask on n vertices, its edge count and its G(n, p) weight."""
+    E = comb(n, 2)
+    masks = np.arange(1 << E, dtype=np.uint32)
+    e_count = np.bitwise_count(masks)
+    prob = (p ** e_count.astype(float)) * ((1 - p) ** (E - e_count).astype(float))
+    return masks, e_count, prob
+
+
+def _enumerated_iso_counts(n: int, masks: np.ndarray):
+    """(W, W1, E2) of every graph in an array of edge masks."""
+    edges = _edge_index_map(n)
+    bits = [((masks >> e) & 1).astype(bool) for e in range(len(edges))]
+    deg = np.zeros((n, len(masks)), dtype=np.int8)
+    for b, (i, j) in zip(bits, edges):
+        deg[i] += b
+        deg[j] += b
+    e2 = np.zeros(len(masks), dtype=np.int64)
+    for b, (i, j) in zip(bits, edges):
+        e2 += b & (deg[i] == 1) & (deg[j] == 1)
+    return (deg == 0).sum(axis=0), (deg == 1).sum(axis=0), e2
+
+
+def _enumerated_triangles(n: int, masks: np.ndarray) -> np.ndarray:
+    """Triangle count of every graph in an array of edge masks."""
+    eidx = {pair: e for e, pair in enumerate(_edge_index_map(n))}
+    tri = np.zeros(len(masks), dtype=np.int64)
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(b + 1, n):
+                m3 = np.uint32((1 << eidx[(a, b)]) | (1 << eidx[(a, c)]) | (1 << eidx[(b, c)]))
+                tri += (masks & m3) == m3
+    return tri
+
+
+def _exact_means(e_count: np.ndarray, prob: np.ndarray, counts, powers: dict) -> dict:
+    """{name: math.fsum((prob * x).tolist())} for every monomial
+    x = prod(counts[i] ** powers[name][i]).
+
+    ``counts`` are small nonnegative integer arrays.  The weight of a graph
+    depends only on its edge count e, so the terms take few distinct values:
+    each is tallied once per (e, *counts) key, the tallies are summed exactly
+    as fractions and the sum is rounded once, which is the correctly rounded
+    value math.fsum returns, without a Python float per graph.
+    """
+    dims = tuple(int(x.max()) + 1 for x in (e_count, *counts))
+    keys = np.ravel_multi_index((e_count, *counts), dims)
+    tally = np.bincount(keys, minlength=math.prod(dims)).reshape(dims)
+    nonzero = np.nonzero(tally)
+    # the mask 2^e - 1 has e edges, so its weight is that of every e-edge graph
+    groups = [
+        (count, float(prob[(1 << e) - 1]), vals)
+        for count, (e, *vals) in zip(tally[nonzero].tolist(), zip(*(i.tolist() for i in nonzero)))
+    ]
+    return {
+        name: float(sum(
+            count * Fraction(pe * math.prod(v ** a for v, a in zip(vals, exps)))
+            for count, pe, vals in groups
+        ))
+        for name, exps in powers.items()
+    }
+
+
+# moment name -> exponents of (W, W1, E2), or of the triangle count
+_ISO_MOMENTS = {
+    "e_w": (1, 0, 0), "e_w2": (2, 0, 0), "e_w3": (3, 0, 0), "e_w4": (4, 0, 0),
+    "e_w1": (0, 1, 0), "e_e2": (0, 0, 1), "e_w1sq": (0, 2, 0),
+    "e_e2sq": (0, 0, 2), "e_w1e2": (0, 1, 1),
+}
+_TRI_MOMENTS = {"e_t": (1,), "e_t2": (2,), "e_t3": (3,), "e_t4": (4,)}
 
 
 def enumerate_graphs_oracle(n: int, p: float, statistic: str):
@@ -555,49 +628,14 @@ def enumerate_graphs_oracle(n: int, p: float, statistic: str):
         raise TooLarge("enumeration oracle is capped at n = 7")
     if statistic not in ("isolated", "triangles"):
         raise InvalidParameter("statistic must be 'isolated' or 'triangles'")
-    edges = _edge_index_map(n)
-    E = len(edges)
-    masks = np.arange(1 << E, dtype=np.uint32)
-    e_count = np.bitwise_count(masks)
-    prob = (p ** e_count.astype(float)) * ((1 - p) ** (E - e_count).astype(float))
-
-    def fs(x) -> float:
-        return math.fsum((prob * x).tolist())
-
-    moments: dict[str, float] = {}
+    masks, e_count, prob = _enumerate_graphs(n, p)
     if statistic == "isolated":
-        edge_bits = [(masks >> e) & 1 for e in range(E)]
-        deg = np.zeros((n, 1 << E), dtype=np.int8)
-        for e, (i, j) in enumerate(edges):
-            deg[i] += edge_bits[e].astype(np.int8)
-            deg[j] += edge_bits[e].astype(np.int8)
-        w = (deg == 0).sum(axis=0).astype(np.int64)
-        w1 = (deg == 1).sum(axis=0).astype(np.int64)
-        e2 = np.zeros(1 << E, dtype=np.int64)
-        for e, (i, j) in enumerate(edges):
-            e2 += edge_bits[e] & (deg[i] == 1) & (deg[j] == 1)
-        stat = w
-        moments = {
-            "e_w": fs(w), "e_w2": fs(w ** 2), "e_w3": fs(w ** 3), "e_w4": fs(w ** 4),
-            "e_w1": fs(w1), "e_e2": fs(e2), "e_w1sq": fs(w1 ** 2),
-            "e_e2sq": fs(e2 ** 2), "e_w1e2": fs(w1 * e2),
-        }
+        counts = _enumerated_iso_counts(n, masks)
+        moments = _exact_means(e_count, prob, counts, _ISO_MOMENTS)
     else:
-        tri = np.zeros(1 << E, dtype=np.int64)
-        eidx = {(i, j): e for e, (i, j) in enumerate(edges)}
-        for a in range(n):
-            for b in range(a + 1, n):
-                for c in range(b + 1, n):
-                    m3 = (
-                        (1 << eidx[(a, b)]) | (1 << eidx[(a, c)]) | (1 << eidx[(b, c)])
-                    )
-                    tri += (masks & np.uint32(m3)) == np.uint32(m3)
-        stat = tri
-        moments = {
-            "e_t": fs(tri), "e_t2": fs(tri ** 2),
-            "e_t3": fs(tri ** 3), "e_t4": fs(tri ** 4),
-        }
-    weights = np.bincount(stat, weights=prob)
+        counts = (_enumerated_triangles(n, masks),)
+        moments = _exact_means(e_count, prob, counts, _TRI_MOMENTS)
+    weights = np.bincount(counts[0], weights=prob)
     return dist_from_weights(0, weights), moments
 
 
@@ -606,24 +644,10 @@ def iso_exact_pair_stats(n: int, p: float, m: int):
     computed by weighting the closed-form jump evaluators over all graphs."""
     if n > 7:
         raise TooLarge("exact pair statistics are capped at n = 7")
-    edges = _edge_index_map(n)
-    E = len(edges)
-    masks = np.arange(1 << E, dtype=np.uint32)
-    e_count = np.bitwise_count(masks)
-    prob = (p ** e_count.astype(float)) * ((1 - p) ** (E - e_count).astype(float))
-    deg = np.zeros((n, 1 << E), dtype=np.int16)
-    bits = []
-    for e, (i, j) in enumerate(edges):
-        b = ((masks >> e) & 1).astype(np.int16)
-        bits.append(b)
-        deg[i] += b
-        deg[j] += b
-    w = (deg == 0).sum(axis=0)
-    w1 = (deg == 1).sum(axis=0)
-    e2 = np.zeros(1 << E, dtype=np.int64)
-    for e, (i, j) in enumerate(edges):
-        e2 += bits[e] & (deg[i] == 1) & (deg[j] == 1)
-    q1, qn1, q2, qn2, q11, qn1n1, q22, qn2n2 = _iso_q_from_counts(n, p, w, w1, e2)
+    masks, _, prob = _enumerate_graphs(n, p)
+    q1, qn1, q2, qn2, q11, qn1n1, q22, qn2n2 = _iso_q_from_counts(
+        n, p, *_enumerated_iso_counts(n, masks)
+    )
     if m == 1:
         return exact_pair_stats(prob, q1, qn1, q11, qn1n1, m=1)
     if m == 2:

@@ -1,16 +1,14 @@
 """Tabular experiment output with byte-reproducible serialization.
 
 Floats are written with 17 significant digits so CSV round-trips exactly.
-Volatile metadata (wall time) is kept on the in-memory object but never
-serialized, keeping identical configurations byte-identical on disk.
+Metadata holds only configuration and results, never timings, so identical
+configurations serialize byte-identically; wall time goes to stderr.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-
-_VOLATILE_KEYS = ("wall_time",)
 
 
 def fmt(x) -> str:
@@ -35,11 +33,7 @@ class RateTable:
         return [row[i] for row in self.rows]
 
     def _clean_meta(self) -> dict:
-        return {
-            k: self.metadata[k]
-            for k in sorted(self.metadata)
-            if k not in _VOLATILE_KEYS
-        }
+        return {k: self.metadata[k] for k in sorted(self.metadata)}
 
     def to_csv(self) -> str:
         lines = [f"# {k}={fmt(v)}" for k, v in self._clean_meta().items()]

@@ -53,14 +53,15 @@ def _poisson_block(lam: float, eps: float) -> tuple[int, np.ndarray]:
     while True:
         lo = max(0, mode - half)
         hi = mode + half
-        k = np.arange(lo, hi + 1)
-        pm = np.empty(len(k))
-        i_mode = mode - lo
-        pm[i_mode] = math.exp(log_mode)
-        for i in range(i_mode + 1, len(k)):
-            pm[i] = pm[i - 1] * (lam / k[i])
-        for i in range(i_mode - 1, -1, -1):
-            pm[i] = pm[i + 1] * (k[i] + 1) / lam
+        # Python floats: the recursions are sequential, and a cumulative
+        # product would round the downward step differently
+        up = [math.exp(log_mode)]
+        for k in range(mode + 1, hi + 1):
+            up.append(up[-1] * (lam / k))
+        down = up[:1]
+        for k in range(mode - 1, lo - 1, -1):
+            down.append((down[-1] * (k + 1)) / lam)
+        pm = np.array(down[:0:-1] + up)
         total = pm.sum()
         # right tail: successive ratios lam/(hi+1+j) <= r; left tail likewise
         r = lam / (hi + 1)
@@ -80,19 +81,13 @@ def tp_dist(params: TPParams, eps: float = 1e-12) -> LatticeDist:
     return LatticeDist(params.shift + lo, pm / pm.sum())
 
 
-def _norm_cdf(x: np.ndarray, mu: float, sigma: float) -> np.ndarray:
-    z = (np.asarray(x, dtype=float) - mu) / sigma
-    # vectorized standard normal CDF via erf
-    return 0.5 * (1.0 + np.vectorize(math.erf)(z / math.sqrt(2.0)))
+def _std_cdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF of a 1-d array, elementwise through math.erf."""
+    return 0.5 * (1.0 + np.fromiter(map(math.erf, (z / math.sqrt(2.0)).tolist()), float, len(z)))
 
 
 def _phi(z: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-
-
-def _cdf_antideriv(z: np.ndarray) -> np.ndarray:
-    """Antiderivative of the standard normal CDF: z*Phi(z) + phi(z)."""
-    return z * 0.5 * (1.0 + np.vectorize(math.erf)(z / math.sqrt(2.0))) + _phi(z)
 
 
 def tp_normal_gaps(params: TPParams, eps: float = 1e-12) -> tuple[float, float, float]:
@@ -103,42 +98,45 @@ def tp_normal_gaps(params: TPParams, eps: float = 1e-12) -> tuple[float, float, 
       CDF is constant between integers, so the sup is attained at lattice
       jump points and is evaluated exactly there.
     * Wasserstein: integral of |step CDF - normal CDF|, done exactly per unit
-      interval with the closed-form antiderivative of the normal CDF and a
-      crossing-point split, plus the two analytic tails.
+      interval with the closed-form antiderivative z*Phi(z) + phi(z) of the
+      normal CDF and a crossing-point split, plus the two analytic tails.
     """
     F = tp_dist(params, eps)
     mu, sigma = params.mu, math.sqrt(params.sigma2)
-    k = np.arange(F.offset, F.support_end)
+    # every lattice point of the support and the end point one past it
+    k = np.arange(F.offset, F.support_end + 1)
+    z = (k - mu) / sigma
+    Phi = _std_cdf(z)
+    phi = _phi(z)
+    antideriv = z * Phi + phi  # of the standard normal CDF
+    k = k[:-1]
 
-    local_gap = float(np.abs(F.pmf - _phi((k - mu) / sigma) / sigma).max())
+    local_gap = float(np.abs(F.pmf - phi[:-1] / sigma).max())
 
-    cdf = F.cdf()
+    c = F.cdf()
     # both one-sided limits at every jump point
-    phi_at_k = _norm_cdf(k, mu, sigma)
-    phi_at_next = _norm_cdf(k + 1, mu, sigma)
+    phi_at_k, phi_at_next = Phi[:-1], Phi[1:]
     dk = float(
-        max(np.abs(cdf - phi_at_k).max(), np.abs(cdf - phi_at_next).max())
+        max(np.abs(c - phi_at_k).max(), np.abs(c - phi_at_next).max())
     )
 
     # Wasserstein: per-interval exact integration of |c - Phi| on [k, k+1)
-    z0 = (k - mu) / sigma
-    z1 = (k + 1 - mu) / sigma
-    area = sigma * (_cdf_antideriv(z1) - _cdf_antideriv(z0))  # integral of Phi
-    c = cdf
+    a0, a1 = antideriv[:-1], antideriv[1:]
+    area = sigma * (a1 - a0)  # integral of Phi
     below = phi_at_next <= c  # Phi stays under the step value
     above = phi_at_k >= c
     dw = float(np.sum(np.where(below, c - area, 0.0) + np.where(above, area - c, 0.0)))
     crossing = ~(below | above)
-    for i in np.flatnonzero(crossing):
-        ci = c[i]
-        x_star = mu + sigma * _STD_NORMAL.inv_cdf(ci)
-        zs = (x_star - mu) / sigma
-        left = ci * (x_star - k[i]) - sigma * (_cdf_antideriv(np.array([zs]))[0] - _cdf_antideriv(np.array([z0[i]]))[0])
-        right = sigma * (_cdf_antideriv(np.array([z1[i]]))[0] - _cdf_antideriv(np.array([zs]))[0]) - ci * (k[i] + 1 - x_star)
-        dw += left + right
+    ci, kc = c[crossing], k[crossing]
+    x_star = mu + sigma * np.array([_STD_NORMAL.inv_cdf(p) for p in ci.tolist()])
+    zs = (x_star - mu) / sigma
+    a_star = zs * _std_cdf(zs) + _phi(zs)
+    left = ci * (x_star - kc) - sigma * (a_star - a0[crossing])
+    right = sigma * (a1[crossing] - a_star) - ci * (kc + 1 - x_star)
+    # sequential, in index order: np.sum's pairwise summation would reorder
+    for term in (left + right).tolist():
+        dw += term
     # tails: integral of Phi below the support, of 1 - Phi above it
-    za = (F.offset - mu) / sigma
-    zb = (F.support_end - mu) / sigma
-    dw += sigma * float(_cdf_antideriv(np.array([za]))[0])
-    dw += sigma * float(_phi(np.array([zb]))[0] - zb * (1.0 - _norm_cdf(np.array([F.support_end]), mu, sigma)[0]))
+    dw += sigma * float(antideriv[0])
+    dw += sigma * float(phi[-1] - z[-1] * (1.0 - Phi[-1]))
     return local_gap, dk, float(dw)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -64,6 +65,25 @@ def test_verify_lk_smoke(capsys):
     status, out = run_cli(["verify", "lk", "--trials", "300", "--seed", "1"], capsys)
     assert status == 0
     assert out.count("holds=True") == 2
+
+
+# SHA-256 of the stdout of the seedless exact-law commands, as pinned in
+# perfbench/goldens.json: any change to these bytes is a change of results.
+GOLDEN_SHA256 = {
+    "tp --mu 0 --sigma2-grid 100:100000000:x10":
+        "238ab46b67f16f1cd676b249df198a51c0d20bb097ab3c6b9deaeb8f15a83e1c",
+    "cw rate --beta 0.5 --h 0.1 --n-grid 64:1048576:x2":
+        "148dbf3a614c3f0710d55033ac1073ff466f36430c27238d4d116766611c72c1",
+    "er oracle --n 7 --p 0.5 --stat isolated":
+        "8ae0e3f6274b5d1791c0df469d6cf8fe71b51db784c9e30acbfb42da64c11c57",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_SHA256))
+def test_exact_law_outputs_match_goldens(command, capsys):
+    status, out = run_cli(command.split(), capsys)
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[command]
 
 
 def test_byte_determinism(tmp_path):

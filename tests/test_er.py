@@ -11,6 +11,9 @@ from lkllt.er import (
     _CHUNK_CELLS,
     ERPairModel,
     GraphState,
+    _enumerate_graphs,
+    _enumerated_iso_counts,
+    _enumerated_triangles,
     _gnp,
     _iso_q_from_counts,
     _tri_q_block,
@@ -92,6 +95,28 @@ def test_oracle_pmf_examples():
     assert tri.offset == 4 and len(tri.pmf) == 1
     with pytest.raises(TooLarge):
         enumerate_graphs_oracle(8, 0.5, "isolated")
+
+
+@pytest.mark.parametrize("statistic", ["isolated", "triangles"])
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_oracle_moments_equal_fsum_over_every_graph(n, statistic):
+    # the oracle groups graphs by edge count; the sum over every graph's own
+    # term must come out the same to the last bit
+    masks, _, _ = _enumerate_graphs(n, 0.5)
+    if statistic == "isolated":
+        w, w1, e2 = _enumerated_iso_counts(n, masks)
+        terms = {
+            "e_w": w, "e_w2": w ** 2, "e_w3": w ** 3, "e_w4": w ** 4,
+            "e_w1": w1, "e_e2": e2, "e_w1sq": w1 ** 2,
+            "e_e2sq": e2 ** 2, "e_w1e2": w1 * e2,
+        }
+    else:
+        t = _enumerated_triangles(n, masks)
+        terms = {"e_t": t, "e_t2": t ** 2, "e_t3": t ** 3, "e_t4": t ** 4}
+    for p in (0.1, 0.3, 0.5):
+        _, _, prob = _enumerate_graphs(n, p)
+        _, moments = enumerate_graphs_oracle(n, p, statistic)
+        assert moments == {key: math.fsum((prob * x).tolist()) for key, x in terms.items()}
 
 
 def test_iso_q_examples():

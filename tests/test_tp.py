@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -96,3 +97,61 @@ def test_smoothing_decay_slope(k):
     vals = [smoothing_term(tp_dist(tp_params(0.0, s * s)), k, 1) for s in sigmas]
     slope = np.polyfit(np.log(sigmas), np.log(vals), 1)[0]
     assert -k - 0.2 <= slope <= -k + 0.2
+
+
+def _gaps_by_intervals(mu, sigma2):
+    """(local gap, dk, dw, crossings) of TP vs N(mu, sigma2), one Python float
+    at a time: NormalDist for the density, the CDF and the crossing points,
+    and a sign split of |c - Phi| on every [k, k+1), integrated with the
+    antiderivative A(z) = z*Phi(z) + phi(z) of the standard CDF (math.erf)."""
+    law = tp_dist(tp_params(mu, sigma2))
+    normal = NormalDist(mu, math.sqrt(sigma2))
+    sigma = normal.stdev
+
+    def std_cdf(z):
+        return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+
+    def std_pdf(z):
+        return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+    def antideriv(x):
+        z = (x - mu) / sigma
+        return z * std_cdf(z) + std_pdf(z)
+
+    local = dk = dw = 0.0
+    c = 0.0
+    crossings = 0
+    for i, mass in enumerate(law.pmf.tolist()):
+        k = law.offset + i
+        c += mass
+        local = max(local, abs(mass - normal.pdf(k)))
+        lo, hi = normal.cdf(k), normal.cdf(k + 1)
+        dk = max(dk, abs(c - lo), abs(c - hi))
+        if lo < c < hi:
+            crossings += 1
+            x = normal.inv_cdf(c)
+            dw += c * (x - k) - sigma * (antideriv(x) - antideriv(k))
+            dw += sigma * (antideriv(k + 1) - antideriv(x)) - c * (k + 1 - x)
+        elif lo == hi:  # Phi is flat to double precision: |c - Phi| is constant
+            dw += abs(c - lo)
+        elif c >= hi:  # Phi stays under c
+            dw += c - sigma * (antideriv(k + 1) - antideriv(k))
+        else:  # Phi stays over c
+            dw += sigma * (antideriv(k + 1) - antideriv(k)) - c
+    zb = (law.support_end - mu) / sigma
+    dw += sigma * antideriv(law.offset)  # integral of Phi below the support
+    dw += sigma * (std_pdf(zb) - zb * (1.0 - std_cdf(zb)))  # of 1 - Phi above it
+    return local, dk, dw, crossings
+
+
+# Each unit interval's area sigma * (A(z1) - A(z0)) carries a rounding error of
+# about sigma * 1e-15 in any evaluation, so beyond a few thousand for sigma2 the
+# two sums drift apart by more than 1e-12 without either being wrong.
+@pytest.mark.parametrize("mu", [0.3, -17.625, 1234.7])
+@pytest.mark.parametrize("sigma2", [0.8, 7.5, 333.3, 2000.0])
+def test_normal_gaps_match_per_interval_integration(mu, sigma2):
+    local, dk, dw, crossings = _gaps_by_intervals(mu, sigma2)
+    assert crossings > 0
+    got = tp_normal_gaps(tp_params(mu, sigma2))
+    for a, b in zip(got, (local, dk, dw)):
+        assert abs(a - b) <= 1e-12
