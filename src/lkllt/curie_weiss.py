@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -52,12 +51,24 @@ def parity_shift(n: int) -> int:
     return (1 - (-1) ** n) // 2
 
 
-@lru_cache(maxsize=4)
+_log_factorial_table = np.empty(0)  # replaced, never written, as it grows
+
+
 def _log_factorials(n: int) -> np.ndarray:
-    """Read-only table of log(i!) for i = 0..n."""
-    lf = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
-    lf.flags.writeable = False
-    return lf
+    """Read-only table of log(i!) for i = 0..n.
+
+    A prefix of one shared table, so a doubling grid of n evaluates each
+    lgamma once.  A larger n publishes a new, longer table; a table already
+    handed out is never modified.
+    """
+    global _log_factorial_table
+    table = _log_factorial_table
+    if len(table) <= n:
+        tail = np.fromiter(map(math.lgamma, range(len(table) + 1, n + 2)), float)
+        table = np.concatenate([table, tail])
+        table.flags.writeable = False
+        _log_factorial_table = table
+    return table[: n + 1]
 
 
 def cw_exact_pmf(params: CWParams, half_lattice: bool = False) -> LatticeDist:

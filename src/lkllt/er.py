@@ -33,6 +33,7 @@ from .tp import tp_dist, tp_params
 _MAX_Q_EVAL_N = 512  # per-graph jump evaluation beyond this uses moment-only paths
 _MAX_TWO_STEP_N = 64  # two-step triangle evaluation costs O(n^3) per graph
 _CHUNK_CELLS = 1 << 18  # adjacency cells per evaluation sub-chunk: a few MB of temporaries
+_SAMPLE_CELLS = _CHUNK_CELLS // 4  # per triangle-count sub-chunk: about 1 MB of temporaries
 
 
 def _qpow(p: float, k: float) -> float:
@@ -66,11 +67,11 @@ class GraphState:
 
 
 def _pack(adj: np.ndarray) -> np.ndarray:
-    n = adj.shape[0]
-    width = ((n + 63) // 64) * 64
-    buf = np.zeros((n, width), dtype=bool)
-    buf[:, :n] = adj
-    return np.packbits(buf, axis=1, bitorder="little").view(np.uint64)
+    """Bit-pack the rows of an (..., n, n) adjacency array into uint64 words."""
+    n = adj.shape[-1]
+    buf = np.zeros(adj.shape[:-1] + (-(-n // 64) * 64,), dtype=bool)
+    buf[..., :n] = adj
+    return np.packbits(buf, axis=-1, bitorder="little").view(np.uint64)
 
 
 def graph_from_edges(n: int, edges) -> GraphState:
@@ -707,15 +708,22 @@ def _isolated_count_block(n: int, p: float, rng: np.random.Generator, count: int
 
 
 def _triangle_count_block(n: int, p: float, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Triangle counts for `count` independent G(n, p) draws.
+
+    Sub-chunks of graphs are drawn by ``_gnp_block`` and bit-packed; every
+    present edge (i, j) adds popcount(row i & row j), its number of common
+    neighbours, to its graph's total, which sees each triangle once per edge.
+    """
     out = np.empty(count, dtype=np.int64)
-    for t in range(count):
-        G = _gnp(n, p, rng)
-        ii, jj = np.nonzero(np.triu(_unpack(G), 1))
-        if len(ii) == 0:
-            out[t] = 0
-            continue
-        common = np.bitwise_count(G.words[ii] & G.words[jj]).sum()
-        out[t] = int(common) // 3
+    ii, jj = _triu_index_arrays(n)
+    step = max(1, _SAMPLE_CELLS // max(1, n * n))
+    for start in range(0, count, step):
+        adj = _gnp_block(n, p, rng, min(step, count - start))
+        g, e = np.divmod(np.flatnonzero(adj[:, ii, jj]), len(ii))
+        words = _pack(adj)
+        common = np.bitwise_count(words[g, ii[e]] & words[g, jj[e]]).sum(axis=1)
+        tri = np.bincount(g, weights=common, minlength=len(adj)).astype(np.int64) // 3
+        out[start:start + len(adj)] = tri
     return out
 
 

@@ -86,6 +86,36 @@ def test_exact_law_outputs_match_goldens(command, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[command]
 
 
+# SHA-256 of the stdout of the seeded Monte Carlo commands of the benchmark
+# at seed 1, pinned from the per-replicate samplers that the block samplers
+# replaced; every thread count must reproduce them.
+SEEDED_GOLDEN_SHA256 = {
+    "er iso --n 2000 --p 0.0005 --reps 7000 --seed 1":
+        "2ccb0620de19c91a42da2572db95ef7ca45cf4310f4acf90f8b95b3f1b0041d0",
+    "er tri --n 64 --p 0.125 --reps 6000 --seed 1":
+        "5e48452e715ac55970f98d025a5c993c2e241319e631c9eeb3c4e5dccc9172b4",
+    "rgg --b 0.2 --d 1 --lambda-grid 50:200:x2 --reps 3000 --seed 1":
+        "b1d607cf27f363d9c04b75a6a40a9369442c02b08f15fca1d0a460fd013167dc",
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("command", sorted(SEEDED_GOLDEN_SHA256))
+def test_seeded_outputs_match_goldens(command, threads, capsys, monkeypatch):
+    monkeypatch.setenv("LKLLT_THREADS", threads)
+    status, out = run_cli(command.split(), capsys)
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SEEDED_GOLDEN_SHA256[command]
+
+
+def test_deep_independent_set_search_exits_cleanly(capsys):
+    # 1500 points at b = 0.05 make a take branch deeper than the recursion limit
+    args = "rgg --d 2 --lambda-grid 1500:1500:x2 --reps 2 --b 0.05 --seed 1".split()
+    status = cli.main(args)
+    assert status in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_byte_determinism(tmp_path):
     cases = [
         ["cw", "rate", "--beta", "0.5", "--h", "0.2", "--n-grid", "64:256:x2"],

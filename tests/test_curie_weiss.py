@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lkllt import curie_weiss
 from lkllt.curie_weiss import (
     CWPairModel,
     CWParams,
@@ -13,6 +14,7 @@ from lkllt.curie_weiss import (
     cw_q,
     cw_rate_experiment,
     parity_shift,
+    _log_factorials,
 )
 from lkllt.errors import InvalidParameter
 from lkllt.smoothing import pair_bound_d1, pair_stats
@@ -210,3 +212,18 @@ def test_rate_experiment_slopes_small_grid():
 def test_rate_experiment_validation():
     with pytest.raises(InvalidParameter):
         cw_rate_experiment(1.0, 0.0, [64])
+
+
+def test_log_factorials_are_read_only_prefixes_of_one_table():
+    small = _log_factorials(10)
+    large_n = len(curie_weiss._log_factorial_table) + 100  # forces the table to grow
+    large = _log_factorials(large_n)
+    assert len(small) == 11 and len(large) == large_n + 1
+    assert np.array_equal(small, [math.lgamma(i + 1) for i in range(11)])
+    assert np.array_equal(_log_factorials(10), small)  # a small n after a large one
+    assert large[-1] == math.lgamma(large_n + 1)
+    assert np.array_equal(large[:11], small)
+    for table in (small, large, _log_factorials(7)):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1.0

@@ -9,6 +9,7 @@ import pytest
 
 from lkllt.er import (
     _CHUNK_CELLS,
+    _SAMPLE_CELLS,
     ERPairModel,
     GraphState,
     _enumerate_graphs,
@@ -17,6 +18,7 @@ from lkllt.er import (
     _gnp,
     _iso_q_from_counts,
     _tri_q_block,
+    _triangle_count_block,
     _unpack,
     empirical_dist,
     enumerate_graphs_oracle,
@@ -471,3 +473,42 @@ def test_pair_model_validates_before_drawing():
     with pytest.raises(InvalidParameter):
         ERPairModel(8, 0.3, "isolated").q_block(rng, 10, 3)
     assert rng.random() == block_rng(0, 0).random()  # no draw was consumed
+
+
+def _triangle_counts_per_graph(n, p, rng, count):
+    """The per-graph loop that ``_triangle_count_block`` replaced."""
+    out = np.empty(count, dtype=np.int64)
+    for t in range(count):
+        G = _gnp(n, p, rng)
+        ii, jj = np.nonzero(np.triu(_unpack(G), 1))
+        if len(ii) == 0:
+            out[t] = 0
+            continue
+        common = np.bitwise_count(G.words[ii] & G.words[jj]).sum()
+        out[t] = int(common) // 3
+    return out
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 1.0])
+@pytest.mark.parametrize("n", [3, 5, 12, 32, 64, 65, 128])
+def test_triangle_count_block_matches_per_graph_loop(n, p, offset):
+    # counts one below, at and one above a sub-chunk boundary
+    count = max(1, _SAMPLE_CELLS // (n * n) + offset)
+    got = _triangle_count_block(n, p, block_rng(9, n), count)
+    want = _triangle_counts_per_graph(n, p, block_rng(9, n), count)
+    assert np.array_equal(got, want)
+    if p == 1.0:
+        assert np.all(got == comb(n, 3))
+
+
+def test_triangle_count_block_memory_is_bounded_by_sub_chunks():
+    # one block of 4096 graphs at n = 128 would hold 256 MB of uniforms alone
+    tracemalloc.start()
+    try:
+        counts = _triangle_count_block(128, 0.3, block_rng(2, 0), 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(counts) == 4096
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
