@@ -167,12 +167,43 @@ def cw_q(state: CWState, params: CWParams) -> tuple[float, float, float, float]:
     return float(q2[0]), float(qn2[0]), float(q22[0]), float(qn2n2[0])
 
 
-class CWPairModel(PairModel):
-    """Stationary magnetization sampler with exact jump evaluators.
+_GUIDE_SIZE = 2 ** 16  # a power of two, so the bucket u * _GUIDE_SIZE is exact
 
-    States are drawn directly from the exact magnetization law, so there is
-    no mixing error; only the jump size m = 2 is meaningful (W moves by 0 or
-    +-2 per heat-bath step).
+
+def _sampler_tables(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CDF that ``Generator.choice`` builds from ``probs``, and its guide.
+
+    ``guide[j]`` is the state index of the key u = j / _GUIDE_SIZE, so every
+    key of bucket j maps into [guide[j], guide[j + 1]].
+    """
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    guide = cdf.searchsorted(np.arange(_GUIDE_SIZE + 1) / _GUIDE_SIZE, side="right")
+    return cdf, guide
+
+
+def _guided_search(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``cdf.searchsorted(u, side="right")`` for keys u in [0, 1).
+
+    A key whose bucket holds no CDF step takes its index from the guide; only
+    the others are searched for.
+    """
+    j = (u * _GUIDE_SIZE).astype(np.intp)
+    idx = guide[j]
+    todo = np.flatnonzero(idx != guide[j + 1])
+    idx[todo] = cdf.searchsorted(u[todo], side="right")
+    return idx
+
+
+class CWPairModel(PairModel):
+    """Stationary magnetization chain on the finite state space of W.
+
+    The states are the magnetization values with nonzero mass.  ``q_table``
+    holds (Q(+2), Q(-2), Q(+2,+2), Q(-2,-2)) at every state, and
+    :meth:`q_block` draws state indices from the exact law, so there is no
+    mixing error.  The draws equal ``rng.choice(values, count, p=probs)`` bit
+    for bit.  Only the jump size m = 2 is meaningful (W moves by 0 or +-2 per
+    heat-bath step).
     """
 
     def __init__(self, params: CWParams):
@@ -182,20 +213,21 @@ class CWPairModel(PairModel):
         keep = law.pmf > 0
         self.values = support[keep]
         self.probs = law.pmf[keep] / law.pmf[keep].sum()
+        self.q_table = _q_arrays(self.values, params)
+        # (cdf, guide), built by the first q_block call: exact_stats needs no
+        # sampler, and `cw rate` builds a model per grid point
+        self._sampler = None
 
-    def q_block(self, rng: np.random.Generator, count: int, m: int):
+    def q_block(self, rng: np.random.Generator, count: int, m: int) -> np.ndarray:
         if m != 2:
             raise InvalidParameter("the magnetization chain jumps by +-2 only")
-        w = rng.choice(self.values, size=count, p=self.probs)
-        return _q_arrays(w, self.params)
+        if self._sampler is None:
+            # threads that race here build identical tables; either may win
+            self._sampler = _sampler_tables(self.probs)
+        return _guided_search(*self._sampler, rng.random(count))
 
     def exact_stats(self):
-        qp, qm, qpp, qmm = _q_arrays(self.values, self.params)
-        return exact_pair_stats(self.probs, qp, qm, qpp, qmm, m=2)
-
-
-def cw_pair_model(params: CWParams) -> CWPairModel:
-    return CWPairModel(params)
+        return exact_pair_stats(self.probs, *self.q_table, m=2)
 
 
 CW_RATE_COLUMNS = [

@@ -532,10 +532,6 @@ class ERPairModel(PairModel):
         return tuple(out) if self.two_step else (*out, None, None)
 
 
-def er_pair_model(n: int, p: float, statistic: str) -> ERPairModel:
-    return ERPairModel(n, p, statistic)
-
-
 # ---------------------------------------------------------------------------
 # exhaustive enumeration oracle (n <= 7)
 

@@ -56,7 +56,13 @@ class PairModel:
     from ``rng`` and return the arrays (Q(+m), Q(-m), Q(m,m), Q(-m,-m))
     evaluated exactly at each state; the last two may be None when the model
     has no two-step evaluators for that jump size.
+
+    A finite-state model sets ``q_table`` to those four arrays evaluated once
+    per state; its :meth:`q_block` then returns the index into them of each
+    drawn state instead.
     """
+
+    q_table: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def q_block(self, rng: np.random.Generator, count: int, m: int):
         raise NotImplementedError
@@ -102,13 +108,16 @@ def _mean_se(x: np.ndarray) -> tuple[float, float]:
     return mean, se
 
 
-def _var_se(x: np.ndarray) -> tuple[float, float]:
-    # unbiased variance and its moment-based standard error
+def _var_se(x: np.ndarray, table: np.ndarray, index: np.ndarray | None) -> tuple[float, float]:
+    # unbiased variance and its moment-based standard error of x, which is
+    # table[index] (table itself when index is None); the fourth powers are
+    # taken once per table entry, which gives each replicate the same value
     n = len(x)
     mean = x.mean()
     dev = x - mean
     var = float(np.dot(dev, dev) / (n - 1))
-    m4 = float(np.mean(dev ** 4))
+    dev4 = dev ** 4 if index is None else ((table - mean) ** 4)[index]
+    m4 = float(np.mean(dev4))
     inner = m4 - (n - 3) / (n - 1) * var * var
     se = math.sqrt(max(inner, 0.0) / n)
     return var, se
@@ -119,7 +128,11 @@ def pair_stats(model: PairModel, m: int, replicates: int, seed: int) -> PairChai
 
     The jump rate q_m is the pooled mean of both directional evaluators.
     Per-replicate values are materialized in replicate order, so the
-    reductions are independent of the execution schedule.
+    reductions are independent of the execution schedule.  For a finite-state
+    model (one with ``q_table``) they are gathered from the per-state tables
+    by the drawn state indices, and every per-replicate function of them is
+    evaluated once per state; each replicate gets the same value either way,
+    so the estimates are those of the per-replicate evaluation.
     """
     if m < 1:
         raise InvalidParameter("m must be a positive integer")
@@ -128,21 +141,31 @@ def pair_stats(model: PairModel, m: int, replicates: int, seed: int) -> PairChai
     parts = map_blocks(
         lambda start, count, rng: model.q_block(rng, count, m), seed, replicates
     )
-    qp = np.concatenate([p[0] for p in parts])
-    qm = np.concatenate([p[1] for p in parts])
-    has_two_step = all(p[2] is not None and p[3] is not None for p in parts)
+    if model.q_table is None:
+        index = None
+        tab_p, tab_m, tab_pp, tab_mm = (
+            None if any(p[i] is None for p in parts) else np.concatenate([p[i] for p in parts])
+            for i in range(4)
+        )
+    else:
+        index = np.concatenate(parts)
+        tab_p, tab_m, tab_pp, tab_mm = model.q_table
+    del parts
+
+    def gather(table: np.ndarray) -> np.ndarray:
+        return table if index is None else table[index]
+
+    qp, qm = gather(tab_p), gather(tab_m)
     q_pooled, se_q = _mean_se(np.concatenate([qp, qm]))
     if q_pooled <= 0.0:
         raise DegenerateChain("estimated jump rate is zero")
-    var_p, se_var_p = _var_se(qp)
-    var_m, se_var_m = _var_se(qm)
+    var_p, se_var_p = _var_se(qp, tab_p, index)
+    var_m, se_var_m = _var_se(qm, tab_m, index)
     ediff_p = ediff_m = None
     se_ed_p = se_ed_m = 0.0
-    if has_two_step:
-        dp = np.abs(np.concatenate([p[2] for p in parts]) - qp ** 2)
-        dm = np.abs(np.concatenate([p[3] for p in parts]) - qm ** 2)
-        ediff_p, se_ed_p = _mean_se(dp)
-        ediff_m, se_ed_m = _mean_se(dm)
+    if tab_pp is not None and tab_mm is not None:
+        ediff_p, se_ed_p = _mean_se(gather(np.abs(tab_pp - tab_p ** 2)))
+        ediff_m, se_ed_m = _mean_se(gather(np.abs(tab_mm - tab_m ** 2)))
     return PairChainStats(
         m=m,
         q_m=q_pooled,

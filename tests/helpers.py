@@ -13,8 +13,11 @@ from math import comb
 
 import numpy as np
 
+from lkllt.curie_weiss import CWPairModel, _q_arrays
 from lkllt.er import GraphState, _pack, _unpack, graph_stats
 from lkllt.lattice import LatticeDist, dist_from_weights
+from lkllt.rngutil import map_blocks
+from lkllt.smoothing import PairChainStats
 
 
 def brute_convolve(F: LatticeDist, G: LatticeDist) -> LatticeDist:
@@ -77,6 +80,43 @@ def gibbs_weight(spins, beta: float, h: float) -> float:
     n = len(spins)
     inter = sum(spins[i] * spins[j] for i in range(n) for j in range(i + 1, n))
     return math.exp(beta / n * inter + h * sum(spins))
+
+
+def cw_pair_stats_per_replicate(model: CWPairModel, replicates: int, seed: int) -> PairChainStats:
+    """The Curie-Weiss pair-chain estimates, evaluated per replicate.
+
+    Each block draws its magnetizations with ``rng.choice``, the evaluators
+    run at every drawn value, and the fourth central moment is ``dev ** 4``
+    over the replicates.
+    """
+    parts = map_blocks(
+        lambda start, count, rng: _q_arrays(
+            rng.choice(model.values, size=count, p=model.probs), model.params
+        ),
+        seed,
+        replicates,
+    )
+    qp, qm, qpp, qmm = (np.concatenate([part[i] for part in parts]) for i in range(4))
+
+    def mean_se(x):
+        return float(x.mean()), float(x.std(ddof=1) / math.sqrt(len(x)))
+
+    def var_se(x):
+        n = len(x)
+        dev = x - x.mean()
+        var = float(np.dot(dev, dev) / (n - 1))
+        inner = float(np.mean(dev ** 4)) - (n - 3) / (n - 1) * var * var
+        return var, math.sqrt(max(inner, 0.0) / n)
+
+    q_m, se_q_m = mean_se(np.concatenate([qp, qm]))
+    var_p, se_var_p = var_se(qp)
+    var_m, se_var_m = var_se(qm)
+    ediff_p, se_ed_p = mean_se(np.abs(qpp - qp ** 2))
+    ediff_m, se_ed_m = mean_se(np.abs(qmm - qm ** 2))
+    return PairChainStats(
+        2, q_m, var_p, var_m, ediff_p, ediff_m, replicates,
+        se_q_m, se_var_p, se_var_m, se_ed_p, se_ed_m,
+    )
 
 
 def subset_max_independent(points: np.ndarray, r: float) -> int:

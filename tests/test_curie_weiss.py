@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,16 +11,16 @@ from lkllt.curie_weiss import (
     CWState,
     cw_exact_pmf,
     cw_m0,
-    cw_pair_model,
     cw_q,
     cw_rate_experiment,
     parity_shift,
     _log_factorials,
 )
 from lkllt.errors import InvalidParameter
+from lkllt.rngutil import block_rng
 from lkllt.smoothing import pair_bound_d1, pair_stats
 
-from helpers import all_spin_configs, gibbs_weight
+from helpers import all_spin_configs, cw_pair_stats_per_replicate, gibbs_weight
 
 
 def test_exact_pmf_independent_spins():
@@ -148,7 +149,7 @@ def test_kernel_consistency_small_n(n, beta, h):
 
 
 def test_pair_model_independent_spins_rate():
-    stats = pair_stats(cw_pair_model(CWParams(100, 0.0, 0.0)), 2, 30000, seed=4)
+    stats = pair_stats(CWPairModel(CWParams(100, 0.0, 0.0)), 2, 30000, seed=4)
     assert stats.q_m == pytest.approx(0.25, abs=3 * stats.se_q_m)
 
 
@@ -157,7 +158,7 @@ def test_pair_model_bound_dominates_exact():
 
     params = CWParams(50, 0.5, 0.0)
     law = cw_exact_pmf(params)
-    stats = pair_stats(cw_pair_model(params), 2, 30000, seed=6)
+    stats = pair_stats(CWPairModel(params), 2, 30000, seed=6)
     assert pair_bound_d1(stats) >= smoothing_term(law, 1, 2)
 
 
@@ -227,3 +228,71 @@ def test_log_factorials_are_read_only_prefixes_of_one_table():
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0] = 1.0
+
+
+# (n, beta, h): the smallest n, small and medium n, the benchmark's n, and
+# an odd n near the critical point, where the law is widest
+CW_SAMPLER_CASES = [
+    (1, 0.5, 0.0), (7, 0.5, 0.3), (30, 0.4, 0.0), (1000, 0.5, -0.1),
+    (100000, 0.5, 0.0), (50001, 0.99, 0.0),
+]
+
+
+@pytest.mark.parametrize("n,beta,h", CW_SAMPLER_CASES)
+def test_state_draws_equal_generator_choice(n, beta, h):
+    model = CWPairModel(CWParams(n, beta, h))
+    for count in (1, 17, 4096):
+        got = model.q_block(block_rng(5, count), count, 2)
+        want = block_rng(5, count).choice(model.values, size=count, p=model.probs)
+        assert np.array_equal(model.values[got], want)
+
+
+def _sampler_probs(case):
+    if case == "uniform":
+        # one state per bucket: a CDF step on every bucket edge
+        return np.full(curie_weiss._GUIDE_SIZE, 1.0 / curie_weiss._GUIDE_SIZE)
+    return CWPairModel(CWParams(*case)).probs
+
+
+@pytest.mark.parametrize("case", CW_SAMPLER_CASES + ["uniform"])
+def test_guided_search_equals_cdf_search(case):
+    cdf, guide = curie_weiss._sampler_tables(_sampler_probs(case))
+    assert cdf[-1] == 1.0  # so every key in [0, 1) falls on a state
+    size = curie_weiss._GUIDE_SIZE
+    edges = np.arange(size) / size
+    steps = cdf[cdf < 1.0]
+    keys = np.concatenate([
+        [0.0, 1.0 - 2.0 ** -53],
+        edges,
+        np.nextafter(edges, 1.0),
+        steps,
+        np.nextafter(steps, 0.0),
+        np.nextafter(steps, 1.0),
+    ])
+    keys = keys[keys < 1.0]
+    got = curie_weiss._guided_search(cdf, guide, keys)
+    assert np.array_equal(got, cdf.searchsorted(keys, side="right"))
+
+
+def test_sampler_tables_are_built_by_the_first_draw():
+    model = CWPairModel(CWParams(1000, 0.5, 0.0))
+    model.exact_stats()
+    assert model._sampler is None
+    model.q_block(block_rng(1, 0), 3, 2)
+    assert model._sampler is not None
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("n,beta,h,reps", [
+    (1, 0.5, 0.0, 4999),
+    (30, 0.4, 0.0, 30000),
+    (1000, 0.5, -0.1, 9001),
+    (50001, 0.99, 0.0, 20000),
+])
+def test_pair_stats_equal_per_replicate_reference(n, beta, h, reps, threads, monkeypatch):
+    monkeypatch.setenv("LKLLT_THREADS", threads)
+    model = CWPairModel(CWParams(n, beta, h))
+    got = pair_stats(model, 2, reps, seed=8)
+    want = cw_pair_stats_per_replicate(model, reps, seed=8)
+    for field in dataclasses.fields(got):
+        assert getattr(got, field.name) == getattr(want, field.name), field.name

@@ -22,7 +22,6 @@ from lkllt.er import (
     _unpack,
     empirical_dist,
     enumerate_graphs_oracle,
-    er_pair_model,
     er_rate_experiment,
     gnp_sample,
     graph_from_edges,
@@ -261,7 +260,7 @@ def test_tri_two_step_probability_consistency():
 
 
 def test_er_pair_model_rates_match_closed_forms():
-    stats = pair_stats(er_pair_model(6, 0.5, "isolated"), 1, 30000, seed=13)
+    stats = pair_stats(ERPairModel(6, 0.5, "isolated"), 1, 30000, seed=13)
     mom = iso_moments(6, 0.5)
     want = (mom.e_w1 - 2 * mom.e_e2) * 0.5 / comb(6, 2)
     assert stats.q_m == pytest.approx(want, abs=3 * stats.se_q_m)
