@@ -52,12 +52,16 @@ def parse_grid(spec: str, integer: bool = True) -> list:
     return out
 
 
-def _emit(table: RateTable, args) -> None:
-    text = table.to_json() if args.format == "json" else table.to_csv()
-    if args.out:
-        Path(args.out).write_text(text)
+def _write(text: str, out) -> None:
+    """Write ``text`` to the path ``out``, or to stdout when there is none."""
+    if out:
+        Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(table: RateTable, args) -> None:
+    _write(table.to_json() if args.format == "json" else table.to_csv(), args.out)
 
 
 def _common_output(sub):
@@ -126,8 +130,7 @@ def _cmd_verify_lk(args) -> int:
     if args.out:
         for r in rows:
             table.add(*r)
-        text = table.to_json() if args.format == "json" else table.to_csv()
-        Path(args.out).write_text(text)
+        _emit(table, args)
     return 0 if ok else 1
 
 
@@ -169,11 +172,7 @@ def _cmd_bounds(args) -> int:
             pair_bound_d2(stats) if stats.ediff_plus is not None else None
         ),
     }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
 
@@ -228,11 +227,7 @@ def _cmd_er_oracle(args) -> int:
         "pmf": list(law.pmf),
         "moments": moments,
     }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
 

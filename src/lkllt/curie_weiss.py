@@ -36,16 +36,6 @@ class CWParams:
             raise InvalidParameter("beta must be nonnegative")
 
 
-@dataclass(frozen=True)
-class CWState:
-    n: int
-    w: int
-
-    def __post_init__(self):
-        if abs(self.w) > self.n or (self.w - self.n) % 2 != 0:
-            raise InvalidParameter("magnetization must satisfy |w| <= n, w = n mod 2")
-
-
 def parity_shift(n: int) -> int:
     """0 for even n, 1 for odd n: (W + shift)/2 lives on the unit lattice."""
     return (1 - (-1) ** n) // 2
@@ -157,14 +147,6 @@ def _q_arrays(w: np.ndarray, params: CWParams):
     p_dn_2 = 0.5 * (1.0 - np.tanh(beta * (w - 3) / n + h))
     qn2n2 = qn2 * (up - 1) / n * p_dn_2
     return q2, qn2, q22, qn2n2
-
-
-def cw_q(state: CWState, params: CWParams) -> tuple[float, float, float, float]:
-    """Exact (Q(+2), Q(-2), Q(+2,+2), Q(-2,-2)) at one magnetization value."""
-    if state.n != params.n:
-        raise InvalidParameter("state and params disagree on n")
-    q2, qn2, q22, qn2n2 = _q_arrays(np.array([state.w]), params)
-    return float(q2[0]), float(qn2[0]), float(q22[0]), float(qn2n2[0])
 
 
 _GUIDE_SIZE = 2 ** 16  # a power of two, so the bucket u * _GUIDE_SIZE is exact

@@ -6,10 +6,10 @@ isolated-vertex counts and triangle counts.  The edge-resampling chain
 G(n, p); its jump probabilities are exact functions of a few graph counts,
 which keeps the pair-chain bounds free of nested simulation.
 
-Single graphs are stored as bit-packed adjacency rows (uint64 words).  The
-pair-chain evaluators take whole blocks of graphs as boolean adjacency
-stacks of shape (count, n, n), so degree, isolated-edge and common-neighbour
-counts are array reductions over the block rather than Python loops.
+Graphs are boolean adjacency stacks of shape (count, n, n); one graph is a
+stack of one.  The samplers and the pair-chain evaluators work on whole
+blocks, so degree, isolated-edge and common-neighbour counts are array
+reductions over the block rather than Python loops.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from math import comb
 import numpy as np
 
 from .errors import DegenerateChain, InvalidParameter, TooLarge
-from .lattice import LatticeDist, dist_from_weights
+from .lattice import dist_from_weights, empirical_dist
 from .metrics import KOLMOGOROV, LOCAL, TOTAL_VARIATION, distance, local_span
 from .report import RateTable
-from .rngutil import block_rng, map_blocks
+from .rngutil import map_blocks
 from .smoothing import PairModel, exact_pair_stats
 from .tp import tp_dist, tp_params
 
@@ -46,24 +46,7 @@ def _qpow(p: float, k: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# graph representation
-
-
-@dataclass(frozen=True)
-class GraphState:
-    """Simple undirected graph on {0..n-1} with bit-packed adjacency rows."""
-
-    n: int
-    words: np.ndarray  # (n, ceil(n/64)) uint64, symmetric, no self-loops
-
-    def degree(self) -> np.ndarray:
-        return np.bitwise_count(self.words).sum(axis=1).astype(np.int64)
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool((self.words[i, j >> 6] >> np.uint64(j & 63)) & np.uint64(1))
-
-    def edge_count(self) -> int:
-        return int(np.bitwise_count(self.words).sum()) // 2
+# graph sampling
 
 
 def _pack(adj: np.ndarray) -> np.ndarray:
@@ -72,15 +55,6 @@ def _pack(adj: np.ndarray) -> np.ndarray:
     buf = np.zeros(adj.shape[:-1] + (-(-n // 64) * 64,), dtype=bool)
     buf[..., :n] = adj
     return np.packbits(buf, axis=-1, bitorder="little").view(np.uint64)
-
-
-def graph_from_edges(n: int, edges) -> GraphState:
-    adj = np.zeros((n, n), dtype=bool)
-    for i, j in edges:
-        if i == j:
-            raise InvalidParameter("self-loops are not allowed")
-        adj[i, j] = adj[j, i] = True
-    return GraphState(n, _pack(adj))
 
 
 @lru_cache(maxsize=16)
@@ -94,62 +68,14 @@ def _gnp_block(n: int, p: float, rng: np.random.Generator, count: int) -> np.nda
     """Boolean adjacency stack (count, n, n) of independent G(n, p) draws.
 
     Graph t takes uniforms t*C(n,2) .. (t+1)*C(n,2)-1 of ``rng`` in pair-slot
-    order, exactly what ``count`` successive one-graph draws consume.
+    order, exactly what ``count`` successive one-graph blocks consume, so
+    splitting a block does not change its graphs.
     """
     ii, jj = _triu_index_arrays(n)
     adj = np.zeros((count, n, n), dtype=bool)
     adj[:, ii, jj] = rng.random((count, len(ii))) < p
     adj |= adj.transpose(0, 2, 1)
     return adj
-
-
-def _gnp(n: int, p: float, rng: np.random.Generator) -> GraphState:
-    return GraphState(n, _pack(_gnp_block(n, p, rng, 1)[0]))
-
-
-def gnp_sample(n: int, p: float, seed: int) -> GraphState:
-    """One G(n, p) draw; each vertex pair carries an edge with probability p."""
-    if n < 1:
-        raise InvalidParameter("n must be >= 1")
-    if not 0.0 <= p <= 1.0:
-        raise InvalidParameter("p must lie in [0, 1]")
-    return _gnp(n, p, block_rng(seed, 0))
-
-
-# ---------------------------------------------------------------------------
-# statistics
-
-
-@dataclass(frozen=True)
-class GraphStats:
-    w_isolated: int  # vertices of degree 0
-    w1: int          # vertices of degree 1
-    e2: int          # isolated edges (both endpoints of degree 1)
-    triangles: int
-
-
-def graph_stats(G: GraphState) -> GraphStats:
-    deg = G.degree()
-    w0 = int((deg == 0).sum())
-    w1_idx = np.flatnonzero(deg == 1)
-    e2 = 0
-    for i in w1_idx:
-        row = G.words[i]
-        widx = int(np.flatnonzero(row)[0])
-        j = widx * 64 + int(row[widx]).bit_length() - 1
-        if deg[j] == 1:
-            e2 += 1
-    e2 //= 2
-    ii, jj = _triu_index_arrays(G.n)
-    adj = _unpack(G)
-    sel = adj[ii, jj]
-    common = np.bitwise_count(G.words[ii[sel]] & G.words[jj[sel]]).sum()
-    return GraphStats(w0, len(w1_idx), e2, int(common) // 3)
-
-
-def _unpack(G: GraphState) -> np.ndarray:
-    raw = np.unpackbits(G.words.view(np.uint8), axis=1, bitorder="little")
-    return raw[:, : G.n].astype(bool)
 
 
 # ---------------------------------------------------------------------------
@@ -202,29 +128,18 @@ def iso_moments(n: int, p: float) -> IsoMoments:
     return IsoMoments(e_w, e_w2, e_w3, e_w4, e_w1, e_e2, e_w1sq, e_e2sq, e_w1e2, sigma2)
 
 
-@dataclass(frozen=True)
-class IsoQ:
-    """Exact one-step jump probabilities of the edge-resampling chain for the
-    isolated-vertex count, plus the closed-form two-step products.
-
-    The two-step value q11 counts ordered pairs of distinct "+1 edges" of the
-    starting graph; it can over-count realizable second moves (the first
-    removal may change the set of +1 edges in ways the counts W1, E2 do not
-    see), so the enumeration oracle is the arbiter for it.  The remaining
-    two-step forms are exact.
-    """
-
-    q1: float
-    q_neg1: float
-    q2: float
-    q_neg2: float
-    q11: float
-    q_neg1_neg1: float
-    q22: float
-    q_neg2_neg2: float
-
-
 def _iso_q_from_counts(n: int, p: float, w, w1, e2):
+    """Exact jump probabilities of the edge-resampling chain for the
+    isolated-vertex count, and the closed-form two-step products, from the
+    counts (W, W1, E2).  Returns
+    (Q(1), Q(-1), Q(2), Q(-2), Q(1,1), Q(-1,-1), Q(2,2), Q(-2,-2)).
+
+    Q(1,1) counts ordered pairs of distinct "+1 edges" of the starting graph;
+    it can over-count realizable second moves (the first removal may change
+    the set of +1 edges in ways the counts W1, E2 do not see), so the
+    enumeration oracle is the arbiter for it.  The other two-step forms are
+    exact.
+    """
     c2 = comb(n, 2)
     w = np.asarray(w, dtype=float)
     w1 = np.asarray(w1, dtype=float)
@@ -248,29 +163,6 @@ def _iso_counts(adj: np.ndarray):
     w = np.count_nonzero(deg == 0, axis=1)
     e2 = np.count_nonzero(adj & one[:, :, None] & one[:, None, :], axis=(1, 2)) // 2
     return w, np.count_nonzero(one, axis=1), e2
-
-
-def iso_q(G: GraphState, p: float) -> IsoQ:
-    vals = _iso_q_from_counts(G.n, p, *_iso_counts(_unpack(G)[None]))
-    return IsoQ(*(float(v[0]) for v in vals))
-
-
-def iso_q11_two_step(G: GraphState, p: float) -> float:
-    """True two-step probability of two consecutive +1 moves, by enumerating
-    the first move and applying the exact one-step formula to each result."""
-    deg = G.degree()
-    adj = _unpack(G)
-    c2 = comb(G.n, 2)
-    total = 0.0
-    ii, jj = np.nonzero(np.triu(adj, 1))
-    for i, j in zip(ii, jj):
-        if (deg[i] == 1) != (deg[j] == 1):
-            adj2 = adj.copy()
-            adj2[i, j] = adj2[j, i] = False
-            s = graph_stats(GraphState(G.n, _pack(adj2)))
-            q1_next = (s.w1 - 2 * s.e2) * (1 - p) / c2
-            total += (1 - p) / c2 * q1_next
-    return total
 
 
 @dataclass(frozen=True)
@@ -471,19 +363,6 @@ def _tri_q_block(adj: np.ndarray, p: float, two_step: bool):
     return qp, qm, qpp, qmm
 
 
-def tri_q(G: GraphState, p: float) -> tuple[float, float]:
-    """Exact (Q(+1), Q(-1)) for the triangle count of one graph."""
-    _check_tri_size(G.n, False)
-    qp, qm, _, _ = _tri_q_block(_unpack(G)[None], p, False)
-    return float(qp[0]), float(qm[0])
-
-
-def tri_q11_two_step(G: GraphState, p: float) -> float:
-    """Exact two-step probability of two consecutive +1 triangle moves."""
-    _check_tri_size(G.n, True)
-    return float(_tri_q_block(_unpack(G)[None], p, True)[2][0])
-
-
 # ---------------------------------------------------------------------------
 # pair models
 
@@ -625,6 +504,8 @@ def enumerate_graphs_oracle(n: int, p: float, statistic: str):
         raise TooLarge("enumeration oracle is capped at n = 7")
     if statistic not in ("isolated", "triangles"):
         raise InvalidParameter("statistic must be 'isolated' or 'triangles'")
+    if not 0.0 <= p <= 1.0:
+        raise InvalidParameter("p must lie in [0, 1]")
     masks, e_count, prob = _enumerate_graphs(n, p)
     if statistic == "isolated":
         counts = _enumerated_iso_counts(n, masks)
@@ -723,12 +604,6 @@ def _triangle_count_block(n: int, p: float, rng: np.random.Generator, count: int
     return out
 
 
-def empirical_dist(values: np.ndarray) -> LatticeDist:
-    lo = int(values.min())
-    weights = np.bincount(values - lo)
-    return dist_from_weights(lo, weights)
-
-
 ER_ISO_COLUMNS = [
     "n", "p", "sigma", "dloc", "dloc2", "dtv", "dk", "pmf_se_max",
     "d1_bound", "d2_bound", "d12_bound", "d22_bound",
@@ -752,6 +627,8 @@ def er_rate_experiment(statistic: str, rows, replicates: int, seed: int) -> Rate
         raise InvalidParameter("statistic must be 'isolated' or 'triangles'")
     if replicates < 2:
         raise InvalidParameter("replicates must be >= 2")
+    if not all(0.0 <= p <= 1.0 for _, p in rows):
+        raise InvalidParameter("p must lie in [0, 1]")
     cols = ER_ISO_COLUMNS if statistic == "isolated" else ER_TRI_COLUMNS
     table = RateTable(
         cols,

@@ -139,6 +139,12 @@ def dist_from_weights(offset: int, weights) -> LatticeDist:
     return LatticeDist(*_trim(int(offset), arr / total))
 
 
+def empirical_dist(values: np.ndarray) -> LatticeDist:
+    """Empirical law of an integer sample."""
+    lo = int(values.min())
+    return dist_from_weights(lo, np.bincount(values - lo))
+
+
 def smooth_uniform(F: LatticeDist, m: int) -> LatticeDist:
     """Convolve F with the uniform distribution on {0, ..., m-1}.
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, TooLarge
-from .lattice import LatticeDist, dist_from_weights
+from .lattice import empirical_dist
 from .metrics import KOLMOGOROV, LOCAL, TOTAL_VARIATION, distance
 from .report import RateTable
 from .rngutil import block_rng, map_blocks
@@ -173,6 +173,8 @@ def rgg_experiment(b: float, d: int, lambda_grid, replicates: int, seed: int) ->
     """
     if not b > 0:
         raise InvalidParameter("b must be positive")
+    if d < 1:
+        raise InvalidParameter("d must be >= 1")
     if replicates < 2:
         raise InvalidParameter("replicates must be >= 2")
     table = RateTable(
@@ -204,8 +206,7 @@ def rgg_experiment(b: float, d: int, lambda_grid, replicates: int, seed: int) ->
         parts = map_blocks(one_block, seed, replicates)
         w = np.concatenate([p[0] for p in parts])
         ann = np.concatenate([p[1] for p in parts])
-        lo = int(w.min())
-        emp = dist_from_weights(lo, np.bincount(w - lo))
+        emp = empirical_dist(w)
         mean_w = float(w.mean())
         var_w = float(w.var(ddof=1))
         target = tp_dist(tp_params(mean_w, var_w))

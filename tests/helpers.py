@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
 from lkllt.curie_weiss import CWPairModel, _q_arrays
-from lkllt.er import GraphState, _pack, _unpack, graph_stats
 from lkllt.lattice import LatticeDist, dist_from_weights
 from lkllt.rngutil import map_blocks
 from lkllt.smoothing import PairChainStats
@@ -47,29 +47,79 @@ def random_dist(rng: np.random.Generator, max_width: int = 30) -> LatticeDist:
     return dist_from_weights(int(rng.integers(-8, 8)), rng.exponential(size=width))
 
 
-def chain_step_probabilities(G: GraphState, p: float, stat_fn) -> dict[int, float]:
-    """Exact law of the statistic jump for one edge-resampling step from G."""
-    n = G.n
+def adjacency(n: int, edges) -> np.ndarray:
+    """Boolean (n, n) adjacency matrix of the simple graph with these edges."""
+    adj = np.zeros((n, n), dtype=bool)
+    for i, j in edges:
+        assert i != j, "self-loops are not allowed"
+        adj[i, j] = adj[j, i] = True
+    return adj
+
+
+@dataclass(frozen=True)
+class GraphStats:
+    w_isolated: int  # vertices of degree 0
+    w1: int          # vertices of degree 1
+    e2: int          # isolated edges (both endpoints of degree 1)
+    triangles: int
+
+
+def graph_stats(adj: np.ndarray) -> GraphStats:
+    """Counts of one graph, given as a boolean (n, n) adjacency matrix, by
+    walking the degree-one vertices and the common neighbours of each edge."""
+    deg = adj.sum(axis=1)
+    w1_idx = np.flatnonzero(deg == 1)
+    e2 = 0
+    for i in w1_idx:
+        j = int(np.flatnonzero(adj[i])[0])
+        if deg[j] == 1:
+            e2 += 1
+    ii, jj = np.nonzero(np.triu(adj, 1))
+    common = int((adj[ii] & adj[jj]).sum())
+    return GraphStats(int((deg == 0).sum()), len(w1_idx), e2 // 2, common // 3)
+
+
+def chain_step_probabilities(adj: np.ndarray, p: float, stat_fn) -> dict[int, float]:
+    """Exact law of the statistic jump for one edge-resampling step from the
+    graph with boolean (n, n) adjacency matrix ``adj``."""
+    n = len(adj)
     c2 = comb(n, 2)
-    base = stat_fn(G)
-    adj = _unpack(G)
+    base = stat_fn(adj)
     probs: dict[int, float] = {}
     for i in range(n):
         for j in range(i + 1, n):
             for present, pr in ((True, p), (False, 1 - p)):
                 nxt = adj.copy()
                 nxt[i, j] = nxt[j, i] = present
-                jump = stat_fn(GraphState(n, _pack(nxt))) - base
+                jump = stat_fn(nxt) - base
                 probs[jump] = probs.get(jump, 0.0) + pr / c2
     return probs
 
 
-def isolated_count(G: GraphState) -> int:
-    return graph_stats(G).w_isolated
+def isolated_count(adj: np.ndarray) -> int:
+    return graph_stats(adj).w_isolated
 
 
-def triangle_count(G: GraphState) -> int:
-    return graph_stats(G).triangles
+def triangle_count(adj: np.ndarray) -> int:
+    return graph_stats(adj).triangles
+
+
+def iso_q11_two_step(adj: np.ndarray, p: float) -> float:
+    """True two-step probability of two consecutive +1 isolated-vertex moves,
+    by enumerating the first move and applying the exact one-step formula to
+    each result."""
+    n = len(adj)
+    deg = adj.sum(axis=1)
+    c2 = comb(n, 2)
+    total = 0.0
+    for i, j in zip(*np.nonzero(np.triu(adj, 1))):
+        if (deg[i] == 1) != (deg[j] == 1):
+            nxt = adj.copy()
+            nxt[i, j] = nxt[j, i] = False
+            s = graph_stats(nxt)
+            q1_next = (s.w1 - 2 * s.e2) * (1 - p) / c2
+            total += (1 - p) / c2 * q1_next
+    return total
 
 
 def all_spin_configs(n: int):

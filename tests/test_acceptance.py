@@ -17,12 +17,13 @@ from lkllt import cli
 from lkllt.curie_weiss import CWPairModel, CWParams, cw_exact_pmf, cw_rate_experiment
 from lkllt.er import (
     ERPairModel,
-    _gnp,
+    _gnp_block,
+    _iso_counts,
+    _iso_q_from_counts,
+    _tri_q_block,
     enumerate_graphs_oracle,
     iso_moments,
-    iso_q,
     tri_closed_forms,
-    tri_q,
 )
 from lkllt.lk import KNOWN_CASES, SQRT2, lk_fuzz
 from lkllt.metrics import smoothing_term, smoothing_term_dual
@@ -67,17 +68,15 @@ def test_criterion_2_q_function_equivalence():
     for n in (4, 5, 6):
         for _ in range(20):
             p = float(rng.uniform(0.1, 0.9))
-            G = _gnp(n, p, rng)
-            iso_bf = chain_step_probabilities(G, p, isolated_count)
-            v = iso_q(G, p)
-            for jump, closed in (
-                (1, v.q1), (-1, v.q_neg1), (2, v.q2), (-2, v.q_neg2)
-            ):
-                worst = max(worst, abs(closed - iso_bf.get(jump, 0.0)))
-            tri_bf = chain_step_probabilities(G, p, triangle_count)
-            q1, qn1 = tri_q(G, p)
-            worst = max(worst, abs(q1 - tri_bf.get(1, 0.0)))
-            worst = max(worst, abs(qn1 - tri_bf.get(-1, 0.0)))
+            adj = _gnp_block(n, p, rng, 1)
+            iso_bf = chain_step_probabilities(adj[0], p, isolated_count)
+            q1, qn1, q2, qn2, *_ = _iso_q_from_counts(n, p, *_iso_counts(adj))
+            for jump, closed in ((1, q1), (-1, qn1), (2, q2), (-2, qn2)):
+                worst = max(worst, abs(float(closed[0]) - iso_bf.get(jump, 0.0)))
+            tri_bf = chain_step_probabilities(adj[0], p, triangle_count)
+            q1, qn1, _, _ = _tri_q_block(adj, p, False)
+            worst = max(worst, abs(float(q1[0]) - tri_bf.get(1, 0.0)))
+            worst = max(worst, abs(float(qn1[0]) - tri_bf.get(-1, 0.0)))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-14 and elapsed < 10
     report(2, ok, f"one-step chain equivalence worst gap {worst:.2e}, {elapsed:.1f}s")

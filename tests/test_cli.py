@@ -71,6 +71,38 @@ def test_verify_lk_smoke(capsys):
     assert out.count("holds=True") == 2
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        "bounds --model er-iso --n 6 --p 0.5 --reps 2000 --seed 1",
+        "er oracle --n 5 --p 0.5 --stat isolated",
+        "tp --mu 0 --sigma2-grid 100:400:x2",
+    ],
+)
+def test_out_file_holds_the_stdout_bytes(command, tmp_path, capsys):
+    status, out = run_cli(command.split(), capsys)
+    assert status == 0
+    path = tmp_path / "out"
+    status, rest = run_cli(command.split() + ["--out", str(path)], capsys)
+    assert status == 0
+    assert rest == ""
+    assert path.read_bytes() == out.encode()
+
+
+def test_verify_lk_out_writes_the_table_and_keeps_the_summary(tmp_path, capsys):
+    command = ["verify", "lk", "--trials", "40", "--seed", "1"]
+    status, out = run_cli(command, capsys)
+    assert status == 0
+    path = tmp_path / "lk.csv"
+    status, rest = run_cli(command + ["--out", str(path)], capsys)
+    assert status == 0
+    assert rest == out
+    assert out.count("holds=True") == 2
+    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    assert lines[0] == "trial,combo,lhs,rhs_core,ratio"
+    assert {l.split(",")[1] for l in lines[1:]} == {"n2_p1q1r1", "n3_pinf_qinf_r1"}
+
+
 # SHA-256 of the stdout of the seedless exact-law commands, as pinned in
 # perfbench/goldens.json: any change to these bytes is a change of results.
 GOLDEN_SHA256 = {
@@ -198,6 +230,19 @@ def test_validation_exit_codes(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert cli.main(["metrics", "--f", str(missing), "--g", str(missing)]) == 2
     capsys.readouterr()
+    # out-of-range parameters are named in the message, not left to numpy
+    for command, name in (
+        ("rgg --d 0 --lambda-grid 10:10:x2 --reps 10", "d"),
+        ("rgg --d -1 --lambda-grid 10:10:x2 --reps 10", "d"),
+        ("er oracle --n 4 --p 1.5 --stat isolated", "p"),
+        ("er oracle --n 4 --p nan --stat isolated", "p"),
+        ("er iso --n 10 --p nan --reps 10", "p"),
+        ("er tri --n 10 --p -0.5 --reps 10", "p"),
+    ):
+        assert cli.main(command.split()) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must"), (command, err)
+        assert "Traceback" not in err
 
 
 def test_numerical_failure_exit_code(monkeypatch, capsys):

@@ -8,13 +8,12 @@ from lkllt import curie_weiss
 from lkllt.curie_weiss import (
     CWPairModel,
     CWParams,
-    CWState,
+    _log_factorials,
+    _q_arrays,
     cw_exact_pmf,
     cw_m0,
-    cw_q,
     cw_rate_experiment,
     parity_shift,
-    _log_factorials,
 )
 from lkllt.errors import InvalidParameter
 from lkllt.rngutil import block_rng
@@ -83,26 +82,19 @@ def test_m0_supercritical_nonnegative_branch():
 
 
 def test_q_two_sites_beta_zero():
-    q2, *_ = cw_q(CWState(2, -2), CWParams(2, 0.0, 0.0))
+    q2, *_ = _q_arrays(-2, CWParams(2, 0.0, 0.0))
     assert q2 == pytest.approx(0.5)
 
 
 def test_q_two_sites_general_beta():
     beta = 0.8
-    q2, *_ = cw_q(CWState(2, -2), CWParams(2, beta, 0.0))
+    q2, *_ = _q_arrays(-2, CWParams(2, beta, 0.0))
     assert q2 == pytest.approx((1 + math.tanh(-beta / 2)) / 2, abs=1e-14)
 
 
 def test_q_saturated_state():
-    q2, *_ = cw_q(CWState(4, 4), CWParams(4, 0.6, 0.0))
+    q2, *_ = _q_arrays(4, CWParams(4, 0.6, 0.0))
     assert q2 == 0.0
-
-
-def test_state_validation():
-    with pytest.raises(InvalidParameter):
-        CWState(4, 3)
-    with pytest.raises(InvalidParameter):
-        CWState(4, 6)
 
 
 def _site_conditional_up(spins, i, beta, h):
@@ -124,7 +116,7 @@ def test_w_sufficiency_site_by_site():
             for i in range(n)
             if spins[i] == -1
         ) / n
-        q2, *_ = cw_q(CWState(n, w), CWParams(n, beta, h))
+        q2, *_ = _q_arrays(w, CWParams(n, beta, h))
         assert q2 == pytest.approx(q2_sites, abs=1e-14)
 
 
@@ -143,7 +135,7 @@ def test_kernel_consistency_small_n(n, beta, h):
                 up2 += p_up / n
             else:
                 down2 += (1.0 - p_up) / n
-        q2, qn2, _, _ = cw_q(CWState(n, w), params)
+        q2, qn2, _, _ = _q_arrays(w, params)
         assert q2 == pytest.approx(up2, abs=1e-14)
         assert qn2 == pytest.approx(down2, abs=1e-14)
 
@@ -182,7 +174,7 @@ def test_mean_field_deviation_bound():
             model = CWPairModel(params)
             w = rng.choice(model.values, size=200, p=model.probs)
             for wi in w:
-                q2, *_ = cw_q(CWState(n, int(wi)), params)
+                q2, *_ = _q_arrays(wi, params)
                 lhs = abs(q2 - (1 - m0**2) / 4)
                 assert lhs <= C * (abs(wi / n - m0) + 1.0 / n)
 

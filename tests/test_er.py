@@ -11,59 +11,62 @@ from lkllt.er import (
     _CHUNK_CELLS,
     _SAMPLE_CELLS,
     ERPairModel,
-    GraphState,
     _enumerate_graphs,
     _enumerated_iso_counts,
     _enumerated_triangles,
-    _gnp,
+    _gnp_block,
+    _iso_counts,
     _iso_q_from_counts,
     _tri_q_block,
     _triangle_count_block,
-    _unpack,
-    empirical_dist,
     enumerate_graphs_oracle,
     er_rate_experiment,
-    gnp_sample,
-    graph_from_edges,
-    graph_stats,
     iso_exact_pair_stats,
     iso_moments,
-    iso_q,
-    iso_q11_two_step,
     iso_smoothing_bounds,
     tri_closed_forms,
-    tri_q,
-    tri_q11_two_step,
 )
 from lkllt.errors import InvalidParameter, TooLarge
+from lkllt.lattice import empirical_dist
 from lkllt.metrics import smoothing_term
 from lkllt.rngutil import block_rng
 from lkllt.smoothing import pair_bound_d1, pair_bound_d2, pair_stats
 
-from helpers import chain_step_probabilities, isolated_count, triangle_count
+from helpers import (
+    adjacency,
+    chain_step_probabilities,
+    graph_stats,
+    iso_q11_two_step,
+    isolated_count,
+    triangle_count,
+)
+
+
+def _edge_count(adj: np.ndarray) -> int:
+    return int(np.count_nonzero(adj)) // 2
 
 
 def test_gnp_extremes():
-    assert gnp_sample(5, 0.0, 1).edge_count() == 0
-    assert gnp_sample(5, 1.0, 1).edge_count() == comb(5, 2)
+    assert _edge_count(_gnp_block(5, 0.0, block_rng(1, 0), 1)) == 0
+    assert _edge_count(_gnp_block(5, 1.0, block_rng(1, 0), 1)) == comb(5, 2)
     with pytest.raises(InvalidParameter):
-        gnp_sample(5, 1.5, 1)
+        er_rate_experiment("isolated", [(5, 1.5)], 10, 1)
 
 
 def test_gnp_edge_count_concentration():
     n, p = 100, 0.5
     mean, sd = comb(n, 2) * p, math.sqrt(comb(n, 2) * p * (1 - p))
     for seed in range(100):
-        count = gnp_sample(n, p, seed).edge_count()
+        count = _edge_count(_gnp_block(n, p, block_rng(seed, 0), 1))
         assert abs(count - mean) <= 4 * sd
 
 
 def test_graph_stats_examples():
-    s = graph_stats(graph_from_edges(3, []))
+    s = graph_stats(adjacency(3, []))
     assert (s.w_isolated, s.w1, s.e2, s.triangles) == (3, 0, 0, 0)
-    s = graph_stats(graph_from_edges(3, [(0, 1)]))
+    s = graph_stats(adjacency(3, [(0, 1)]))
     assert (s.w_isolated, s.w1, s.e2, s.triangles) == (1, 2, 1, 0)
-    k4 = graph_from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+    k4 = adjacency(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
     s = graph_stats(k4)
     assert (s.w_isolated, s.w1, s.e2, s.triangles) == (0, 0, 0, 4)
 
@@ -120,31 +123,40 @@ def test_oracle_moments_equal_fsum_over_every_graph(n, statistic):
         assert moments == {key: math.fsum((prob * x).tolist()) for key, x in terms.items()}
 
 
+def _iso_q(adj: np.ndarray, p: float) -> tuple[float, ...]:
+    """(Q(1), Q(-1), Q(2), Q(-2), Q(1,1), ...) of one (n, n) adjacency matrix."""
+    return tuple(float(v[0]) for v in _iso_q_from_counts(len(adj), p, *_iso_counts(adj[None])))
+
+
+def _tri_q(adj: np.ndarray, p: float) -> tuple[float, float]:
+    """(Q(+1), Q(-1)) of one (n, n) adjacency matrix."""
+    qp, qm, _, _ = _tri_q_block(adj[None], p, False)
+    return float(qp[0]), float(qm[0])
+
+
 def test_iso_q_examples():
     p = 0.5
-    empty3 = graph_from_edges(3, [])
-    v = iso_q(empty3, p)
-    assert v.q_neg1 == 0.0
-    assert v.q_neg2 == pytest.approx(0.5)
-    edge3 = graph_from_edges(3, [(0, 1)])
-    v = iso_q(edge3, p)
-    assert v.q1 == 0.0
-    assert v.q2 == pytest.approx(1 / 6)
-    k4 = graph_from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    v = iso_q(k4, p)
-    assert v.q1 == v.q2 == 0.0
+    _, q_neg1, _, q_neg2, *_ = _iso_q(adjacency(3, []), p)
+    assert q_neg1 == 0.0
+    assert q_neg2 == pytest.approx(0.5)
+    q1, _, q2, *_ = _iso_q(adjacency(3, [(0, 1)]), p)
+    assert q1 == 0.0
+    assert q2 == pytest.approx(1 / 6)
+    k4 = adjacency(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+    q1, _, q2, *_ = _iso_q(k4, p)
+    assert q1 == q2 == 0.0
 
 
 def test_tri_q_examples():
-    path = graph_from_edges(4, [(0, 1), (1, 2)])
-    q1, qn1 = tri_q(path, 0.5)
+    path = adjacency(4, [(0, 1), (1, 2)])
+    q1, qn1 = _tri_q(path, 0.5)
     assert q1 == pytest.approx(0.5 / 6)
     assert qn1 == 0.0
-    triangle = graph_from_edges(3, [(0, 1), (0, 2), (1, 2)])
-    q1, qn1 = tri_q(triangle, 0.5)
+    triangle = adjacency(3, [(0, 1), (0, 2), (1, 2)])
+    q1, qn1 = _tri_q(triangle, 0.5)
     assert q1 == 0.0
     assert qn1 == pytest.approx(0.5)
-    assert tri_q(graph_from_edges(3, []), 0.5) == (0.0, 0.0)
+    assert _tri_q(adjacency(3, []), 0.5) == (0.0, 0.0)
 
 
 def test_one_step_chain_equivalence():
@@ -152,15 +164,13 @@ def test_one_step_chain_equivalence():
     for n in (4, 5, 6):
         for _ in range(12):
             p = float(rng.uniform(0.1, 0.9))
-            G = _gnp(n, p, rng)
-            iso_bf = chain_step_probabilities(G, p, isolated_count)
-            v = iso_q(G, p)
-            for jump, closed in (
-                (1, v.q1), (-1, v.q_neg1), (2, v.q2), (-2, v.q_neg2)
-            ):
+            (adj,) = _gnp_block(n, p, rng, 1)
+            iso_bf = chain_step_probabilities(adj, p, isolated_count)
+            q1, q_neg1, q2, q_neg2, *_ = _iso_q(adj, p)
+            for jump, closed in ((1, q1), (-1, q_neg1), (2, q2), (-2, q_neg2)):
                 assert closed == pytest.approx(iso_bf.get(jump, 0.0), abs=1e-14)
-            tri_bf = chain_step_probabilities(G, p, triangle_count)
-            q1, qn1 = tri_q(G, p)
+            tri_bf = chain_step_probabilities(adj, p, triangle_count)
+            q1, qn1 = _tri_q(adj, p)
             assert q1 == pytest.approx(tri_bf.get(1, 0.0), abs=1e-14)
             assert qn1 == pytest.approx(tri_bf.get(-1, 0.0), abs=1e-14)
 
@@ -170,8 +180,8 @@ def test_iso_q11_closed_form_overcounts():
     # first removal; the spec leaves the closed form in place and has the
     # enumeration adjudicate.  Lock in the canonical counterexample and report
     # the observed spread.
-    path3 = graph_from_edges(3, [(0, 1), (1, 2)])
-    closed = iso_q(path3, 0.5).q11
+    path3 = adjacency(3, [(0, 1), (1, 2)])
+    closed = _iso_q(path3, 0.5)[4]
     truth = iso_q11_two_step(path3, 0.5)
     assert closed == pytest.approx(1 / 18)
     assert truth == 0.0
@@ -180,8 +190,8 @@ def test_iso_q11_closed_form_overcounts():
     for _ in range(100):
         n = int(rng.integers(4, 7))
         p = float(rng.uniform(0.2, 0.8))
-        G = _gnp(n, p, rng)
-        gaps.append(iso_q(G, p).q11 - iso_q11_two_step(G, p))
+        (adj,) = _gnp_block(n, p, rng, 1)
+        gaps.append(_iso_q(adj, p)[4] - iso_q11_two_step(adj, p))
     warnings.warn(
         "isolated-vertex q11 closed form vs chain enumeration: "
         f"min gap {min(gaps):.3e}, max gap {max(gaps):.3e}"
@@ -255,8 +265,8 @@ def test_tri_two_step_matches_paper_identity_at_n8():
 def test_tri_two_step_probability_consistency():
     # two-step enumeration from the empty-ish graphs: adding any edge to an
     # empty graph creates no triangle, so both two-step rates vanish
-    empty = graph_from_edges(5, [])
-    assert tri_q11_two_step(empty, 0.4) == 0.0
+    empty = np.zeros((1, 5, 5), dtype=bool)
+    assert _tri_q_block(empty, 0.4, True)[2][0] == 0.0
 
 
 def test_er_pair_model_rates_match_closed_forms():
@@ -347,9 +357,8 @@ def test_empirical_dist_keeps_interior_zeros():
 
 
 def test_per_graph_eval_size_guard():
-    big = GraphState(600, np.zeros((600, 10), dtype=np.uint64))
     with pytest.raises(TooLarge):
-        tri_q(big, 0.5)
+        ERPairModel(600, 0.5, "triangles", two_step=False)
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +412,8 @@ def test_tri_block_matches_brute_force_on_every_graph_n5(p):
     got = _tri_q_block(adj, p, True)
     _assert_brute_force(adj, p, got)
     for k in (0, 7, 300, 1023):
-        G = graph_from_edges(n, zip(*np.nonzero(np.triu(adj[k], 1))))
-        assert tri_q(G, p) == (got[0][k], got[1][k])
-        assert tri_q11_two_step(G, p) == got[2][k]
+        one = _tri_q_block(adj[k:k + 1], p, True)
+        assert tuple(v[0] for v in one) == tuple(v[k] for v in got)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
@@ -414,7 +422,7 @@ def test_tri_block_matches_brute_force_on_every_graph_n5(p):
 def test_tri_q_block_matches_brute_force_on_random_blocks(n, count, p):
     got = ERPairModel(n, p, "triangles", two_step=True).q_block(block_rng(21, n), count, 1)
     rng = block_rng(21, n)
-    adj = np.stack([_unpack(_gnp(n, p, rng)) for _ in range(count)])
+    adj = np.concatenate([_gnp_block(n, p, rng, 1) for _ in range(count)])
     _assert_brute_force(adj, p, got)
 
 
@@ -426,7 +434,7 @@ def test_iso_q_block_draws_match_per_graph_loop(m):
     rng = block_rng(5, 0)
     want = np.empty((4, count))
     for t in range(count):
-        s = graph_stats(_gnp(n, p, rng))
+        s = graph_stats(_gnp_block(n, p, rng, 1)[0])
         v = _iso_q_from_counts(n, p, s.w_isolated, s.w1, s.e2)
         want[:, t] = (v[0], v[1], v[4], v[5]) if m == 1 else (v[2], v[3], v[6], v[7])
     for g, w in zip(got, want):
@@ -439,7 +447,7 @@ def test_tri_q_block_draws_match_per_graph_loop():
     qp, qm, qpp, qmm = ERPairModel(n, p, "triangles").q_block(block_rng(6, 0), count, 1)
     assert qpp is None and qmm is None
     rng = block_rng(6, 0)
-    want = np.array([tri_q(_gnp(n, p, rng), p) for _ in range(count)])
+    want = np.array([_tri_q(_gnp_block(n, p, rng, 1)[0], p) for _ in range(count)])
     assert np.array_equal(qp, want[:, 0]) and np.array_equal(qm, want[:, 1])
 
 
@@ -475,17 +483,8 @@ def test_pair_model_validates_before_drawing():
 
 
 def _triangle_counts_per_graph(n, p, rng, count):
-    """The per-graph loop that ``_triangle_count_block`` replaced."""
-    out = np.empty(count, dtype=np.int64)
-    for t in range(count):
-        G = _gnp(n, p, rng)
-        ii, jj = np.nonzero(np.triu(_unpack(G), 1))
-        if len(ii) == 0:
-            out[t] = 0
-            continue
-        common = np.bitwise_count(G.words[ii] & G.words[jj]).sum()
-        out[t] = int(common) // 3
-    return out
+    """Triangle counts of ``count`` one-graph draws, one graph at a time."""
+    return np.array([triangle_count(_gnp_block(n, p, rng, 1)[0]) for _ in range(count)])
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
