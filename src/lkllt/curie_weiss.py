@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import InvalidParameter, NumericalFailure
-from .lattice import LatticeDist, dist_from_weights
+from .lattice import LatticeDist
 from .metrics import KOLMOGOROV, LOCAL, TOTAL_VARIATION, WASSERSTEIN, distance
 from .report import RateTable
 from .smoothing import PairModel, exact_pair_stats, pair_bound_d1, pair_bound_d2
@@ -32,8 +33,14 @@ class CWParams:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidParameter("n must be a positive integer")
-        if self.beta < 0:
-            raise InvalidParameter("beta must be nonnegative")
+        _check_field(self.beta, self.h)
+
+
+def _check_field(beta: float, h: float) -> None:
+    if not (math.isfinite(beta) and beta >= 0):
+        raise InvalidParameter("beta must be finite and nonnegative")
+    if not math.isfinite(h):
+        raise InvalidParameter("h must be finite")
 
 
 def parity_shift(n: int) -> int:
@@ -41,24 +48,62 @@ def parity_shift(n: int) -> int:
     return (1 - (-1) ** n) // 2
 
 
-_log_factorial_table = np.empty(0)  # replaced, never written, as it grows
+_BLOCK = 1024  # spin-down counts per block of the support search
+# exp(x) == 0.0 for x < -745.14; the margin covers rounding in the bounds
+_UNDERFLOW = 750.0
 
 
-def _log_factorials(n: int) -> np.ndarray:
-    """Read-only table of log(i!) for i = 0..n.
+def _log_binom(n: int, k: np.ndarray) -> np.ndarray:
+    """log binom(n, k), with one lgamma per distinct factorial argument."""
+    # a sort, not np.union1d, whose hashing costs as much as the lgamma calls
+    both = np.sort(np.concatenate([k, n - k]))
+    args = both[np.concatenate([[True], both[1:] != both[:-1]])]
+    lf = np.fromiter(map(math.lgamma, args + 1), float, len(args))
+    return (math.lgamma(n + 1) - lf[args.searchsorted(k)]) - lf[args.searchsorted(n - k)]
 
-    A prefix of one shared table, so a doubling grid of n evaluates each
-    lgamma once.  A larger n publishes a new, longer table; a table already
-    handed out is never modified.
+
+def _log_weights(params: CWParams, k: np.ndarray, log_binom: np.ndarray) -> np.ndarray:
+    """log_binom + beta*(w^2 - n)/(2n) + h*w at spin-down counts k (w = n - 2k).
+
+    The sum is taken in this order, which fixes the rounding of every weight.
+    Past log_binom, the terms are convex in k for beta >= 0.
     """
-    global _log_factorial_table
-    table = _log_factorial_table
-    if len(table) <= n:
-        tail = np.fromiter(map(math.lgamma, range(len(table) + 1, n + 2)), float)
-        table = np.concatenate([table, tail])
-        table.flags.writeable = False
-        _log_factorial_table = table
-    return table[: n + 1]
+    n, beta, h = params.n, params.beta, params.h
+    w = n - 2 * k
+    return log_binom + beta * (w.astype(float) ** 2 - n) / (2.0 * n) + h * w
+
+
+@lru_cache(maxsize=1)
+def _support_weights(params: CWParams) -> tuple[int, np.ndarray]:
+    """(j0, weights): exp(logw - max logw) at w = -n + 2*(j0 + i), read-only.
+
+    logw is evaluated only on the blocks of spin-down counts k whose upper
+    bound comes within _UNDERFLOW of an exact log-weight, a lower bound on
+    the maximum; every other weight underflows to exactly 0.0.  On a block
+    [a, e] the log-binomial term is concave, so it lies below its secant
+    through a and a + 1, whose slope is log((n - a)/(a + 1)); that line plus
+    the convex rest of logw peaks at a or e.
+    """
+    n = params.n
+    a = np.arange(0, n + 1, _BLOCK)
+    e = np.minimum(a + _BLOCK - 1, n)
+    lb = _log_binom(n, a)
+    # a = n only in a one-point block, where the slope is never used
+    rise = (e - a) * np.log(np.maximum(n - a, 1) / (a + 1))
+    upper = np.maximum(_log_weights(params, a, lb), _log_weights(params, e, lb + rise))
+    top = int(upper.argmax())
+    probe = np.array([a[top], e[top]])
+    lower = _log_weights(params, probe, _log_binom(n, probe)).max()
+    k = np.concatenate(
+        [np.arange(a[b], e[b] + 1) for b in np.flatnonzero(upper >= lower - _UNDERFLOW)]
+    )
+    logw = _log_weights(params, k, _log_binom(n, k))
+    j = n - k  # index by w increasing
+    j0 = int(j[-1])
+    weights = np.zeros(int(j[0]) - j0 + 1)
+    weights[j - j0] = np.exp(logw - logw.max())
+    weights.flags.writeable = False
+    return j0, weights
 
 
 def cw_exact_pmf(params: CWParams, half_lattice: bool = False) -> LatticeDist:
@@ -67,25 +112,20 @@ def cw_exact_pmf(params: CWParams, half_lattice: bool = False) -> LatticeDist:
     Weights binom(n, k) * exp(beta*(w^2 - n)/(2n) + h*w) over the spin-down
     count k (w = n - 2k), accumulated in log space with max subtraction.
     The full-lattice law has span 2 (interior zeros); the half-lattice law is
-    the unit-span law of (W + parity_shift(n)) / 2.
+    the unit-span law of (W + parity_shift(n)) / 2.  Weights that underflow
+    are never computed, but the normalizing total is summed over a zero-filled
+    vector of the whole lattice (untouched pages cost no memory), since the
+    rounding of a pairwise sum depends on where each entry sits.
     """
-    n, beta, h = params.n, params.beta, params.h
-    w = n - 2 * np.arange(n + 1)
-    lf = _log_factorials(n)
-    logw = (
-        ((math.lgamma(n + 1) - lf) - lf[::-1])
-        + beta * (w.astype(float) ** 2 - n) / (2.0 * n)
-        + h * w
-    )
-    weights = np.exp(logw - logw.max())
-    # index by w increasing: k = n..0
-    weights = weights[::-1]
-    if half_lattice:
-        delta = parity_shift(n)
-        return dist_from_weights((-n + delta) // 2, weights)
-    full = np.zeros(2 * n + 1)
-    full[::2] = weights
-    return dist_from_weights(-n, full)
+    n = params.n
+    j0, weights = _support_weights(params)
+    step = 1 if half_lattice else 2
+    lattice = np.zeros(step * n + 1)
+    start = step * j0
+    window = lattice[start:start + step * (len(weights) - 1) + 1]
+    window[::step] = weights
+    offset = (-n + parity_shift(n)) // 2 if half_lattice else -n
+    return LatticeDist(offset + start, window / lattice.sum())
 
 
 def cw_m0(beta: float, h: float) -> float:
@@ -95,8 +135,7 @@ def cw_m0(beta: float, h: float) -> float:
     solutions +-m*; the nonnegative one is returned (its square, which is all
     the smoothing bounds use, is the same for either branch).
     """
-    if beta < 0:
-        raise InvalidParameter("beta must be nonnegative")
+    _check_field(beta, h)
 
     def f(m: float) -> float:
         return math.tanh(beta * m + h) - m

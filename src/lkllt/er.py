@@ -455,23 +455,20 @@ def _enumerated_triangles(n: int, masks: np.ndarray) -> np.ndarray:
     return tri
 
 
-def _exact_means(e_count: np.ndarray, prob: np.ndarray, counts, powers: dict) -> dict:
-    """{name: math.fsum((prob * x).tolist())} for every monomial
-    x = prod(counts[i] ** powers[name][i]).
+def _exact_means(tally: np.ndarray, pe: np.ndarray, powers: dict) -> dict:
+    """{name: math.fsum((prob * x).tolist())} over every graph, for every
+    monomial x = prod(counts[i] ** powers[name][i]).
 
-    ``counts`` are small nonnegative integer arrays.  The weight of a graph
-    depends only on its edge count e, so the terms take few distinct values:
-    each is tallied once per (e, *counts) key, the tallies are summed exactly
-    as fractions and the sum is rounded once, which is the correctly rounded
-    value math.fsum returns, without a Python float per graph.
+    ``tally[e, *counts]`` is the number of graphs with e edges and those
+    counts, and ``pe[e]`` the weight of one e-edge graph.  The terms take
+    few distinct values, so each is taken once per key, the keys' terms are
+    summed exactly as fractions and the sum is rounded once, which is the
+    correctly rounded value math.fsum returns, without a Python float per
+    graph.
     """
-    dims = tuple(int(x.max()) + 1 for x in (e_count, *counts))
-    keys = np.ravel_multi_index((e_count, *counts), dims)
-    tally = np.bincount(keys, minlength=math.prod(dims)).reshape(dims)
     nonzero = np.nonzero(tally)
-    # the mask 2^e - 1 has e edges, so its weight is that of every e-edge graph
     groups = [
-        (count, float(prob[(1 << e) - 1]), vals)
+        (count, float(pe[e]), vals)
         for count, (e, *vals) in zip(tally[nonzero].tolist(), zip(*(i.tolist() for i in nonzero)))
     ]
     return {
@@ -490,15 +487,19 @@ _ISO_MOMENTS = {
     "e_e2sq": (0, 0, 2), "e_w1e2": (0, 1, 1),
 }
 _TRI_MOMENTS = {"e_t": (1,), "e_t2": (2,), "e_t3": (3,), "e_t4": (4,)}
+_ORACLE_MASKS = 1 << 16  # edge masks per enumeration chunk: a few MB of temporaries
 
 
 def enumerate_graphs_oracle(n: int, p: float, statistic: str):
     """Exact law and first four moments of a statistic by full enumeration.
 
-    Iterates all 2^C(n,2) edge configurations (n <= 7), weighting each by
-    p^edges * (1-p)^non-edges.  For "isolated" the cross moments of the
-    auxiliary counts (W1, E2) are included, since the closed-form moment
-    battery covers them.  Returns (LatticeDist, dict of moments).
+    Iterates all 2^C(n,2) edge configurations (n <= 7) in chunks of masks,
+    weighting each by p^edges * (1-p)^non-edges.  For "isolated" the cross
+    moments of the auxiliary counts (W1, E2) are included, since the
+    closed-form moment battery covers them.  The law's weights are summed
+    per value in mask order and the moments from exact per-key tallies, so
+    the chunking does not change a bit.  Returns (LatticeDist, dict of
+    moments).
     """
     if n > 7:
         raise TooLarge("enumeration oracle is capped at n = 7")
@@ -506,14 +507,25 @@ def enumerate_graphs_oracle(n: int, p: float, statistic: str):
         raise InvalidParameter("statistic must be 'isolated' or 'triangles'")
     if not 0.0 <= p <= 1.0:
         raise InvalidParameter("p must lie in [0, 1]")
-    masks, e_count, prob = _enumerate_graphs(n, p)
-    if statistic == "isolated":
-        counts = _enumerated_iso_counts(n, masks)
-        moments = _exact_means(e_count, prob, counts, _ISO_MOMENTS)
-    else:
-        counts = (_enumerated_triangles(n, masks),)
-        moments = _exact_means(e_count, prob, counts, _TRI_MOMENTS)
-    weights = np.bincount(counts[0], weights=prob)
+    iso = statistic == "isolated"
+    powers = _ISO_MOMENTS if iso else _TRI_MOMENTS
+    E = comb(n, 2)
+    e = np.arange(E + 1, dtype=float)
+    pe = (p ** e) * ((1 - p) ** (E - e))
+    # no count exceeds the empty graph's n isolated vertices or the complete
+    # graph's C(n, 3) triangles, so the law's support ends there
+    top = n if iso else comb(n, 3)
+    # graphs per (e, W, W1, E2) or per (e, T)
+    tally = np.zeros((E + 1,) + (top + 1,) * (3 if iso else 1), dtype=np.int64)
+    weights = np.zeros(top + 1)
+    for start in range(0, 1 << E, _ORACLE_MASKS):
+        masks = np.arange(start, min(start + _ORACLE_MASKS, 1 << E), dtype=np.uint32)
+        e_count = np.bitwise_count(masks)
+        counts = _enumerated_iso_counts(n, masks) if iso else (_enumerated_triangles(n, masks),)
+        keys = np.ravel_multi_index((e_count, *counts), tally.shape)
+        tally += np.bincount(keys, minlength=tally.size).reshape(tally.shape)
+        np.add.at(weights, counts[0], pe[e_count])
+    moments = _exact_means(tally, pe, powers)
     return dist_from_weights(0, weights), moments
 
 

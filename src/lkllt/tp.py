@@ -53,15 +53,14 @@ def _poisson_block(lam: float, eps: float) -> tuple[int, np.ndarray]:
     while True:
         lo = max(0, mode - half)
         hi = mode + half
-        # Python floats: the recursions are sequential, and a cumulative
-        # product would round the downward step differently
-        up = [math.exp(log_mode)]
-        for k in range(mode + 1, hi + 1):
-            up.append(up[-1] * (lam / k))
-        down = up[:1]
+        # the upward step multiplies by one factor, a running product; the
+        # downward step (prev * (k + 1)) / lam rounds twice, so it stays a loop
+        top = math.exp(log_mode)
+        up = np.multiply.accumulate(np.concatenate([[top], lam / np.arange(mode + 1, hi + 1)]))
+        down = [top]
         for k in range(mode - 1, lo - 1, -1):
             down.append((down[-1] * (k + 1)) / lam)
-        pm = np.array(down[:0:-1] + up)
+        pm = np.concatenate([down[:0:-1], up])
         total = pm.sum()
         # right tail: successive ratios lam/(hi+1+j) <= r; left tail likewise
         r = lam / (hi + 1)

@@ -10,11 +10,19 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
 
 import numpy as np
 
-from lkllt.curie_weiss import CWPairModel, _q_arrays
+from lkllt.curie_weiss import CWPairModel, CWParams, _q_arrays, parity_shift
+from lkllt.er import (
+    _ISO_MOMENTS,
+    _TRI_MOMENTS,
+    _enumerate_graphs,
+    _enumerated_iso_counts,
+    _enumerated_triangles,
+)
 from lkllt.lattice import LatticeDist, dist_from_weights
 from lkllt.rngutil import map_blocks
 from lkllt.smoothing import PairChainStats
@@ -184,3 +192,50 @@ def subset_max_independent(points: np.ndarray, r: float) -> int:
         clash = (masks & np.uint32(int(conflicts[i]) & ~(1 << i))) != 0
         ok &= ~(taken & clash)
     return int(np.bitwise_count(masks[ok]).max())
+
+
+def cw_exact_pmf_full_lattice(params: CWParams, half_lattice: bool = False) -> LatticeDist:
+    """The Curie-Weiss law with every weight k = 0..n evaluated, normalized
+    over the whole lattice: the reference for ``cw_exact_pmf``'s bytes."""
+    n, beta, h = params.n, params.beta, params.h
+    w = n - 2 * np.arange(n + 1)
+    lf = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
+    logw = (
+        ((math.lgamma(n + 1) - lf) - lf[::-1])
+        + beta * (w.astype(float) ** 2 - n) / (2.0 * n)
+        + h * w
+    )
+    weights = np.exp(logw - logw.max())[::-1]  # index by w increasing
+    if half_lattice:
+        return dist_from_weights((-n + parity_shift(n)) // 2, weights)
+    full = np.zeros(2 * n + 1)
+    full[::2] = weights
+    return dist_from_weights(-n, full)
+
+
+def enumerate_graphs_oracle_unchunked(n: int, p: float, statistic: str):
+    """Every graph at once: the law by one weighted bincount over all masks,
+    the moments from one tally over all (e, *counts) keys.  The reference
+    for ``enumerate_graphs_oracle``'s bytes."""
+    masks, e_count, prob = _enumerate_graphs(n, p)
+    if statistic == "isolated":
+        counts, powers = _enumerated_iso_counts(n, masks), _ISO_MOMENTS
+    else:
+        counts, powers = (_enumerated_triangles(n, masks),), _TRI_MOMENTS
+    dims = tuple(int(x.max()) + 1 for x in (e_count, *counts))
+    keys = np.ravel_multi_index((e_count, *counts), dims)
+    tally = np.bincount(keys, minlength=math.prod(dims)).reshape(dims)
+    nonzero = np.nonzero(tally)
+    # the mask 2^e - 1 has e edges, so its weight is that of every e-edge graph
+    groups = [
+        (count, float(prob[(1 << e) - 1]), vals)
+        for count, (e, *vals) in zip(tally[nonzero].tolist(), zip(*(i.tolist() for i in nonzero)))
+    ]
+    moments = {
+        name: float(sum(
+            count * Fraction(pe * math.prod(v ** a for v, a in zip(vals, exps)))
+            for count, pe, vals in groups
+        ))
+        for name, exps in powers.items()
+    }
+    return dist_from_weights(0, np.bincount(counts[0], weights=prob)), moments

@@ -1,9 +1,12 @@
 """The benchmark under perfbench/ imports lkllt names inside its functions,
 and its own tests are not collected here, so deleting a library name that it
-uses would break the benchmark while this suite stayed green."""
+uses would break the benchmark while this suite stayed green.  Its per-layer
+work counts name lkllt functions by span and read their arguments by
+position and name; a renamed function or argument would silently read 0."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -36,3 +39,45 @@ def test_benchmark_import_resolves(where, module, name):
     mod = importlib.import_module(module)
     if not hasattr(mod, name):
         importlib.import_module(f"{module}.{name}")  # a submodule, or ModuleNotFoundError
+
+
+def _work_counters() -> list[tuple[str, list[tuple[int, str]]]]:
+    """(span, [(position, name) of every argument it reads]) for each key of
+    ``layers.WORK``, read from the source without importing it."""
+    tree = ast.parse((BENCH / "layers.py").read_text())
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    work = next(
+        n.value for n in tree.body if isinstance(n, ast.AnnAssign) and n.target.id == "WORK"
+    )
+    counters = []
+    for key, counter in zip(work.keys, work.values):
+        if isinstance(counter, ast.Name):
+            counter = functions[counter.id]
+        reads = [
+            (call.args[2].value, call.args[3].value)
+            for call in ast.walk(counter)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_arg"
+        ]
+        counters.append((key.value, reads))
+    return counters
+
+
+WORK_COUNTERS = _work_counters()
+
+
+def test_work_counters_are_found():
+    assert ("curie_weiss.cw_exact_pmf", [(0, "params")]) in WORK_COUNTERS
+    assert ("er.enumerate_graphs_oracle", [(0, "n")]) in WORK_COUNTERS
+    assert len(WORK_COUNTERS) == 11
+
+
+@pytest.mark.parametrize("span,reads", WORK_COUNTERS, ids=[s for s, _ in WORK_COUNTERS])
+def test_work_counter_reads_the_arguments_of_its_function(span, reads):
+    module, *attrs = span.split(".")
+    target = importlib.import_module(f"lkllt.{module}")
+    for attr in attrs:
+        target = getattr(target, attr)
+    params = list(inspect.signature(target).parameters)
+    for position, name in reads:
+        assert name in params, (span, name)
+        assert params.index(name) == position, (span, name)

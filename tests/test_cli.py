@@ -238,6 +238,10 @@ def test_validation_exit_codes(tmp_path, capsys):
         ("er oracle --n 4 --p nan --stat isolated", "p"),
         ("er iso --n 10 --p nan --reps 10", "p"),
         ("er tri --n 10 --p -0.5 --reps 10", "p"),
+        ("bounds --model cw --n 10 --beta nan --reps 10", "beta"),
+        ("bounds --model cw --n 10 --beta inf --reps 10", "beta"),
+        ("bounds --model cw --n 10 --h nan --reps 10", "h"),
+        ("cw rate --beta 0.5 --h nan --n-grid 64:128:x2", "h"),
     ):
         assert cli.main(command.split()) == 2, command
         err = capsys.readouterr().err

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -8,8 +9,8 @@ from lkllt import curie_weiss
 from lkllt.curie_weiss import (
     CWPairModel,
     CWParams,
-    _log_factorials,
     _q_arrays,
+    _support_weights,
     cw_exact_pmf,
     cw_m0,
     cw_rate_experiment,
@@ -19,7 +20,12 @@ from lkllt.errors import InvalidParameter
 from lkllt.rngutil import block_rng
 from lkllt.smoothing import pair_bound_d1, pair_stats
 
-from helpers import all_spin_configs, cw_pair_stats_per_replicate, gibbs_weight
+from helpers import (
+    all_spin_configs,
+    cw_exact_pmf_full_lattice,
+    cw_pair_stats_per_replicate,
+    gibbs_weight,
+)
 
 
 def test_exact_pmf_independent_spins():
@@ -207,19 +213,60 @@ def test_rate_experiment_validation():
         cw_rate_experiment(1.0, 0.0, [64])
 
 
-def test_log_factorials_are_read_only_prefixes_of_one_table():
-    small = _log_factorials(10)
-    large_n = len(curie_weiss._log_factorial_table) + 100  # forces the table to grow
-    large = _log_factorials(large_n)
-    assert len(small) == 11 and len(large) == large_n + 1
-    assert np.array_equal(small, [math.lgamma(i + 1) for i in range(11)])
-    assert np.array_equal(_log_factorials(10), small)  # a small n after a large one
-    assert large[-1] == math.lgamma(large_n + 1)
-    assert np.array_equal(large[:11], small)
-    for table in (small, large, _log_factorials(7)):
-        assert not table.flags.writeable
-        with pytest.raises(ValueError):
-            table[0] = 1.0
+def test_support_weights_are_read_only_and_shared():
+    params = CWParams(1000, 0.5, 0.1)
+    j0, weights = _support_weights(params)
+    assert not weights.flags.writeable
+    with pytest.raises(ValueError):
+        weights[0] = 1.0
+    # the half-lattice law and the pair model of one (n, beta, h) share them
+    cw_exact_pmf(params, half_lattice=True)
+    assert _support_weights(CWParams(1000, 0.5, 0.1))[1] is weights
+    assert np.array_equal(CWPairModel(params).values, -1000 + 2 * (j0 + np.flatnonzero(weights)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 1001, 2 ** 16 + 1])
+@pytest.mark.parametrize("beta", [0.0, 0.5, 0.99, 1.5, 3.0])
+def test_exact_pmf_bytes_equal_the_full_lattice_reference(n, beta):
+    for h, half_lattice in itertools.product((-0.1, 0.0, 0.2), (False, True)):
+        params = CWParams(n, beta, h)
+        got = cw_exact_pmf(params, half_lattice)
+        want = cw_exact_pmf_full_lattice(params, half_lattice)
+        assert got.offset == want.offset, (h, half_lattice)
+        assert got.pmf.tobytes() == want.pmf.tobytes(), (h, half_lattice)
+
+
+# The log-binomial term needs lgamma at k + 1 and at n - k + 1.  For h = 0
+# the law is symmetric about n/2 and the two sets coincide; for h = 0.1 they
+# are disjoint, so twice the 53,797 nonzero weights, 10.3 % of n, is a floor.
+@pytest.mark.parametrize("h,share", [(0.0, 0.10), (0.1, 0.11)])
+def test_lgamma_calls_scale_with_the_numerical_support(h, share, monkeypatch):
+    n = 2 ** 20
+    calls = 0
+    lgamma = math.lgamma
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        return lgamma(x)
+
+    _support_weights.cache_clear()
+    monkeypatch.setattr(math, "lgamma", counted)
+    cw_exact_pmf(CWParams(n, 0.5, h))
+    cw_exact_pmf(CWParams(n, 0.5, h), half_lattice=True)
+    monkeypatch.undo()
+    assert 0 < calls < share * n
+
+
+@pytest.mark.parametrize("beta,h,name", [
+    (math.nan, 0.0, "beta"), (math.inf, 0.0, "beta"), (-0.5, 0.0, "beta"),
+    (0.5, math.nan, "h"), (0.5, -math.inf, "h"),
+])
+def test_params_reject_nonfinite_values(beta, h, name):
+    with pytest.raises(InvalidParameter, match=f"^{name} must"):
+        CWParams(10, beta, h)
+    with pytest.raises(InvalidParameter, match=f"^{name} must"):
+        cw_m0(beta, h)
 
 
 # (n, beta, h): the smallest n, small and medium n, the benchmark's n, and

@@ -35,6 +35,7 @@ from lkllt.smoothing import pair_bound_d1, pair_bound_d2, pair_stats
 from helpers import (
     adjacency,
     chain_step_probabilities,
+    enumerate_graphs_oracle_unchunked,
     graph_stats,
     iso_q11_two_step,
     isolated_count,
@@ -121,6 +122,30 @@ def test_oracle_moments_equal_fsum_over_every_graph(n, statistic):
         _, _, prob = _enumerate_graphs(n, p)
         _, moments = enumerate_graphs_oracle(n, p, statistic)
         assert moments == {key: math.fsum((prob * x).tolist()) for key, x in terms.items()}
+
+
+@pytest.mark.parametrize("statistic", ["isolated", "triangles"])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_oracle_bytes_equal_the_unchunked_reference(n, statistic):
+    for p in (0.0, 0.1, 1 / 3, 0.5, 0.77, 1.0):
+        law, moments = enumerate_graphs_oracle(n, p, statistic)
+        want_law, want_moments = enumerate_graphs_oracle_unchunked(n, p, statistic)
+        assert law.offset == want_law.offset, p
+        assert law.pmf.tobytes() == want_law.pmf.tobytes(), p
+        assert list(moments.items()) == list(want_moments.items()), p
+
+
+def test_oracle_memory_is_bounded_by_mask_chunks():
+    # all 2^21 graphs at n = 7 at once held about 150 MB of bit planes,
+    # degrees and per-graph counts
+    tracemalloc.start()
+    try:
+        law, _ = enumerate_graphs_oracle(7, 0.3, "isolated")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(law.pmf) == 8
+    assert peak < 48 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def _iso_q(adj: np.ndarray, p: float) -> tuple[float, ...]:
