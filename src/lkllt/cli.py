@@ -141,13 +141,13 @@ def _cmd_bounds(args) -> int:
         from .curie_weiss import CWPairModel, CWParams
 
         model = CWPairModel(CWParams(args.n, args.beta, args.h))
-        m = args.m or 2
+        m = 2 if args.m is None else args.m
     else:
         from .er import ERPairModel
 
         statistic = "isolated" if args.model == "er-iso" else "triangles"
         model = ERPairModel(args.n, args.p, statistic)
-        m = args.m or 1
+        m = 1 if args.m is None else args.m
     stats = pair_stats(model, m, args.reps, args.seed)
     payload = {
         "model": args.model,

@@ -27,12 +27,12 @@ from .lattice import dist_from_weights, empirical_dist
 from .metrics import KOLMOGOROV, LOCAL, TOTAL_VARIATION, distance, local_span
 from .report import RateTable
 from .rngutil import map_blocks
-from .smoothing import PairModel, exact_pair_stats
+from .smoothing import PairChainStats, PairModel, exact_pair_stats, pair_bound_d1, pair_bound_d2
 from .tp import tp_dist, tp_params
 
 _MAX_Q_EVAL_N = 512  # per-graph jump evaluation beyond this uses moment-only paths
-_MAX_TWO_STEP_N = 64  # two-step triangle evaluation costs O(n^3) per graph
 _CHUNK_CELLS = 1 << 18  # adjacency cells per evaluation sub-chunk: a few MB of temporaries
+_TWO_STEP_CELLS = _CHUNK_CELLS // 8  # per two-step triangle sub-chunk: under 1.5 MB of temporaries
 _SAMPLE_CELLS = _CHUNK_CELLS // 4  # per triangle-count sub-chunk: about 1 MB of temporaries
 
 
@@ -186,8 +186,8 @@ def iso_smoothing_bounds(n: int, p: float) -> IsoBounds:
     c2 = comb(n, 2)
     k_mean = mom.e_w1 - 2 * mom.e_e2        # E[#plus edges] = q1 * C2 / (1-p)
     wn_mean = n * mom.e_w - mom.e_w2        # E[W (n - W)]
-    if k_mean <= 0 or wn_mean < 0:
-        raise DegenerateChain("jump rate for +-1 moves vanishes")
+    if k_mean <= 0 or wn_mean < 0 or k_mean ** 2 == 0 or wn_mean ** 2 == 0:
+        raise DegenerateChain("jump rate for +-1 moves vanishes or its square underflows")
     var_q1_rel = (mom.e_w1sq - 4 * mom.e_w1e2 + 4 * mom.e_e2sq - k_mean ** 2) / k_mean ** 2
     var_qn1_rel = (
         mom.e_w4 - 2 * n * mom.e_w3 + n * n * mom.e_w2 - wn_mean ** 2
@@ -198,8 +198,8 @@ def iso_smoothing_bounds(n: int, p: float) -> IsoBounds:
     d2 = 2 * var_q1_rel + ediff1_rel + 2 * var_qn1_rel + ediffn1_rel
 
     q2 = mom.e_e2 * (1 - p) / c2
-    if q2 <= 0:
-        raise DegenerateChain("jump rate for +-2 moves vanishes")
+    if q2 <= 0 or q2 ** 2 == 0:
+        raise DegenerateChain("jump rate for +-2 moves vanishes or its square underflows")
     var_q2 = (mom.e_e2sq - mom.e_e2 ** 2) * (1 - p) ** 2 / c2 ** 2
     e_cw2 = (mom.e_w2 - mom.e_w) / 2.0      # E C(W,2)
     e_cw2sq = (mom.e_w4 - 2 * mom.e_w3 + mom.e_w2) / 4.0
@@ -287,15 +287,6 @@ def tri_closed_forms(n: int, p: float) -> TriForms:
     return TriForms(q1, sigma2, var_q1, var_qn1, ediff_plus, ediff_minus)
 
 
-def _check_tri_size(n: int, two_step: bool) -> None:
-    if n < 3:
-        raise InvalidParameter("n must be >= 3")
-    if n > _MAX_Q_EVAL_N:
-        raise TooLarge(f"per-graph jump evaluation capped at n = {_MAX_Q_EVAL_N}")
-    if two_step and n > _MAX_TWO_STEP_N:
-        raise TooLarge(f"two-step triangle enumeration capped at n = {_MAX_TWO_STEP_N}")
-
-
 def _tri_q_block(adj: np.ndarray, p: float, two_step: bool):
     """(Q(+1), Q(-1), Q(1,1), Q(-1,-1)) of the triangle count for every graph
     in a (count, n, n) adjacency stack; the two-step arrays are None unless
@@ -304,20 +295,23 @@ def _tri_q_block(adj: np.ndarray, p: float, two_step: bool):
     A resampled pair changes the count by exactly +-1 precisely when its two
     endpoints have exactly one common neighbour: adding the missing edge
     completes one triangle, removing the present edge destroys one.  The
-    common-neighbour counts come from one batched product A.A (float32 holds
-    these integers, at most n - 2, exactly).
+    common-neighbour counts come from one batched product C = A.A (float32
+    holds these integers, at most n - 2, exactly).
 
-    The two-step values enumerate the first move over the pair slots in
-    upper-triangle order.  Toggling pair (i, j) changes only common(i, k), by
-    adj(j, k), and common(j, k), by adj(i, k), so the one-step count after the
-    move follows from two rows.  The terms are added per graph in slot
-    order, the order of a sum over that graph's candidate moves.
+    Toggling pair (i, j) changes only C(i, k), by A(j, k), and C(j, k), by
+    A(i, k).  Adding it turns a count of 0 into 1 and one of 1 into 2 where
+    k ~ j only, so the number of pairs with one common neighbour moves by
+    M(i, j) + M(j, i), M = (([C = 0] - [C = 1]) o (1 - A)).A.  Removing it
+    turns 2 into 1 and 1 into 0 where k ~ i and k ~ j, a move of
+    N(i, j) + N(j, i), N = (([C = 2] - [C = 1]) o A).A.  The entries of both
+    products are sums of at most n terms in {-1, 0, 1}, exact in float32.
+    The two-step terms are added per graph in upper-triangle slot order, the
+    order of a sum over that graph's candidate moves.
     """
     n = adj.shape[1]
     c2 = comb(n, 2)
     a = adj.astype(np.float32)
     common = np.matmul(a, a)
-    del a
     ii, jj = _triu_index_arrays(n)
     one = common[:, ii, jj] == 1
     present = adj[:, ii, jj]
@@ -329,38 +323,18 @@ def _tri_q_block(adj: np.ndarray, p: float, two_step: bool):
     qm = (1 - p) * n_down / c2
     if not two_step:
         return qp, qm, None, None
-    eq0, eq1, eq2 = common == 0, common == 1, common == 2
-    del common, one, present
-    qpp = np.zeros(len(adj))
-    qmm = np.zeros(len(adj))
-    for t, (i, j) in enumerate(zip(ii.tolist(), jj.tolist())):
-        add, remove = up[:, t], down[:, t]
-        ai, aj = adj[:, i], adj[:, j]
-        if add.any():
-            # adding (i, j): common(i, k) += 1 where k ~ j only, and vice versa;
-            # a count of 0 becomes 1, a count of 1 leaves 1
-            only_j, only_i = aj & ~ai, ai & ~aj
-            gain = (
-                np.count_nonzero(only_j & eq0[:, i], axis=1)
-                + np.count_nonzero(only_i & eq0[:, j], axis=1)
-                - np.count_nonzero(only_j & eq1[:, i], axis=1)
-                - np.count_nonzero(only_i & eq1[:, j], axis=1)
-            )
-            q1_next = p * (n_up - 1 + gain) / c2
-            qpp += np.where(add, p / c2 * q1_next, 0.0)
-        if remove.any():
-            # removing (i, j): common(i, k) and common(j, k) drop by 1 where
-            # k ~ i and k ~ j; a count of 2 becomes 1, a count of 1 leaves 1
-            both = ai & aj
-            gain = (
-                np.count_nonzero(both & eq2[:, i], axis=1)
-                + np.count_nonzero(both & eq2[:, j], axis=1)
-                - np.count_nonzero(both & eq1[:, i], axis=1)
-                - np.count_nonzero(both & eq1[:, j], axis=1)
-            )
-            qn1_next = (1 - p) * (n_down - 1 + gain) / c2
-            qmm += np.where(remove, (1 - p) / c2 * qn1_next, 0.0)
-    return qp, qm, qpp, qmm
+    eq1 = (common == 1).astype(np.float32)
+    two_step_q = []
+    for r, move, n_moves, to_one, side in (
+        (p, up, n_up, 0, 1 - a),  # M: a count of 0 becomes 1 where A(i, k) = 0
+        (1 - p, down, n_down, 2, a),  # N: a count of 2 becomes 1 where A(i, k) = 1
+    ):
+        change = np.matmul(((common == to_one) - eq1) * side, a)
+        gain = (change[:, ii, jj] + change[:, jj, ii]).astype(np.int64)
+        q_next = r * (n_moves[:, None] - 1 + gain) / c2
+        # cumsum adds in slot order; np.sum would pair the terms up
+        two_step_q.append(np.where(move, r / c2 * q_next, 0.0).cumsum(axis=1)[:, -1])
+    return qp, qm, *two_step_q
 
 
 # ---------------------------------------------------------------------------
@@ -371,24 +345,24 @@ class ERPairModel(PairModel):
     """Edge-resampling pair model for one G(n, p) statistic.
 
     ``statistic`` is "isolated" or "triangles".  Isolated-vertex jumps of
-    size 1 and 2 carry closed-form two-step evaluators; triangle jumps of
-    size 1 use the exact two-step enumeration when ``two_step`` is set
-    (n <= 64; the default sets it for n <= 16).
+    size 1 and 2 carry closed-form two-step evaluators.  Triangle jumps of
+    size 1 carry the exact two-step values of ``_tri_q_block`` for n <= 16
+    and one-step values only beyond.
     """
 
-    def __init__(self, n: int, p: float, statistic: str, two_step: bool | None = None):
+    def __init__(self, n: int, p: float, statistic: str):
         if statistic not in ("isolated", "triangles"):
             raise InvalidParameter("statistic must be 'isolated' or 'triangles'")
         if not 0.0 <= p <= 1.0:
             raise InvalidParameter("p must lie in [0, 1]")
-        if two_step is None:
-            two_step = statistic == "isolated" or n <= 16
         if statistic == "isolated" and n < 2:
             raise InvalidParameter("n must be >= 2")
-        if statistic == "triangles":
-            _check_tri_size(n, two_step)
+        if statistic == "triangles" and n < 3:
+            raise InvalidParameter("n must be >= 3")
+        if statistic == "triangles" and n > _MAX_Q_EVAL_N:
+            raise TooLarge(f"per-graph jump evaluation capped at n = {_MAX_Q_EVAL_N}")
         self.n, self.p, self.statistic = n, p, statistic
-        self.two_step = two_step
+        self.two_step = statistic == "isolated" or n <= 16
 
     def q_block(self, rng: np.random.Generator, count: int, m: int):
         if self.statistic == "isolated" and m not in (1, 2):
@@ -397,7 +371,8 @@ class ERPairModel(PairModel):
             raise InvalidParameter("triangle jumps support m = 1 only")
         n, p = self.n, self.p
         out = [np.empty(count) for _ in range(4 if self.two_step else 2)]
-        step = max(1, _CHUNK_CELLS // (n * n))
+        tri_two_step = self.statistic == "triangles" and self.two_step
+        step = max(1, (_TWO_STEP_CELLS if tri_two_step else _CHUNK_CELLS) // (n * n))
         for start in range(0, count, step):
             adj = _gnp_block(n, p, rng, min(step, count - start))
             if self.statistic == "isolated":
@@ -626,6 +601,29 @@ ER_TRI_COLUMNS = [
 ]
 
 
+def _tri_bound_columns(forms: TriForms) -> tuple[float, float]:
+    """(d1, d2) of the pair chain from the triangle closed forms; nan where
+    a bound is undefined.
+
+    The covariance sums bound variances from above, so they are
+    non-negative up to rounding; should one still come out negative, both
+    bounds are reported as undefined rather than fabricated.
+    """
+    if forms.var_q1_bound < 0 or forms.var_qneg1_bound < 0:
+        return math.nan, math.nan
+    stats = PairChainStats(
+        1, forms.q1, forms.var_q1_bound, forms.var_qneg1_bound,
+        forms.ediff_plus, forms.ediff_minus, replicates=0,
+    )
+    cols = []
+    for bound in (pair_bound_d1, pair_bound_d2):
+        try:
+            cols.append(bound(stats))
+        except DegenerateChain:  # the jump rate or its square is 0.0
+            cols.append(math.nan)
+    return tuple(cols)
+
+
 def er_rate_experiment(statistic: str, rows, replicates: int, seed: int) -> RateTable:
     """Monte Carlo law of a G(n, p) statistic against its translated-Poisson
     target, with the closed-form smoothness bounds alongside.
@@ -666,20 +664,7 @@ def er_rate_experiment(statistic: str, rows, replicates: int, seed: int) -> Rate
         else:
             forms = tri_closed_forms(n, p)
             mu, s2 = comb(n, 3) * p ** 3, forms.sigma2
-            if forms.var_q1_bound >= 0 and forms.var_qneg1_bound >= 0:
-                d1 = (
-                    math.sqrt(forms.var_q1_bound) + math.sqrt(forms.var_qneg1_bound)
-                ) / forms.q1
-                d2 = (
-                    2 * forms.var_q1_bound + forms.ediff_plus
-                    + 2 * forms.var_qneg1_bound + forms.ediff_minus
-                ) / forms.q1 ** 2
-            else:
-                # the covariance sums bound variances from above, so they are
-                # non-negative up to rounding; should one still come out
-                # negative, report no bound rather than a fabricated one
-                d1 = d2 = math.nan
-            bound_cols = (d1, d2)
+            bound_cols = _tri_bound_columns(forms)
         target = tp_dist(tp_params(mu, s2))
         se_max = float(np.sqrt((emp.pmf * (1 - emp.pmf)).max() / replicates))
         table.add(

@@ -233,8 +233,8 @@ def pair_bound_d2(stats: PairChainStats) -> float:
     (2 Var Q(+m) + E|Q(m,m) - Q(m)^2| + 2 Var Q(-m) + E|Q(-m,-m) - Q(-m)^2|)
     divided by q_m^2; bounds the order-2 span-m smoothing term.
     """
-    if stats.q_m <= 0.0:
-        raise DegenerateChain("jump rate q_m is zero")
+    if stats.q_m <= 0.0 or stats.q_m ** 2 == 0.0:
+        raise DegenerateChain("jump rate q_m is zero or its square underflows")
     if stats.ediff_plus is None or stats.ediff_minus is None:
         raise MissingCapability("model provides no two-step jump evaluators")
     return (

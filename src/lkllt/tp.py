@@ -31,8 +31,11 @@ class TPParams:
 
 def tp_params(mu: float, sigma2: float) -> TPParams:
     """Resolve (mu, sigma2) into the integer shift and Poisson mean."""
-    if not sigma2 > 0:
-        raise InvalidParameter("sigma2 must be positive")
+    if not 0 < sigma2 < math.inf:
+        raise InvalidParameter("sigma2 must be positive and finite")
+    # beyond 2^53 neighbouring lattice points are no longer distinct floats
+    if not abs(mu) <= 2.0 ** 53:
+        raise InvalidParameter("mu must be finite, with |mu| <= 2^53")
     shift = math.floor(mu - sigma2)
     gamma = mu - sigma2 - shift
     return TPParams(float(mu), float(sigma2), shift, gamma, sigma2 + gamma)

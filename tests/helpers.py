@@ -130,6 +130,56 @@ def iso_q11_two_step(adj: np.ndarray, p: float) -> float:
     return total
 
 
+def tri_q_block_per_slot(adj: np.ndarray, p: float):
+    """(Q(+1), Q(-1), Q(1,1), Q(-1,-1)) of the triangle count for every graph
+    of a (count, n, n) adjacency stack, the two-step values by a loop over
+    the pair slots in upper-triangle order that updates the common-neighbour
+    counts of the two rows a move touches.  The reference for
+    ``_tri_q_block``'s bytes."""
+    n = adj.shape[1]
+    c2 = comb(n, 2)
+    a = adj.astype(np.float32)
+    common = np.matmul(a, a)
+    ii, jj = np.triu_indices(n, 1)
+    one = common[:, ii, jj] == 1
+    present = adj[:, ii, jj]
+    up = one & ~present
+    down = one & present
+    n_up = np.count_nonzero(up, axis=1)
+    n_down = np.count_nonzero(down, axis=1)
+    eq0, eq1, eq2 = common == 0, common == 1, common == 2
+    qpp = np.zeros(len(adj))
+    qmm = np.zeros(len(adj))
+    for t, (i, j) in enumerate(zip(ii.tolist(), jj.tolist())):
+        add, remove = up[:, t], down[:, t]
+        ai, aj = adj[:, i], adj[:, j]
+        if add.any():
+            # adding (i, j): common(i, k) += 1 where k ~ j only, and vice versa;
+            # a count of 0 becomes 1, a count of 1 leaves 1
+            only_j, only_i = aj & ~ai, ai & ~aj
+            gain = (
+                np.count_nonzero(only_j & eq0[:, i], axis=1)
+                + np.count_nonzero(only_i & eq0[:, j], axis=1)
+                - np.count_nonzero(only_j & eq1[:, i], axis=1)
+                - np.count_nonzero(only_i & eq1[:, j], axis=1)
+            )
+            q1_next = p * (n_up - 1 + gain) / c2
+            qpp += np.where(add, p / c2 * q1_next, 0.0)
+        if remove.any():
+            # removing (i, j): common(i, k) and common(j, k) drop by 1 where
+            # k ~ i and k ~ j; a count of 2 becomes 1, a count of 1 leaves 1
+            both = ai & aj
+            gain = (
+                np.count_nonzero(both & eq2[:, i], axis=1)
+                + np.count_nonzero(both & eq2[:, j], axis=1)
+                - np.count_nonzero(both & eq1[:, i], axis=1)
+                - np.count_nonzero(both & eq1[:, j], axis=1)
+            )
+            qn1_next = (1 - p) * (n_down - 1 + gain) / c2
+            qmm += np.where(remove, (1 - p) / c2 * qn1_next, 0.0)
+    return p * n_up / c2, (1 - p) * n_down / c2, qpp, qmm
+
+
 def all_spin_configs(n: int):
     return itertools.product((-1, 1), repeat=n)
 

@@ -211,9 +211,7 @@ _TRI_CASES = ((8, 0.3), (12, 0.25))
 @pytest.fixture(scope="module")
 def tri_stats():
     return {
-        (n, p): pair_stats(
-            ERPairModel(n, p, "triangles", two_step=False), 1, 100000, seed=8
-        )
+        (n, p): pair_stats(ERPairModel(n, p, "triangles"), 1, 100000, seed=8)
         for n, p in _TRI_CASES
     }
 
@@ -258,7 +256,7 @@ def test_criterion_8_downward_variance_paper_bound(tri_stats):
 def test_criterion_9_two_step_mean_identity():
     t0 = time.perf_counter()
     n, p = 8, 0.3
-    st = pair_stats(ERPairModel(n, p, "triangles", two_step=True), 1, 50000, seed=9)
+    st = pair_stats(ERPairModel(n, p, "triangles"), 1, 50000, seed=9)
     closed = p * tri_closed_forms(n, p).q1 / comb(n, 2)
     gap = abs(st.ediff_plus - closed)
     ok = gap <= 3 * st.se_ediff_plus

@@ -242,11 +242,31 @@ def test_validation_exit_codes(tmp_path, capsys):
         ("bounds --model cw --n 10 --beta inf --reps 10", "beta"),
         ("bounds --model cw --n 10 --h nan --reps 10", "h"),
         ("cw rate --beta 0.5 --h nan --n-grid 64:128:x2", "h"),
+        ("tp --sigma2 inf", "sigma2"),
+        ("tp --mu 0 --sigma2 nan", "sigma2"),
+        ("tp --mu 1e300 --sigma2 1", "mu"),
+        ("tp --mu nan --sigma2 1", "mu"),
+        ("tp --mu=-inf --sigma2 1", "mu"),
+        ("bounds --model er-iso --n 6 --m 0 --reps 100", "m"),
+        ("bounds --model cw --n 10 --m 0 --reps 100", "m"),
     ):
         assert cli.main(command.split()) == 2, command
         err = capsys.readouterr().err
         assert err.startswith(f"error: {name} must"), (command, err)
         assert "Traceback" not in err
+
+
+def test_underflowing_squared_jump_rates(capsys):
+    # the isolated-vertex bounds need every rate squared: exit 2, as for a
+    # vanishing rate
+    assert cli.main("er iso --n 200 --p 0.9 --reps 4 --seed 1".split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: jump rate") and "Traceback" not in err
+    # the triangle q1 is positive but q1 ** 2 is 0.0: d2 is undefined, d1 is not
+    assert cli.main("er tri --n 400 --p 0.9 --reps 4 --seed 1 --format json".split()) == 0
+    cols = json.loads(capsys.readouterr().out)["columns"]
+    assert math.isfinite(cols["d1_bound"][0])
+    assert math.isnan(cols["d2_bound"][0])
 
 
 def test_numerical_failure_exit_code(monkeypatch, capsys):

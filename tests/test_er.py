@@ -10,6 +10,7 @@ import pytest
 from lkllt.er import (
     _CHUNK_CELLS,
     _SAMPLE_CELLS,
+    _TWO_STEP_CELLS,
     ERPairModel,
     _enumerate_graphs,
     _enumerated_iso_counts,
@@ -26,7 +27,7 @@ from lkllt.er import (
     iso_smoothing_bounds,
     tri_closed_forms,
 )
-from lkllt.errors import InvalidParameter, TooLarge
+from lkllt.errors import DegenerateChain, InvalidParameter, TooLarge
 from lkllt.lattice import empirical_dist
 from lkllt.metrics import smoothing_term
 from lkllt.rngutil import block_rng
@@ -39,6 +40,7 @@ from helpers import (
     graph_stats,
     iso_q11_two_step,
     isolated_count,
+    tri_q_block_per_slot,
     triangle_count,
 )
 
@@ -234,7 +236,7 @@ def test_tri_closed_forms_examples():
 
 def test_tri_variance_bound_plus_side_mc():
     n, p = 8, 0.3
-    stats = pair_stats(ERPairModel(n, p, "triangles", two_step=False), 1, 20000, seed=11)
+    stats = pair_stats(ERPairModel(n, p, "triangles"), 1, 20000, seed=11)
     f = tri_closed_forms(n, p)
     assert stats.q_m == pytest.approx(f.q1, abs=3 * stats.se_q_m)
     assert stats.var_q_plus <= f.var_q1_bound + 3 * stats.se_var_q_plus
@@ -281,7 +283,7 @@ def test_tri_variance_bounds_dominate_exact_enumeration(n):
 
 def test_tri_two_step_matches_paper_identity_at_n8():
     n, p = 8, 0.3
-    stats = pair_stats(ERPairModel(n, p, "triangles", two_step=True), 1, 20000, seed=5)
+    stats = pair_stats(ERPairModel(n, p, "triangles"), 1, 20000, seed=5)
     f = tri_closed_forms(n, p)
     closed = p * f.q1 / comb(n, 2)
     assert stats.ediff_plus == pytest.approx(closed, abs=3 * stats.se_ediff_plus)
@@ -299,9 +301,7 @@ def test_er_pair_model_rates_match_closed_forms():
     mom = iso_moments(6, 0.5)
     want = (mom.e_w1 - 2 * mom.e_e2) * 0.5 / comb(6, 2)
     assert stats.q_m == pytest.approx(want, abs=3 * stats.se_q_m)
-    tri_stats = pair_stats(
-        ERPairModel(8, 0.3, "triangles", two_step=False), 1, 20000, seed=14
-    )
+    tri_stats = pair_stats(ERPairModel(8, 0.3, "triangles"), 1, 20000, seed=14)
     assert tri_stats.q_m == pytest.approx(
         tri_closed_forms(8, 0.3).q1, abs=3 * tri_stats.se_q_m
     )
@@ -338,6 +338,14 @@ def test_iso_smoothing_bounds_sparse_regime_span2():
         scaled.append(b.d12_bound * sigma)
     assert max(scaled) <= 6.0
     assert scaled[-1] <= scaled[0] * 1.5
+
+
+@pytest.mark.parametrize("p", [0.7, 0.9])
+def test_iso_smoothing_bounds_reject_an_underflowing_squared_rate(p):
+    # at n = 200 the +-2 rate (p = 0.7) or also the +-1 rate (p = 0.9) is
+    # positive, but its square is 0.0
+    with pytest.raises(DegenerateChain):
+        iso_smoothing_bounds(200, p)
 
 
 def test_rate_experiment_isolated_dense():
@@ -383,7 +391,7 @@ def test_empirical_dist_keeps_interior_zeros():
 
 def test_per_graph_eval_size_guard():
     with pytest.raises(TooLarge):
-        ERPairModel(600, 0.5, "triangles", two_step=False)
+        ERPairModel(600, 0.5, "triangles")
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +453,7 @@ def test_tri_block_matches_brute_force_on_every_graph_n5(p):
 @pytest.mark.parametrize("count", [1, 7, 2200])
 @pytest.mark.parametrize("n", [8, 12, 16])
 def test_tri_q_block_matches_brute_force_on_random_blocks(n, count, p):
-    got = ERPairModel(n, p, "triangles", two_step=True).q_block(block_rng(21, n), count, 1)
+    got = ERPairModel(n, p, "triangles").q_block(block_rng(21, n), count, 1)
     rng = block_rng(21, n)
     adj = np.concatenate([_gnp_block(n, p, rng, 1) for _ in range(count)])
     _assert_brute_force(adj, p, got)
@@ -478,7 +486,7 @@ def test_tri_q_block_draws_match_per_graph_loop():
 
 def test_tri_q_block_memory_is_bounded_by_sub_chunks():
     # one block of 4096 graphs at n = 200 would hold 160 MB of adjacency alone
-    model = ERPairModel(200, 0.3, "triangles", two_step=False)
+    model = ERPairModel(200, 0.3, "triangles")
     tracemalloc.start()
     try:
         qp, _, _, _ = model.q_block(block_rng(1, 0), 4096, 1)
@@ -489,13 +497,54 @@ def test_tri_q_block_memory_is_bounded_by_sub_chunks():
     assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
+def _assert_same_bytes(got, want) -> None:
+    assert len(got) == len(want) == 4
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), f"array {k}"
+
+
+@pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 0.9, 1.0])
+@pytest.mark.parametrize("n", [3, 4, 8, 12, 16, 17, 32, 64])
+def test_tri_q_block_bytes_equal_the_per_slot_loop(n, p):
+    adj = _gnp_block(n, p, block_rng(31, n), 60 if n <= 16 else 12)
+    want = tri_q_block_per_slot(adj, p)
+    _assert_same_bytes(_tri_q_block(adj, p, True), want)
+    # blocks of one graph too: np.sum adds a single row pairwise but several
+    # rows column by column, so only these blocks tell its order from the loop's
+    for k in range(len(adj)):
+        _assert_same_bytes(_tri_q_block(adj[k:k + 1], p, True), [w[k:k + 1] for w in want])
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("n", [3, 8, 16])
+def test_tri_two_step_q_block_bytes_across_sub_chunks(n, offset):
+    # one graph below, at and above a two-step sub-chunk boundary, then more
+    # than two sub-chunks
+    step = _TWO_STEP_CELLS // (n * n)
+    for count in (step + offset, 2 * step + 3):
+        got = ERPairModel(n, 0.3, "triangles").q_block(block_rng(4, n), count, 1)
+        adj = _gnp_block(n, 0.3, block_rng(4, n), count)
+        _assert_same_bytes(got, tri_q_block_per_slot(adj, 0.3))
+
+
+def test_tri_two_step_q_block_memory_is_bounded_by_sub_chunks():
+    # the per-slot loop over sub-chunks of 1024 graphs peaked at 2.7 MB
+    model, rng = ERPairModel(16, 0.3, "triangles"), block_rng(1, 0)
+    tracemalloc.start()
+    try:
+        _, _, qpp, _ = model.q_block(rng, 4096, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(qpp) == 4096
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
 def test_pair_model_validates_before_drawing():
     rng = block_rng(0, 0)
-    with pytest.raises(TooLarge):
-        ERPairModel(65, 0.3, "triangles", two_step=True).q_block(rng, 10, 1)
     assert not ERPairModel(65, 0.3, "triangles").two_step  # one-step only: allowed
     with pytest.raises(TooLarge):
-        ERPairModel(513, 0.3, "triangles", two_step=False)
+        ERPairModel(513, 0.3, "triangles")
     with pytest.raises(InvalidParameter):
         ERPairModel(2, 0.3, "triangles")
     with pytest.raises(InvalidParameter):

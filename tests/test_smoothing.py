@@ -129,6 +129,14 @@ def test_bounds_trivial_and_errors():
     )
     with pytest.raises(DegenerateChain):
         pair_bound_d1(dead)
+    # a positive rate whose square underflows leaves d2 undefined, not d1
+    tiny = PairChainStats(
+        m=1, q_m=1e-170, var_q_plus=0.0, var_q_minus=0.0,
+        ediff_plus=0.0, ediff_minus=0.0, replicates=10,
+    )
+    assert pair_bound_d1(tiny) == 0.0
+    with pytest.raises(DegenerateChain):
+        pair_bound_d2(tiny)
 
 
 def test_degenerate_chain_from_sampling():
