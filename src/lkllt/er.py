@@ -34,6 +34,7 @@ _MAX_Q_EVAL_N = 512  # per-graph jump evaluation beyond this uses moment-only pa
 _CHUNK_CELLS = 1 << 18  # adjacency cells per evaluation sub-chunk: a few MB of temporaries
 _TWO_STEP_CELLS = _CHUNK_CELLS // 8  # per two-step triangle sub-chunk: under 1.5 MB of temporaries
 _SAMPLE_CELLS = _CHUNK_CELLS // 4  # per triangle-count sub-chunk: about 1 MB of temporaries
+_ISO_POSITIONS = 1 << 13  # gap positions per isolated-count sub-chunk: 64 KB per int64 array
 
 
 def _qpow(p: float, k: float) -> float:
@@ -64,18 +65,20 @@ def _triu_index_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     return ii, jj
 
 
-def _gnp_block(n: int, p: float, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Boolean adjacency stack (count, n, n) of independent G(n, p) draws.
+def _gnp_slots(n: int, p: float, rng: np.random.Generator, count: int):
+    """Pair-slot bits (count, C(n,2)) and boolean adjacency stack (count, n, n)
+    of independent G(n, p) draws.
 
     Graph t takes uniforms t*C(n,2) .. (t+1)*C(n,2)-1 of ``rng`` in pair-slot
     order, exactly what ``count`` successive one-graph blocks consume, so
     splitting a block does not change its graphs.
     """
     ii, jj = _triu_index_arrays(n)
+    bits = rng.random((count, len(ii))) < p
     adj = np.zeros((count, n, n), dtype=bool)
-    adj[:, ii, jj] = rng.random((count, len(ii))) < p
+    adj[:, ii, jj] = bits
     adj |= adj.transpose(0, 2, 1)
-    return adj
+    return bits, adj
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +377,7 @@ class ERPairModel(PairModel):
         tri_two_step = self.statistic == "triangles" and self.two_step
         step = max(1, (_TWO_STEP_CELLS if tri_two_step else _CHUNK_CELLS) // (n * n))
         for start in range(0, count, step):
-            adj = _gnp_block(n, p, rng, min(step, count - start))
+            _, adj = _gnp_slots(n, p, rng, min(step, count - start))
             if self.statistic == "isolated":
                 q = _iso_q_from_counts(n, p, *_iso_counts(adj))
                 k = 2 * (m - 1)
@@ -524,57 +527,92 @@ def iso_exact_pair_stats(n: int, p: float, m: int):
 # sampling-based rate experiments
 
 
-def _pair_row_starts(n: int) -> np.ndarray:
-    sizes = np.arange(n - 1, 0, -1)
-    return np.concatenate([[0], np.cumsum(sizes)])
+def _gap_chunk(slots: int, p: float) -> int:
+    """Gaps per geometric draw: mean edges + 10 sd + 16, almost surely past the last slot."""
+    return int(slots * p + 10 * math.sqrt(slots * p + 1) + 16)
 
 
-def _decode_pairs(idx: np.ndarray, n: int, starts: np.ndarray):
-    i = np.searchsorted(starts, idx, side="right") - 1
-    j = idx - starts[i] + i + 1
-    return i, j
+@lru_cache(maxsize=16)
+def _slot_decoder(n: int):
+    """(s, b, decode) for the N = C(n, 2) pair slots, slot e at c = e + 1 + s.
+
+    Positions fall in buckets of 2^b, at most about 8n of them, and s = -(N + 1)
+    mod 2^b gives c = N + 1 + s, the clamp of every position past the last
+    slot, a bucket of its own.  ``decode(c)`` clamps c in place and returns
+    (i, j), j in c itself, with (n, n + 1) past the last slot.  table[c >> b]
+    is the row of the bucket's first position; a bucket meets at most one end
+    of a row of 2^b slots or more, so one step corrects it, and what it
+    misses in the last, shorter rows goes to ``searchsorted``.
+    """
+    N = comb(n, 2)
+    b = max(5, n.bit_length() - 4)
+    s = -(N + 1) % (1 << b)
+    ends = np.append(np.cumsum(np.arange(n - 1, -1, -1)), N + 1) + s  # row i: (ends[i-1], ends[i]]
+    rows = np.append(np.arange(n - 1), n).astype(np.int16 if n < 2**15 else np.int32)
+    table = np.repeat(rows, np.diff(np.delete(ends, n - 1) >> b, prepend=-1))
+    jbase = np.concatenate([[s], ends[:n]]) - np.arange(n + 1)
+
+    def decode(c: np.ndarray):
+        np.minimum(c, ends[n], out=c)
+        i = c >> b
+        i[...] = table[i]
+        i += c > ends[i]
+        miss = c > ends[i]
+        i[miss] = np.searchsorted(ends[:n - 1], c[miss])
+        c -= jbase[i]
+        return i, c
+
+    return s, b, decode
 
 
 def _isolated_count_block(n: int, p: float, rng: np.random.Generator, count: int) -> np.ndarray:
     """Isolated-vertex counts for `count` independent G(n, p) draws.
 
-    The edge set is generated by geometric gap skipping over the C(n, 2)
-    pair slots (exact Bernoulli process), so only O(edges) work is done per
-    replicate; the graph itself is never materialized.
+    Geometric gap skipping over the C(n, 2) pair slots (an exact Bernoulli
+    process) does O(edges) work per replicate and never builds the graph.
+    A replicate draws ``_gap_chunk`` gaps at a time until it passes the last
+    slot; k replicates take their first draws as one (k, chunk) array, the
+    same stream, and are decoded, scattered and counted at once.  Gaps are
+    clamped at C(n, 2) + 1, past the last slot: no sum overflows at tiny p.
     """
+    if p in (0.0, 1.0):
+        return np.full(count, n if p == 0.0 else 0, dtype=np.int64)
     N = comb(n, 2)
-    starts = _pair_row_starts(n)
+    chunk = _gap_chunk(N, p)
+    s, _, decode = _slot_decoder(n)
+
+    def positions(k: int, first: int) -> np.ndarray:
+        c = rng.geometric(p, size=(k, chunk))
+        np.minimum(c, N + 1, out=c)
+        c[:, 0] += first
+        return np.cumsum(c, axis=1, out=c)
+
     out = np.empty(count, dtype=np.int64)
-    if p == 0.0:
-        out.fill(n)
-        return out
-    if p == 1.0:
-        out.fill(0)
-        return out
-    exp_edges = N * p
-    chunk = int(exp_edges + 10 * math.sqrt(exp_edges + 1) + 16)
-    touched = np.empty(n, dtype=bool)
-    for t in range(count):
-        positions = np.cumsum(rng.geometric(p, size=chunk)) - 1
-        while positions.size == 0 or positions[-1] < N - 1:
-            extra = np.cumsum(rng.geometric(p, size=chunk)) - 1
-            base = positions[-1] + 1 if positions.size else 0
-            positions = np.concatenate([positions, base + extra])
-        edges = positions[positions < N]
-        if edges.size == 0:
-            out[t] = n
-            continue
-        i, j = _decode_pairs(edges, n, starts)
-        touched.fill(False)
-        touched[i] = touched[j] = True
-        out[t] = n - np.count_nonzero(touched)
+    t = 0
+    while t < count:
+        k = min(max(1, _ISO_POSITIONS // chunk), count - t)
+        state = rng.bit_generator.state
+        c = positions(k, s)
+        short = np.flatnonzero(c[:, -1] < N + s)
+        if short.size:  # redraw up to the first short row; that row draws on alone
+            rng.bit_generator.state = state
+            k = max(1, int(short[0]))
+            c = positions(k, s)
+            while c[-1, -1] < N + s:
+                c = np.concatenate([c, positions(1, c[0, -1])], axis=1)
+        touched = np.zeros((k, n + 2), dtype=bool)
+        for v in decode(c):  # row offsets into the flat array, then one scatter
+            v += np.arange(0, touched.size, n + 2)[:, None]
+            touched.reshape(-1)[v] = True
+        out[t:t + k] = n - np.count_nonzero(touched[:, :n], axis=1)
+        t += k
     return out
 
 
 def _triangle_count_block(n: int, p: float, rng: np.random.Generator, count: int) -> np.ndarray:
     """Triangle counts for `count` independent G(n, p) draws.
 
-    Sub-chunks of graphs are drawn by ``_gnp_block`` and bit-packed; every
+    Sub-chunks of graphs are drawn by ``_gnp_slots`` and bit-packed; every
     present edge (i, j) adds popcount(row i & row j), its number of common
     neighbours, to its graph's total, which sees each triangle once per edge.
     """
@@ -582,8 +620,8 @@ def _triangle_count_block(n: int, p: float, rng: np.random.Generator, count: int
     ii, jj = _triu_index_arrays(n)
     step = max(1, _SAMPLE_CELLS // max(1, n * n))
     for start in range(0, count, step):
-        adj = _gnp_block(n, p, rng, min(step, count - start))
-        g, e = np.divmod(np.flatnonzero(adj[:, ii, jj]), len(ii))
+        bits, adj = _gnp_slots(n, p, rng, min(step, count - start))
+        g, e = np.divmod(np.flatnonzero(bits), len(ii))
         words = _pack(adj)
         common = np.bitwise_count(words[g, ii[e]] & words[g, jj[e]]).sum(axis=1)
         tri = np.bincount(g, weights=common, minlength=len(adj)).astype(np.int64) // 3

@@ -109,13 +109,7 @@ def _conflict_masks(points: np.ndarray, r: float) -> list[int]:
     diff = points[:, None, :] - points[None, :, :]
     adj = (diff ** 2).sum(axis=2) <= r * r
     np.fill_diagonal(adj, False)
-    masks = []
-    for row in adj:
-        m = 0
-        for j in np.flatnonzero(row):
-            m |= 1 << int(j)
-        masks.append(m)
-    return masks
+    return [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in adj]
 
 
 def _bnb_mis(masks: list[int], budget: int) -> int:
@@ -125,9 +119,16 @@ def _bnb_mis(masks: list[int], budget: int) -> int:
     cannot overflow the interpreter's recursion limit; the take branch is
     visited first and every visited node counts against ``budget``.
     """
-    best = 0
-    nodes = 0
+    best = nodes = 0
     order = sorted(range(len(masks)), key=lambda i: masks[i].bit_count(), reverse=True)
+    rank = {v: k for k, v in enumerate(order)}
+    ranked = []  # the masks relabelled into degree order
+    for v in order:
+        m, r = masks[v], 0
+        while m:
+            r |= 1 << rank[(m & -m).bit_length() - 1]
+            m &= m - 1
+        ranked.append(r)
     stack = [((1 << len(masks)) - 1, 0)]
     while stack:
         avail, size = stack.pop()
@@ -139,10 +140,10 @@ def _bnb_mis(masks: list[int], budget: int) -> int:
         if avail == 0:
             best = size
             continue
-        # branch on the highest-degree available vertex
-        v = next(i for i in order if (avail >> i) & 1)
-        stack.append((avail & ~(1 << v), size))
-        stack.append((avail & ~((1 << v) | masks[v]), size + 1))
+        # branch on the highest-degree available vertex: the lowest set bit
+        low = avail & -avail
+        stack.append((avail & ~low, size))
+        stack.append((avail & ~(low | ranked[low.bit_length() - 1]), size + 1))
     return best
 
 

@@ -15,6 +15,7 @@ from math import comb
 
 import numpy as np
 
+import lkllt.er
 from lkllt.curie_weiss import CWPairModel, CWParams, _q_arrays, parity_shift
 from lkllt.er import (
     _ISO_MOMENTS,
@@ -178,6 +179,38 @@ def tri_q_block_per_slot(adj: np.ndarray, p: float):
             qn1_next = (1 - p) * (n_down - 1 + gain) / c2
             qmm += np.where(remove, (1 - p) / c2 * qn1_next, 0.0)
     return p * n_up / c2, (1 - p) * n_down / c2, qpp, qmm
+
+
+def decode_pairs_by_searchsorted(n: int, e: np.ndarray):
+    """(i, j) of pair slots e in upper-triangle order, by ``searchsorted``
+    over the row starts."""
+    starts = np.concatenate([[0], np.cumsum(np.arange(n - 1, 0, -1))])
+    i = np.searchsorted(starts, e, side="right") - 1
+    return i, e - starts[i] + i + 1
+
+
+def isolated_counts_per_replicate(n: int, p: float, rng: np.random.Generator, count: int):
+    """Isolated-vertex counts of ``count`` G(n, p) draws, one replicate at a
+    time: geometric gaps over the pair slots, ``_gap_chunk`` of them per
+    draw, until a position passes the last slot.  The reference for
+    ``_isolated_count_block``'s bytes and for the draws it consumes."""
+    N = comb(n, 2)
+    out = np.empty(count, dtype=np.int64)
+    if p in (0.0, 1.0):
+        out.fill(n if p == 0.0 else 0)
+        return out
+    chunk = lkllt.er._gap_chunk(N, p)
+    touched = np.empty(n, dtype=bool)
+    for t in range(count):
+        positions = np.cumsum(rng.geometric(p, size=chunk)) - 1
+        while positions[-1] < N - 1:
+            extra = np.cumsum(rng.geometric(p, size=chunk)) - 1
+            positions = np.concatenate([positions, positions[-1] + 1 + extra])
+        i, j = decode_pairs_by_searchsorted(n, positions[positions < N])
+        touched.fill(False)
+        touched[i] = touched[j] = True
+        out[t] = n - np.count_nonzero(touched)
+    return out
 
 
 def all_spin_configs(n: int):

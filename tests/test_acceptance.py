@@ -17,7 +17,7 @@ from lkllt import cli
 from lkllt.curie_weiss import CWPairModel, CWParams, cw_exact_pmf, cw_rate_experiment
 from lkllt.er import (
     ERPairModel,
-    _gnp_block,
+    _gnp_slots,
     _iso_counts,
     _iso_q_from_counts,
     _tri_q_block,
@@ -68,7 +68,7 @@ def test_criterion_2_q_function_equivalence():
     for n in (4, 5, 6):
         for _ in range(20):
             p = float(rng.uniform(0.1, 0.9))
-            adj = _gnp_block(n, p, rng, 1)
+            adj = _gnp_slots(n, p, rng, 1)[1]
             iso_bf = chain_step_probabilities(adj[0], p, isolated_count)
             q1, qn1, q2, qn2, *_ = _iso_q_from_counts(n, p, *_iso_counts(adj))
             for jump, closed in ((1, q1), (-1, qn1), (2, q2), (-2, qn2)):

@@ -269,6 +269,26 @@ def test_underflowing_squared_jump_rates(capsys):
     assert math.isnan(cols["d2_bound"][0])
 
 
+@pytest.mark.parametrize("args", [
+    "er iso --n 10 --p 1e-20 --reps 3 --seed 1",  # the int64 gap sums wrapped: IndexError
+    "er iso --n 10 --p 1e-300 --reps 2 --seed 1",  # gaps of INT64_MAX never passed the last slot
+])
+def test_tiny_p_isolated_counts_end_cleanly(args):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from lkllt.cli import main; sys.exit(main(sys.argv[1:]))",
+         *args.split()],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode in (0, 2), run.stderr
+    assert "Traceback" not in run.stderr
+    if run.returncode == 2:
+        assert run.stderr.startswith("error: jump rate for +-1 moves vanishes")
+
+
 def test_numerical_failure_exit_code(monkeypatch, capsys):
     def boom(args):
         raise NumericalFailure("did not converge")

@@ -7,17 +7,22 @@ from math import comb
 import numpy as np
 import pytest
 
+import lkllt.er
 from lkllt.er import (
     _CHUNK_CELLS,
+    _ISO_POSITIONS,
     _SAMPLE_CELLS,
     _TWO_STEP_CELLS,
     ERPairModel,
     _enumerate_graphs,
     _enumerated_iso_counts,
     _enumerated_triangles,
-    _gnp_block,
+    _gap_chunk,
+    _gnp_slots,
+    _isolated_count_block,
     _iso_counts,
     _iso_q_from_counts,
+    _slot_decoder,
     _tri_q_block,
     _triangle_count_block,
     enumerate_graphs_oracle,
@@ -36,10 +41,12 @@ from lkllt.smoothing import pair_bound_d1, pair_bound_d2, pair_stats
 from helpers import (
     adjacency,
     chain_step_probabilities,
+    decode_pairs_by_searchsorted,
     enumerate_graphs_oracle_unchunked,
     graph_stats,
     iso_q11_two_step,
     isolated_count,
+    isolated_counts_per_replicate,
     tri_q_block_per_slot,
     triangle_count,
 )
@@ -50,8 +57,8 @@ def _edge_count(adj: np.ndarray) -> int:
 
 
 def test_gnp_extremes():
-    assert _edge_count(_gnp_block(5, 0.0, block_rng(1, 0), 1)) == 0
-    assert _edge_count(_gnp_block(5, 1.0, block_rng(1, 0), 1)) == comb(5, 2)
+    assert _edge_count(_gnp_slots(5, 0.0, block_rng(1, 0), 1)[1]) == 0
+    assert _edge_count(_gnp_slots(5, 1.0, block_rng(1, 0), 1)[1]) == comb(5, 2)
     with pytest.raises(InvalidParameter):
         er_rate_experiment("isolated", [(5, 1.5)], 10, 1)
 
@@ -60,7 +67,7 @@ def test_gnp_edge_count_concentration():
     n, p = 100, 0.5
     mean, sd = comb(n, 2) * p, math.sqrt(comb(n, 2) * p * (1 - p))
     for seed in range(100):
-        count = _edge_count(_gnp_block(n, p, block_rng(seed, 0), 1))
+        count = _edge_count(_gnp_slots(n, p, block_rng(seed, 0), 1)[1])
         assert abs(count - mean) <= 4 * sd
 
 
@@ -191,7 +198,7 @@ def test_one_step_chain_equivalence():
     for n in (4, 5, 6):
         for _ in range(12):
             p = float(rng.uniform(0.1, 0.9))
-            (adj,) = _gnp_block(n, p, rng, 1)
+            (adj,) = _gnp_slots(n, p, rng, 1)[1]
             iso_bf = chain_step_probabilities(adj, p, isolated_count)
             q1, q_neg1, q2, q_neg2, *_ = _iso_q(adj, p)
             for jump, closed in ((1, q1), (-1, q_neg1), (2, q2), (-2, q_neg2)):
@@ -217,7 +224,7 @@ def test_iso_q11_closed_form_overcounts():
     for _ in range(100):
         n = int(rng.integers(4, 7))
         p = float(rng.uniform(0.2, 0.8))
-        (adj,) = _gnp_block(n, p, rng, 1)
+        (adj,) = _gnp_slots(n, p, rng, 1)[1]
         gaps.append(_iso_q(adj, p)[4] - iso_q11_two_step(adj, p))
     warnings.warn(
         "isolated-vertex q11 closed form vs chain enumeration: "
@@ -455,7 +462,7 @@ def test_tri_block_matches_brute_force_on_every_graph_n5(p):
 def test_tri_q_block_matches_brute_force_on_random_blocks(n, count, p):
     got = ERPairModel(n, p, "triangles").q_block(block_rng(21, n), count, 1)
     rng = block_rng(21, n)
-    adj = np.concatenate([_gnp_block(n, p, rng, 1) for _ in range(count)])
+    adj = np.concatenate([_gnp_slots(n, p, rng, 1)[1] for _ in range(count)])
     _assert_brute_force(adj, p, got)
 
 
@@ -467,7 +474,7 @@ def test_iso_q_block_draws_match_per_graph_loop(m):
     rng = block_rng(5, 0)
     want = np.empty((4, count))
     for t in range(count):
-        s = graph_stats(_gnp_block(n, p, rng, 1)[0])
+        s = graph_stats(_gnp_slots(n, p, rng, 1)[1][0])
         v = _iso_q_from_counts(n, p, s.w_isolated, s.w1, s.e2)
         want[:, t] = (v[0], v[1], v[4], v[5]) if m == 1 else (v[2], v[3], v[6], v[7])
     for g, w in zip(got, want):
@@ -480,7 +487,7 @@ def test_tri_q_block_draws_match_per_graph_loop():
     qp, qm, qpp, qmm = ERPairModel(n, p, "triangles").q_block(block_rng(6, 0), count, 1)
     assert qpp is None and qmm is None
     rng = block_rng(6, 0)
-    want = np.array([_tri_q(_gnp_block(n, p, rng, 1)[0], p) for _ in range(count)])
+    want = np.array([_tri_q(_gnp_slots(n, p, rng, 1)[1][0], p) for _ in range(count)])
     assert np.array_equal(qp, want[:, 0]) and np.array_equal(qm, want[:, 1])
 
 
@@ -506,7 +513,7 @@ def _assert_same_bytes(got, want) -> None:
 @pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 0.9, 1.0])
 @pytest.mark.parametrize("n", [3, 4, 8, 12, 16, 17, 32, 64])
 def test_tri_q_block_bytes_equal_the_per_slot_loop(n, p):
-    adj = _gnp_block(n, p, block_rng(31, n), 60 if n <= 16 else 12)
+    adj = _gnp_slots(n, p, block_rng(31, n), 60 if n <= 16 else 12)[1]
     want = tri_q_block_per_slot(adj, p)
     _assert_same_bytes(_tri_q_block(adj, p, True), want)
     # blocks of one graph too: np.sum adds a single row pairwise but several
@@ -523,7 +530,7 @@ def test_tri_two_step_q_block_bytes_across_sub_chunks(n, offset):
     step = _TWO_STEP_CELLS // (n * n)
     for count in (step + offset, 2 * step + 3):
         got = ERPairModel(n, 0.3, "triangles").q_block(block_rng(4, n), count, 1)
-        adj = _gnp_block(n, 0.3, block_rng(4, n), count)
+        adj = _gnp_slots(n, 0.3, block_rng(4, n), count)[1]
         _assert_same_bytes(got, tri_q_block_per_slot(adj, 0.3))
 
 
@@ -558,7 +565,7 @@ def test_pair_model_validates_before_drawing():
 
 def _triangle_counts_per_graph(n, p, rng, count):
     """Triangle counts of ``count`` one-graph draws, one graph at a time."""
-    return np.array([triangle_count(_gnp_block(n, p, rng, 1)[0]) for _ in range(count)])
+    return np.array([triangle_count(_gnp_slots(n, p, rng, 1)[1][0]) for _ in range(count)])
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -584,3 +591,74 @@ def test_triangle_count_block_memory_is_bounded_by_sub_chunks():
         tracemalloc.stop()
     assert len(counts) == 4096
     assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+_ISO_CASES = [
+    (50, 0.3), (10, 0.05), (200, 0.01), (2, 0.5), (3, 0.9), (5000, 1e-4),
+    (7, 0.999), (33, 0.02), (65, 0.001), (12, 0.0), (12, 1.0),
+]
+
+
+def _assert_same_iso_counts(n, p, seed, count) -> None:
+    rng, ref_rng = block_rng(seed, n), block_rng(seed, n)
+    got = _isolated_count_block(n, p, rng, count)
+    want = isolated_counts_per_replicate(n, p, ref_rng, count)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert rng.random() == ref_rng.random()  # the same draws were consumed
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("n, p", _ISO_CASES)
+def test_isolated_count_block_bytes_equal_the_per_replicate_loop(n, p, offset):
+    # counts one below, at and one above a sub-chunk boundary, and over several
+    step = max(1, _ISO_POSITIONS // _gap_chunk(comb(n, 2), p))
+    _assert_same_iso_counts(n, p, 3, max(1, step + offset))
+    _assert_same_iso_counts(n, p, 4, 3 * step + offset + 1)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+@pytest.mark.parametrize("n, p", [(10, 0.05), (33, 0.02), (65, 0.001), (50, 0.3), (2, 0.5)])
+def test_isolated_count_block_replays_short_rows(monkeypatch, n, p, chunk):
+    # with 1 to 3 gaps per draw most rows fall short of the last slot, the
+    # first of a sub-chunk or a later one, and draw on alone
+    monkeypatch.setattr(lkllt.er, "_gap_chunk", lambda slots, p: chunk)
+    _assert_same_iso_counts(n, p, 5, 300)
+
+
+def test_isolated_count_block_tiny_p_has_no_edges():
+    # gaps of about 1/p overflowed the int64 sums (p = 1e-20); p = 1e-300,
+    # whose gaps never passed the last slot, runs in a subprocess in test_cli.py
+    for p in (1e-17, 1e-20):
+        assert np.all(_isolated_count_block(10, p, block_rng(1, 0), 50) == 10)
+
+
+@pytest.mark.parametrize("n", [*range(2, 101), 127, 128, 2000, 2048])
+def test_slot_decoder_matches_searchsorted_on_every_slot(monkeypatch, n):
+    N = comb(n, 2)
+    e = np.arange(N)
+    want_i, want_j = decode_pairs_by_searchsorted(n, e)
+    past = np.array([N, N + 1, N + 31, N + 32, 10 * N + 64, 2**40])
+    s, b, decode = _slot_decoder(n)
+    c = np.concatenate([e, past]) + 1 + s
+    # only the rows of fewer than 2^b slots may need more than the one step
+    short_rows = comb(min(n, 1 << b), 2)
+    real_searchsorted, handed = np.searchsorted, []
+    monkeypatch.setattr(np, "searchsorted", lambda a, v, **kw: (
+        handed.append(v), real_searchsorted(a, v, **kw))[1])
+    i, j = decode(c[None, :])
+    assert np.array_equal(i[0, :N], want_i) and np.array_equal(j[0, :N], want_j)
+    assert np.all(i[0, N:] == n) and np.all(j[0, N:] == n + 1)
+    assert all(np.all(v > N - short_rows + s) for v in handed)
+
+
+def test_isolated_count_block_memory_is_bounded_by_sub_chunks():
+    # 4096 replicates of about 1,300 gaps each at once would hold 43 MB of int64
+    rng = block_rng(1, 0)
+    tracemalloc.start()
+    try:
+        counts = _isolated_count_block(2000, 0.0005, rng, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(counts) == 4096
+    assert peak < 2**20, f"peak {peak / 2**20:.2f} MB"
