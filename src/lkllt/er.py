@@ -34,7 +34,7 @@ _MAX_Q_EVAL_N = 512  # per-graph jump evaluation beyond this uses moment-only pa
 _CHUNK_CELLS = 1 << 18  # adjacency cells per evaluation sub-chunk: a few MB of temporaries
 _TWO_STEP_CELLS = _CHUNK_CELLS // 8  # per two-step triangle sub-chunk: under 1.5 MB of temporaries
 _SAMPLE_CELLS = _CHUNK_CELLS // 4  # per triangle-count sub-chunk: about 1 MB of temporaries
-_ISO_POSITIONS = 1 << 13  # gap positions per isolated-count sub-chunk: 64 KB per int64 array
+_ISO_POSITIONS = 1 << 14  # gap positions per isolated-count sub-chunk: 128 KB per int64 array
 
 
 def _qpow(p: float, k: float) -> float:
@@ -65,20 +65,35 @@ def _triu_index_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     return ii, jj
 
 
+@lru_cache(maxsize=16)
+def _cell_slots(n: int) -> np.ndarray:
+    """Pair slot of every cell of a flattened (n, n) adjacency matrix, with
+    C(n, 2), one slot past the last pair, on the diagonal: n² intp entries,
+    the same order of memory as ``_triu_index_arrays``."""
+    ii, jj = _triu_index_arrays(n)
+    cells = np.full((n, n), len(ii), dtype=np.intp)
+    cells[ii, jj] = cells[jj, ii] = np.arange(len(ii))
+    cells = cells.reshape(-1)
+    cells.flags.writeable = False
+    return cells
+
+
 def _gnp_slots(n: int, p: float, rng: np.random.Generator, count: int):
     """Pair-slot bits (count, C(n,2)) and boolean adjacency stack (count, n, n)
     of independent G(n, p) draws.
 
     Graph t takes uniforms t*C(n,2) .. (t+1)*C(n,2)-1 of ``rng`` in pair-slot
     order, exactly what ``count`` successive one-graph blocks consume, so
-    splitting a block does not change its graphs.
+    splitting a block does not change its graphs.  The adjacency is one
+    gather of the bits through ``_cell_slots``, whose diagonal reads a
+    False column kept past the last slot; the bits returned are a view that
+    leaves that column out.
     """
-    ii, jj = _triu_index_arrays(n)
-    bits = rng.random((count, len(ii))) < p
-    adj = np.zeros((count, n, n), dtype=bool)
-    adj[:, ii, jj] = bits
-    adj |= adj.transpose(0, 2, 1)
-    return bits, adj
+    N = comb(n, 2)
+    bits = np.zeros((count, N + 1), dtype=bool)
+    np.less(rng.random((count, N)), p, out=bits[:, :N])
+    adj = bits.take(_cell_slots(n), axis=1).reshape(count, n, n)
+    return bits[:, :N], adj
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +305,10 @@ def tri_closed_forms(n: int, p: float) -> TriForms:
     return TriForms(q1, sigma2, var_q1, var_qn1, ediff_plus, ediff_minus)
 
 
-def _tri_q_block(adj: np.ndarray, p: float, two_step: bool):
+def _tri_q_block(bits: np.ndarray, adj: np.ndarray, p: float, two_step: bool):
     """(Q(+1), Q(-1), Q(1,1), Q(-1,-1)) of the triangle count for every graph
-    in a (count, n, n) adjacency stack; the two-step arrays are None unless
+    in a (count, n, n) adjacency stack whose pair-slot bits are ``bits``, as
+    ``_gnp_slots`` returns both; the two-step arrays are None unless
     ``two_step`` is set.
 
     A resampled pair changes the count by exactly +-1 precisely when its two
@@ -317,9 +333,8 @@ def _tri_q_block(adj: np.ndarray, p: float, two_step: bool):
     common = np.matmul(a, a)
     ii, jj = _triu_index_arrays(n)
     one = common[:, ii, jj] == 1
-    present = adj[:, ii, jj]
-    up = one & ~present
-    down = one & present
+    up = one & ~bits
+    down = one & bits
     n_up = np.count_nonzero(up, axis=1)
     n_down = np.count_nonzero(down, axis=1)
     qp = p * n_up / c2
@@ -377,13 +392,13 @@ class ERPairModel(PairModel):
         tri_two_step = self.statistic == "triangles" and self.two_step
         step = max(1, (_TWO_STEP_CELLS if tri_two_step else _CHUNK_CELLS) // (n * n))
         for start in range(0, count, step):
-            _, adj = _gnp_slots(n, p, rng, min(step, count - start))
+            bits, adj = _gnp_slots(n, p, rng, min(step, count - start))
             if self.statistic == "isolated":
                 q = _iso_q_from_counts(n, p, *_iso_counts(adj))
                 k = 2 * (m - 1)
                 vals = (q[k], q[k + 1], q[k + 4], q[k + 5])
             else:
-                vals = _tri_q_block(adj, p, self.two_step)
+                vals = _tri_q_block(bits, adj, p, self.two_step)
             for dst, v in zip(out, vals):
                 dst[start:start + len(adj)] = v
         return tuple(out) if self.two_step else (*out, None, None)
@@ -532,6 +547,24 @@ def _gap_chunk(slots: int, p: float) -> int:
     return int(slots * p + 10 * math.sqrt(slots * p + 1) + 16)
 
 
+def _geometric_gaps(p: float, rng: np.random.Generator, size, cap: int) -> np.ndarray:
+    """``np.minimum(rng.geometric(p, size), cap)``, from the same draws.
+
+    Below p = 1/3 numpy's geometric is ceil(E / -log1p(-p)) of one standard
+    exponential E per gap, taking the log once per gap; here it is taken
+    once per call, and the clamp comes before the cast to int64, so a gap
+    past int64 never forms.  From p = 1/3 on, numpy searches with uniforms,
+    and that path is kept as it is.
+    """
+    if p >= 0.333333333333333333333333:  # numpy's own threshold literal
+        c = rng.geometric(p, size)
+        return np.minimum(c, cap, out=c)
+    g = rng.standard_exponential(size)
+    g /= -math.log1p(-p)
+    np.minimum(g, cap, out=g)
+    return np.ceil(g, out=g).astype(np.int64)
+
+
 @lru_cache(maxsize=16)
 def _slot_decoder(n: int):
     """(s, b, decode) for the N = C(n, 2) pair slots, slot e at c = e + 1 + s.
@@ -571,9 +604,12 @@ def _isolated_count_block(n: int, p: float, rng: np.random.Generator, count: int
     Geometric gap skipping over the C(n, 2) pair slots (an exact Bernoulli
     process) does O(edges) work per replicate and never builds the graph.
     A replicate draws ``_gap_chunk`` gaps at a time until it passes the last
-    slot; k replicates take their first draws as one (k, chunk) array, the
-    same stream, and are decoded, scattered and counted at once.  Gaps are
-    clamped at C(n, 2) + 1, past the last slot: no sum overflows at tiny p.
+    slot; k replicates take their first draws as one (k, chunk) array of
+    ``_geometric_gaps``, the same stream (below p = 1/3 one standard
+    exponential fill, divided by a log taken once), and are decoded,
+    scattered and counted at once.  A sub-chunk holds about
+    ``_ISO_POSITIONS`` gaps.  Gaps are clamped at C(n, 2) + 1, past the last
+    slot: no sum overflows at tiny p.
     """
     if p in (0.0, 1.0):
         return np.full(count, n if p == 0.0 else 0, dtype=np.int64)
@@ -582,8 +618,7 @@ def _isolated_count_block(n: int, p: float, rng: np.random.Generator, count: int
     s, _, decode = _slot_decoder(n)
 
     def positions(k: int, first: int) -> np.ndarray:
-        c = rng.geometric(p, size=(k, chunk))
-        np.minimum(c, N + 1, out=c)
+        c = _geometric_gaps(p, rng, (k, chunk), N + 1)
         c[:, 0] += first
         return np.cumsum(c, axis=1, out=c)
 

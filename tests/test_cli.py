@@ -139,6 +139,8 @@ SEEDED_GOLDEN_SHA256 = {
         "5e48452e715ac55970f98d025a5c993c2e241319e631c9eeb3c4e5dccc9172b4",
     "rgg --b 0.2 --d 1 --lambda-grid 50:200:x2 --reps 3000 --seed 1":
         "b1d607cf27f363d9c04b75a6a40a9369442c02b08f15fca1d0a460fd013167dc",
+    "rgg --b 0.2 --d 2 --lambda-grid 50:100:x2 --reps 500 --seed 1":
+        "67c7f8448d46f85eee8cf01f6a9adc0266efd8169f48fad98a3a71feb788a8a6",
 }
 
 

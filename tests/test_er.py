@@ -18,6 +18,7 @@ from lkllt.er import (
     _enumerated_iso_counts,
     _enumerated_triangles,
     _gap_chunk,
+    _geometric_gaps,
     _gnp_slots,
     _isolated_count_block,
     _iso_counts,
@@ -54,6 +55,24 @@ from helpers import (
 
 def _edge_count(adj: np.ndarray) -> int:
     return int(np.count_nonzero(adj)) // 2
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("n", [2, 3, 5, 64])
+def test_gnp_slots_bits_and_adjacency_agree(n, p):
+    count = 9
+    rng, one_rng = block_rng(12, n), block_rng(12, n)
+    bits, adj = _gnp_slots(n, p, rng, count)
+    ii, jj = np.triu_indices(n, 1)
+    assert bits.shape == (count, comb(n, 2)) and adj.shape == (count, n, n)
+    assert np.array_equal(adj[:, ii, jj], bits)
+    assert np.array_equal(adj, adj.transpose(0, 2, 1))
+    assert not adj[:, np.arange(n), np.arange(n)].any()
+    # a block of graphs is the same graphs as that many one-graph blocks
+    singles = [_gnp_slots(n, p, one_rng, 1) for _ in range(count)]
+    assert np.array_equal(bits, np.concatenate([b for b, _ in singles]))
+    assert np.array_equal(adj, np.concatenate([a for _, a in singles]))
+    assert rng.random() == one_rng.random()
 
 
 def test_gnp_extremes():
@@ -162,9 +181,15 @@ def _iso_q(adj: np.ndarray, p: float) -> tuple[float, ...]:
     return tuple(float(v[0]) for v in _iso_q_from_counts(len(adj), p, *_iso_counts(adj[None])))
 
 
+def _slot_bits(adj: np.ndarray) -> np.ndarray:
+    """Pair-slot bits, in upper-triangle order, of a (count, n, n) adjacency stack."""
+    ii, jj = np.triu_indices(adj.shape[1], 1)
+    return adj[:, ii, jj]
+
+
 def _tri_q(adj: np.ndarray, p: float) -> tuple[float, float]:
     """(Q(+1), Q(-1)) of one (n, n) adjacency matrix."""
-    qp, qm, _, _ = _tri_q_block(adj[None], p, False)
+    qp, qm, _, _ = _tri_q_block(_slot_bits(adj[None]), adj[None], p, False)
     return float(qp[0]), float(qm[0])
 
 
@@ -300,7 +325,7 @@ def test_tri_two_step_probability_consistency():
     # two-step enumeration from the empty-ish graphs: adding any edge to an
     # empty graph creates no triangle, so both two-step rates vanish
     empty = np.zeros((1, 5, 5), dtype=bool)
-    assert _tri_q_block(empty, 0.4, True)[2][0] == 0.0
+    assert _tri_q_block(_slot_bits(empty), empty, 0.4, True)[2][0] == 0.0
 
 
 def test_er_pair_model_rates_match_closed_forms():
@@ -449,10 +474,11 @@ def test_tri_block_matches_brute_force_on_every_graph_n5(p):
     adj = np.zeros((1 << len(pairs), n, n), dtype=bool)
     for t, (i, j) in enumerate(pairs):
         adj[:, i, j] = adj[:, j, i] = (np.arange(len(adj)) >> t) & 1 == 1
-    got = _tri_q_block(adj, p, True)
+    bits = _slot_bits(adj)
+    got = _tri_q_block(bits, adj, p, True)
     _assert_brute_force(adj, p, got)
     for k in (0, 7, 300, 1023):
-        one = _tri_q_block(adj[k:k + 1], p, True)
+        one = _tri_q_block(bits[k:k + 1], adj[k:k + 1], p, True)
         assert tuple(v[0] for v in one) == tuple(v[k] for v in got)
 
 
@@ -513,13 +539,14 @@ def _assert_same_bytes(got, want) -> None:
 @pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 0.9, 1.0])
 @pytest.mark.parametrize("n", [3, 4, 8, 12, 16, 17, 32, 64])
 def test_tri_q_block_bytes_equal_the_per_slot_loop(n, p):
-    adj = _gnp_slots(n, p, block_rng(31, n), 60 if n <= 16 else 12)[1]
+    bits, adj = _gnp_slots(n, p, block_rng(31, n), 60 if n <= 16 else 12)
     want = tri_q_block_per_slot(adj, p)
-    _assert_same_bytes(_tri_q_block(adj, p, True), want)
+    _assert_same_bytes(_tri_q_block(bits, adj, p, True), want)
     # blocks of one graph too: np.sum adds a single row pairwise but several
     # rows column by column, so only these blocks tell its order from the loop's
     for k in range(len(adj)):
-        _assert_same_bytes(_tri_q_block(adj[k:k + 1], p, True), [w[k:k + 1] for w in want])
+        one = _tri_q_block(bits[k:k + 1], adj[k:k + 1], p, True)
+        _assert_same_bytes(one, [w[k:k + 1] for w in want])
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -596,7 +623,22 @@ def test_triangle_count_block_memory_is_bounded_by_sub_chunks():
 _ISO_CASES = [
     (50, 0.3), (10, 0.05), (200, 0.01), (2, 0.5), (3, 0.9), (5000, 1e-4),
     (7, 0.999), (33, 0.02), (65, 0.001), (12, 0.0), (12, 1.0),
+    (40, float(np.nextafter(1 / 3, 0))), (40, 1 / 3),
 ]
+
+
+@pytest.mark.parametrize("cap", [comb(2000, 2) + 1, 2**52])
+@pytest.mark.parametrize(
+    "p", [1e-300, 1e-17, 5e-4, 0.2, float(np.nextafter(1 / 3, 0)), 1 / 3, 0.5, 0.999]
+)
+def test_geometric_gaps_equal_numpy_geometric(p, cap):
+    # numpy's own geometric is the reference: should a numpy release change
+    # how it draws, this fails rather than a golden
+    rng, ref_rng = block_rng(8, 0), block_rng(8, 0)
+    got = _geometric_gaps(p, rng, (7, 1500), cap)
+    want = np.minimum(ref_rng.geometric(p, (7, 1500)), cap)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert rng.random() == ref_rng.random()  # the same draws were consumed
 
 
 def _assert_same_iso_counts(n, p, seed, count) -> None:
