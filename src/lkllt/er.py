@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -408,9 +409,25 @@ class ERPairModel(PairModel):
 # exhaustive enumeration oracle (n <= 7)
 
 
-def _edge_index_map(n: int):
+@lru_cache(maxsize=8)
+def _enumeration_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge-mask tables of the n-vertex graphs, bit e standing for pair slot e:
+    ``inc[v]``, the edges that touch vertex v; ``within[S]``, the edges with
+    both ends in the vertex set S (bit v of S for vertex v), for all 2^n sets;
+    ``tri``, the three edges of each triangle a < b < c, in lexicographic order.
+    """
     ii, jj = _triu_index_arrays(n)
-    return list(zip(ii.tolist(), jj.tolist()))
+    bit = np.left_shift(np.uint32(1), np.arange(len(ii), dtype=np.uint32))
+    inc = np.zeros(n, dtype=np.uint32)
+    np.bitwise_or.at(inc, ii, bit)
+    np.bitwise_or.at(inc, jj, bit)
+    sets = np.arange(1 << n)[:, None]
+    inside = ((sets >> ii) & (sets >> jj) & 1).astype(bool)
+    within = np.bitwise_or.reduce(np.where(inside, bit, np.uint32(0)), axis=1, dtype=np.uint32)
+    tri = within[[(1 << a) | (1 << b) | (1 << c) for a, b, c in combinations(range(n), 3)]]
+    for table in (inc, within, tri):
+        table.flags.writeable = False
+    return inc, within, tri
 
 
 def _enumerate_graphs(n: int, p: float):
@@ -423,28 +440,28 @@ def _enumerate_graphs(n: int, p: float):
 
 
 def _enumerated_iso_counts(n: int, masks: np.ndarray):
-    """(W, W1, E2) of every graph in an array of edge masks."""
-    edges = _edge_index_map(n)
-    bits = [((masks >> e) & 1).astype(bool) for e in range(len(edges))]
-    deg = np.zeros((n, len(masks)), dtype=np.int8)
-    for b, (i, j) in zip(bits, edges):
-        deg[i] += b
-        deg[j] += b
-    e2 = np.zeros(len(masks), dtype=np.int64)
-    for b, (i, j) in zip(bits, edges):
-        e2 += b & (deg[i] == 1) & (deg[j] == 1)
-    return (deg == 0).sum(axis=0), (deg == 1).sum(axis=0), e2
+    """(W, W1, E2) of every graph in an array of edge masks, as int64.
+
+    A vertex's degree is the popcount of the mask under its incidence mask;
+    the vertices of degree 0 and 1 are packed into two vertex sets, whose
+    popcounts are W and W1, and E2 counts the edges inside the degree-1 set.
+    """
+    inc, within, _ = _enumeration_tables(n)
+    isolated = np.zeros(len(masks), dtype=np.uint8)
+    one = np.zeros(len(masks), dtype=np.uint8)
+    for v in range(n):
+        deg = np.bitwise_count(masks & inc[v])
+        isolated |= (deg == 0).view(np.uint8) << np.uint8(v)
+        one |= (deg == 1).view(np.uint8) << np.uint8(v)
+    e2 = masks & within[one]
+    return tuple(np.bitwise_count(s).astype(np.int64) for s in (isolated, one, e2))
 
 
 def _enumerated_triangles(n: int, masks: np.ndarray) -> np.ndarray:
     """Triangle count of every graph in an array of edge masks."""
-    eidx = {pair: e for e, pair in enumerate(_edge_index_map(n))}
     tri = np.zeros(len(masks), dtype=np.int64)
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                m3 = np.uint32((1 << eidx[(a, b)]) | (1 << eidx[(a, c)]) | (1 << eidx[(b, c)]))
-                tri += (masks & m3) == m3
+    for m3 in _enumeration_tables(n)[2]:
+        tri += (masks & m3) == m3
     return tri
 
 

@@ -24,7 +24,7 @@ _NORM_TOL = 1e-9  # reject mass vectors whose sum is further than this from 1
 
 def _trim(offset: int, values: np.ndarray) -> tuple[int, np.ndarray]:
     """Drop exact zeros from both ends; interior zeros are kept."""
-    nz = np.flatnonzero(values)
+    nz = values.nonzero()[0]
     if nz.size == 0:
         return 0, np.zeros(0)
     lo, hi = nz[0], nz[-1] + 1
@@ -42,7 +42,7 @@ class LatticeDist:
         arr = np.asarray(self.pmf, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise InvalidDistribution("pmf must be a nonempty 1-d array")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+        if not np.isfinite(arr).all() or (arr < 0).any():
             raise InvalidDistribution("pmf entries must be finite and nonnegative")
         off, arr = _trim(int(self.offset), arr)
         if arr.size == 0:
@@ -131,7 +131,7 @@ def dist_from_weights(offset: int, weights) -> LatticeDist:
     InvalidDistribution for all-zero, negative or non-finite weights.
     """
     arr = np.asarray(weights, dtype=float)
-    if arr.size == 0 or not np.all(np.isfinite(arr)) or np.any(arr < 0):
+    if arr.size == 0 or not np.isfinite(arr).all() or (arr < 0).any():
         raise InvalidDistribution("weights must be finite and nonnegative")
     total = arr.sum()
     if total <= 0:
@@ -159,8 +159,12 @@ def smooth_uniform(F: LatticeDist, m: int) -> LatticeDist:
 
 
 def _diff_once(values: np.ndarray) -> np.ndarray:
-    # (Delta f)(k) = f(k+1) - f(k); support gains one point on the left
-    return np.diff(values, prepend=0.0, append=0.0)
+    # (Delta f)(k) = f(k+1) - f(k); support gains one point on the left.
+    # The same subtraction as np.diff(values, prepend=0.0, append=0.0),
+    # without its concatenate and broadcast wrappers.
+    ext = np.zeros(len(values) + 2)
+    ext[1:-1] = values
+    return ext[1:] - ext[:-1]
 
 
 def difference(s: SignedSeq, n: int) -> SignedSeq:

@@ -81,7 +81,7 @@ def distance(F: LatticeDist, G: LatticeDist, kind: Metric) -> float:
     pf, pg = _aligned(F, G)
     if kind.name == "tv":
         return 0.5 * float(np.abs(pf - pg).sum())
-    cdf_gap = np.abs(np.cumsum(pf) - np.cumsum(pg))
+    cdf_gap = np.abs(pf.cumsum() - pg.cumsum())
     if kind.name == "kolmogorov":
         return float(cdf_gap.max())
     return float(cdf_gap.sum())  # wasserstein

@@ -61,8 +61,10 @@ def _poisson_block(lam: float, eps: float) -> tuple[int, np.ndarray]:
         top = math.exp(log_mode)
         up = np.multiply.accumulate(np.concatenate([[top], lam / np.arange(mode + 1, hi + 1)]))
         down = [top]
-        for k in range(mode - 1, lo - 1, -1):
-            down.append((down[-1] * (k + 1)) / lam)
+        append, x = down.append, top
+        for k1 in range(mode, lo, -1):
+            x = (x * k1) / lam
+            append(x)
         pm = np.concatenate([down[:0:-1], up])
         total = pm.sum()
         # right tail: successive ratios lam/(hi+1+j) <= r; left tail likewise

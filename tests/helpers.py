@@ -322,3 +322,55 @@ def enumerate_graphs_oracle_unchunked(n: int, p: float, statistic: str):
         for name, exps in powers.items()
     }
     return dist_from_weights(0, np.bincount(counts[0], weights=prob)), moments
+
+
+def enumerated_iso_counts_per_edge(n: int, masks: np.ndarray):
+    """(W, W1, E2) of every graph in an array of edge masks, one bit plane per
+    edge: degrees summed edge by edge, then every edge with two degree-one
+    ends counted."""
+    edges = list(itertools.combinations(range(n), 2))
+    bits = [((masks >> e) & 1).astype(bool) for e in range(len(edges))]
+    deg = np.zeros((n, len(masks)), dtype=np.int8)
+    for b, (i, j) in zip(bits, edges):
+        deg[i] += b
+        deg[j] += b
+    e2 = np.zeros(len(masks), dtype=np.int64)
+    for b, (i, j) in zip(bits, edges):
+        e2 += b & (deg[i] == 1) & (deg[j] == 1)
+    return (deg == 0).sum(axis=0), (deg == 1).sum(axis=0), e2
+
+
+def enumerated_triangles_per_triple(n: int, masks: np.ndarray) -> np.ndarray:
+    """Triangle count of every graph in an array of edge masks, one vertex
+    triple at a time."""
+    eidx = {pair: e for e, pair in enumerate(itertools.combinations(range(n), 2))}
+    tri = np.zeros(len(masks), dtype=np.int64)
+    for a, b, c in itertools.combinations(range(n), 3):
+        m3 = np.uint32((1 << eidx[(a, b)]) | (1 << eidx[(a, c)]) | (1 << eidx[(b, c)]))
+        tri += (masks & m3) == m3
+    return tri
+
+
+def poisson_block_indexed_recursion(lam: float, eps: float) -> tuple[int, np.ndarray]:
+    """``tp._poisson_block`` with its downward recursion written as
+    ``(down[-1] * (k + 1)) / lam`` for k from mode - 1 down to lo."""
+    mode = int(lam)
+    log_mode = -lam + mode * math.log(lam) - math.lgamma(mode + 1) if lam > 0 else 0.0
+    half = int(12.0 * math.sqrt(lam) + 30.0)
+    while True:
+        lo = max(0, mode - half)
+        hi = mode + half
+        top = math.exp(log_mode)
+        up = np.multiply.accumulate(np.concatenate([[top], lam / np.arange(mode + 1, hi + 1)]))
+        down = [top]
+        for k in range(mode - 1, lo - 1, -1):
+            down.append((down[-1] * (k + 1)) / lam)
+        pm = np.concatenate([down[:0:-1], up])
+        total = pm.sum()
+        r = lam / (hi + 1)
+        right = pm[-1] * r / (1.0 - r) if r < 1.0 else math.inf
+        s = lo / lam if lam > 0 else 0.0
+        left = pm[0] * s / (1.0 - s) if lo > 0 and s < 1.0 else 0.0
+        if left + right < eps * total:
+            return lo, pm
+        half = int(half * 1.5) + 10

@@ -103,6 +103,24 @@ def test_verify_lk_out_writes_the_table_and_keeps_the_summary(tmp_path, capsys):
     assert {l.split(",")[1] for l in lines[1:]} == {"n2_p1q1r1", "n3_pinf_qinf_r1"}
 
 
+# SHA-256 of the stdout of ``verify lk --trials 500 --seed 1`` and of its
+# ``--out`` CSV, which holds every trial's lhs, rhs_core and ratio: the
+# lattice layer's differences, trims and normalizations to the last bit.
+VERIFY_LK_SHA256 = "80e43ccb3ae13ff24b9f30d1f1d662c7d4a0b860753446181a3cdfb1b6499a8d"
+VERIFY_LK_CSV_SHA256 = "839aa5dde59bfa1345d8cd2058ae3fc4a50c3c99a57b2413a064ecbc3cc387f6"
+
+
+def test_verify_lk_output_and_table_match_goldens(tmp_path, capsys):
+    command = ["verify", "lk", "--trials", "500", "--seed", "1"]
+    status, out = run_cli(command, capsys)
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_LK_SHA256
+    path = tmp_path / "lk.csv"
+    status, _ = run_cli(command + ["--out", str(path)], capsys)
+    assert status == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == VERIFY_LK_CSV_SHA256
+
+
 # SHA-256 of the stdout of the seedless exact-law commands, as pinned in
 # perfbench/goldens.json: any change to these bytes is a change of results.
 GOLDEN_SHA256 = {

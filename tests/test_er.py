@@ -44,6 +44,8 @@ from helpers import (
     chain_step_probabilities,
     decode_pairs_by_searchsorted,
     enumerate_graphs_oracle_unchunked,
+    enumerated_iso_counts_per_edge,
+    enumerated_triangles_per_triple,
     graph_stats,
     iso_q11_two_step,
     isolated_count,
@@ -161,6 +163,17 @@ def test_oracle_bytes_equal_the_unchunked_reference(n, statistic):
         assert law.offset == want_law.offset, p
         assert law.pmf.tobytes() == want_law.pmf.tobytes(), p
         assert list(moments.items()) == list(want_moments.items()), p
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_enumerated_counts_equal_the_per_edge_reference(n):
+    masks = np.arange(1 << comb(n, 2), dtype=np.uint32)
+    got = (*_enumerated_iso_counts(n, masks), _enumerated_triangles(n, masks))
+    want = (*enumerated_iso_counts_per_edge(n, masks), enumerated_triangles_per_triple(n, masks))
+    for g, w in zip(got, want):
+        # int64, so that the oracle's powers such as W^4 cannot wrap
+        assert g.dtype == np.int64
+        assert np.array_equal(g, w)
 
 
 def test_oracle_memory_is_bounded_by_mask_chunks():

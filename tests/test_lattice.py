@@ -6,6 +6,7 @@ import pytest
 from lkllt.errors import InvalidDistribution, InvalidParameter
 from lkllt.lattice import (
     LatticeDist,
+    _diff_once,
     SignedSeq,
     convolve,
     difference,
@@ -178,3 +179,32 @@ def test_json_round_trip():
     d = dist_from_weights(-4, [1, 2, 0, 3])
     back = LatticeDist.from_json(d.to_json())
     assert back == d
+
+
+def _signed_inputs():
+    rng = np.random.default_rng(12)
+    fixed = [[], [2.5], [-0.0], [1.0, -3.0, 0.5, -0.0, 4.0], [0.0, 1e-300, -1e300, 0.0]]
+    return [np.array(v, dtype=float) for v in fixed] + [
+        rng.standard_normal(int(k)) * 10.0 ** rng.integers(-5, 5) for k in rng.integers(1, 200, 8)
+    ]
+
+
+@pytest.mark.parametrize("values", _signed_inputs())
+def test_diff_once_is_the_zero_padded_np_diff(values):
+    got = _diff_once(values)
+    want = np.diff(values, prepend=0.0, append=0.0)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("values", _signed_inputs())
+def test_difference_is_repeated_np_diff(values):
+    s = SignedSeq(3, values)
+    for n in range(5):
+        want = s.values
+        for _ in range(n):
+            want = np.diff(want, prepend=0.0, append=0.0)
+        want = SignedSeq(s.offset - n, want)
+        got = difference(s, n)
+        assert got.offset == want.offset
+        assert got.values.tobytes() == want.values.tobytes()

@@ -6,7 +6,9 @@ import pytest
 
 from lkllt.errors import InvalidParameter
 from lkllt.metrics import smoothing_term
-from lkllt.tp import tp_dist, tp_normal_gaps, tp_params
+from lkllt.tp import _poisson_block, tp_dist, tp_normal_gaps, tp_params
+
+from helpers import poisson_block_indexed_recursion
 
 
 def test_params_fractional():
@@ -72,6 +74,14 @@ def test_mean_variance_contract_random():
         d = tp_dist(tp_params(mu, s2))
         assert abs(d.mean() - mu) <= 1e-8 * s2 + 1e-12
         assert s2 <= d.variance() <= s2 + 1
+
+
+@pytest.mark.parametrize("lam", [100.3, 1e4 + 0.3, 1e6 + 0.5, 1e8 + 0.25])
+def test_poisson_block_equals_the_indexed_recursion(lam):
+    lo, pm = _poisson_block(lam, 1e-12)
+    want_lo, want = poisson_block_indexed_recursion(lam, 1e-12)
+    assert lo == want_lo
+    assert pm.tolist() == want.tolist()
 
 
 def test_normal_gaps_scaling():
