@@ -227,6 +227,8 @@ class CWPairModel(PairModel):
     heat-bath step).
     """
 
+    stride = 1  # one uniform per state, see q_block
+
     def __init__(self, params: CWParams):
         self.params = params
         law = cw_exact_pmf(params)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -51,14 +50,6 @@ def _qpow(p: float, k: float) -> float:
 # graph sampling
 
 
-def _pack(adj: np.ndarray) -> np.ndarray:
-    """Bit-pack the rows of an (..., n, n) adjacency array into uint64 words."""
-    n = adj.shape[-1]
-    buf = np.zeros(adj.shape[:-1] + (-(-n // 64) * 64,), dtype=bool)
-    buf[..., :n] = adj
-    return np.packbits(buf, axis=-1, bitorder="little").view(np.uint64)
-
-
 @lru_cache(maxsize=16)
 def _triu_index_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     ii, jj = np.triu_indices(n, 1)
@@ -79,22 +70,45 @@ def _cell_slots(n: int) -> np.ndarray:
     return cells
 
 
-def _gnp_slots(n: int, p: float, rng: np.random.Generator, count: int):
-    """Pair-slot bits (count, C(n,2)) and boolean adjacency stack (count, n, n)
-    of independent G(n, p) draws.
+@lru_cache(maxsize=16)
+def _word_cell_slots(n: int) -> np.ndarray:
+    """``_cell_slots`` with every row padded to whole 64-bit words by the
+    slot C(n, 2): n * 64 * ceil(n / 64) intp entries."""
+    row = -(-n // 64) * 64
+    cells = np.full((n, row), comb(n, 2), dtype=np.intp)
+    cells[:, :n] = _cell_slots(n).reshape(n, n)
+    cells = cells.reshape(-1)
+    cells.flags.writeable = False
+    return cells
+
+
+def _slot_bits(n: int, p: float, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Pair-slot bits of ``count`` independent G(n, p) draws: a (count,
+    C(n,2) + 1) boolean buffer whose last column, one slot past the last
+    pair, is False.
 
     Graph t takes uniforms t*C(n,2) .. (t+1)*C(n,2)-1 of ``rng`` in pair-slot
-    order, exactly what ``count`` successive one-graph blocks consume, so
-    splitting a block does not change its graphs.  The adjacency is one
-    gather of the bits through ``_cell_slots``, whose diagonal reads a
-    False column kept past the last slot; the bits returned are a view that
-    leaves that column out.
+    order, exactly what ``count`` successive one-graph draws consume, so
+    splitting a block does not change its graphs: each graph takes C(n, 2)
+    64-bit draws.
     """
     N = comb(n, 2)
     bits = np.zeros((count, N + 1), dtype=bool)
     np.less(rng.random((count, N)), p, out=bits[:, :N])
+    return bits
+
+
+def _gnp_slots(n: int, p: float, rng: np.random.Generator, count: int):
+    """Pair-slot bits (count, C(n,2)) and boolean adjacency stack (count, n, n)
+    of independent G(n, p) draws from ``_slot_bits``.
+
+    The adjacency is one gather of the bits through ``_cell_slots``, whose
+    diagonal reads the False column past the last slot; the bits returned
+    are a view that leaves that column out.
+    """
+    bits = _slot_bits(n, p, rng, count)
     adj = bits.take(_cell_slots(n), axis=1).reshape(count, n, n)
-    return bits[:, :N], adj
+    return bits[:, :-1], adj
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +395,7 @@ class ERPairModel(PairModel):
         if statistic == "triangles" and n > _MAX_Q_EVAL_N:
             raise TooLarge(f"per-graph jump evaluation capped at n = {_MAX_Q_EVAL_N}")
         self.n, self.p, self.statistic = n, p, statistic
+        self.stride = comb(n, 2)  # every q_block graph comes from _gnp_slots
         self.two_step = statistic == "isolated" or n <= 16
 
     def q_block(self, rng: np.random.Generator, count: int, m: int):
@@ -476,6 +491,8 @@ def _exact_means(tally: np.ndarray, pe: np.ndarray, powers: dict) -> dict:
     correctly rounded value math.fsum returns, without a Python float per
     graph.
     """
+    from fractions import Fraction
+
     nonzero = np.nonzero(tally)
     groups = [
         (count, float(pe[e]), vals)
@@ -606,10 +623,18 @@ def _slot_decoder(n: int):
         np.minimum(c, ends[n], out=c)
         i = c >> b
         i[...] = table[i]
-        i += c > ends[i]
-        miss = c > ends[i]
-        i[miss] = np.searchsorted(ends[:n - 1], c[miss])
-        c -= jbase[i]
+        # ends[i] - c >> 63 is -1 exactly where c is past row i; both gathers
+        # go to the one buffer e, and "clip" takes into it without buffering
+        e = ends[i]
+        i -= np.right_shift(np.subtract(e, c, out=e), 63, out=e)
+        c -= np.take(jbase, i, out=e, mode="clip")
+        del e
+        # a position still past its row has j >= n; the clamp has i = n
+        miss = np.flatnonzero((c >= n) & (i < n))
+        if miss.size:
+            pos = c.flat[miss] + jbase[i.flat[miss]]
+            i.flat[miss] = row = np.searchsorted(ends[:n - 1], pos)
+            c.flat[miss] = pos - jbase[row]
         return i, c
 
     return s, b, decode
@@ -664,20 +689,27 @@ def _isolated_count_block(n: int, p: float, rng: np.random.Generator, count: int
 def _triangle_count_block(n: int, p: float, rng: np.random.Generator, count: int) -> np.ndarray:
     """Triangle counts for `count` independent G(n, p) draws.
 
-    Sub-chunks of graphs are drawn by ``_gnp_slots`` and bit-packed; every
-    present edge (i, j) adds popcount(row i & row j), its number of common
-    neighbours, to its graph's total, which sees each triangle once per edge.
+    Sub-chunks of graphs are drawn by ``_slot_bits``; one gather through
+    ``_word_cell_slots`` lays out every adjacency row padded to whole words,
+    and one ``packbits`` packs them into uint64 words.  Every present edge
+    (i, j) adds popcount(row i & row j), its number of common neighbours, to
+    its graph's total, which sees each triangle once per edge.
     """
     out = np.empty(count, dtype=np.int64)
     ii, jj = _triu_index_arrays(n)
+    cells = _word_cell_slots(n)
+    width = len(cells) // (64 * n)  # words per row
     step = max(1, _SAMPLE_CELLS // max(1, n * n))
     for start in range(0, count, step):
-        bits, adj = _gnp_slots(n, p, rng, min(step, count - start))
-        g, e = np.divmod(np.flatnonzero(bits), len(ii))
-        words = _pack(adj)
-        common = np.bitwise_count(words[g, ii[e]] & words[g, jj[e]]).sum(axis=1)
-        tri = np.bincount(g, weights=common, minlength=len(adj)).astype(np.int64) // 3
-        out[start:start + len(adj)] = tri
+        k = min(step, count - start)
+        bits = _slot_bits(n, p, rng, k)
+        g, e = np.divmod(np.flatnonzero(bits), bits.shape[1])
+        rows = np.packbits(bits.take(cells, axis=1), axis=1, bitorder="little")
+        words = rows.view(np.uint64).reshape(k * n, width)
+        row = g * n
+        common = np.bitwise_count(words[row + ii[e]] & words[row + jj[e]]).sum(axis=1)
+        tri = np.bincount(g, weights=common, minlength=k).astype(np.int64) // 3
+        out[start:start + k] = tri
     return out
 
 
@@ -741,9 +773,13 @@ def er_rate_experiment(statistic: str, rows, replicates: int, seed: int) -> Rate
     for n, p in rows:
         n = int(n)
         sampler = _isolated_count_block if statistic == "isolated" else _triangle_count_block
-        parts = map_blocks(
-            lambda start, count, rng: sampler(n, p, rng, count), seed, replicates
-        )
+
+        def block(start, count, rng):
+            return sampler(n, p, rng, count)
+
+        if statistic == "triangles":  # C(n, 2) uniforms per graph, see _slot_bits
+            block.stride = comb(n, 2)
+        parts = map_blocks(block, seed, replicates)
         values = np.concatenate(parts)
         emp = empirical_dist(values)
         if statistic == "isolated":

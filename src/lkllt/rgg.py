@@ -41,13 +41,12 @@ def ppp_sample(lam: float, d: int, seed: int) -> PointSet:
         raise InvalidParameter("intensity must be positive")
     if d < 1:
         raise InvalidParameter("dimension must be >= 1")
-    rng = block_rng(seed, 0)
-    return _ppp(lam, d, rng)
+    return PointSet(d, _ppp(lam, d, block_rng(seed, 0)))
 
 
-def _ppp(lam: float, d: int, rng: np.random.Generator) -> PointSet:
-    count = int(rng.poisson(lam))
-    return PointSet(d, rng.random((count, d)))
+def _ppp(lam: float, d: int, rng: np.random.Generator) -> np.ndarray:
+    """(count, d) points of the process: a Poisson count, then the uniforms."""
+    return rng.random((rng.poisson(lam), d))
 
 
 def _line_block(sets: list[np.ndarray], r: float) -> tuple[np.ndarray, np.ndarray]:
@@ -191,14 +190,14 @@ def rgg_experiment(b: float, d: int, lambda_grid, replicates: int, seed: int) ->
 
         def one_block(start, count, rng, lam=lam, r=r):
             if d != 1:
-                w = [rgg_independence(_ppp(lam, d, rng), r) for _ in range(count)]
+                w = [rgg_independence(PointSet(d, _ppp(lam, d, rng)), r) for _ in range(count)]
                 return np.array(w, dtype=np.int64), np.full(count, math.nan)
             # the draws stay one replicate at a time, in order (the Poisson
             # count takes a variable number of them); evaluation is per sub-chunk
             step = max(1, _LINE_CELLS // (int(lam) + 1))
             chunks = [
                 _line_block(
-                    [_ppp(lam, 1, rng).points[:, 0] for _ in range(min(step, count - s))], r
+                    [_ppp(lam, 1, rng)[:, 0] for _ in range(min(step, count - s))], r
                 )
                 for s in range(0, count, step)
             ]

@@ -5,12 +5,16 @@ replicates [k*BLOCK, (k+1)*BLOCK) and draws from a Philox generator keyed by
 (master_seed, k).  Because keys never depend on the total replicate count,
 growing the count leaves earlier replicates' draws unchanged, and blocks may
 be evaluated in any order (or in parallel) with identical results.
+
+A sampler whose replicates each take a fixed number of 64-bit draws (its
+``stride``) may also be split inside a block: Philox jumps straight to any
+replicate of its block, so a span of replicates draws what the whole block
+would have drawn for them.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterator
 
 import numpy as np
@@ -36,6 +40,28 @@ def blocks(master_seed: int, replicates: int) -> Iterator[tuple[int, int, np.ran
         k += 1
 
 
+def _spans(
+    master_seed: int, replicates: int, stride: int, pieces: int
+) -> Iterator[tuple[int, int, np.random.Generator]]:
+    """Yield (start, count, rng) triples covering range(replicates) in order,
+    cut into ``pieces`` near-equal runs and at every block end.
+
+    Each replicate takes ``stride`` 64-bit draws, so a span starting ``skip``
+    replicates into block k draws from block k's generator moved past
+    skip * stride draws.  Philox makes four 64-bit outputs per counter step:
+    ``advance`` moves whole steps and ``random_raw`` the rest.
+    """
+    even = {i * replicates // pieces for i in range(pieces)}
+    cuts = sorted(even.union(range(0, replicates, BLOCK)))
+    for start, end in zip(cuts, cuts[1:] + [replicates]):
+        k, skip = divmod(start, BLOCK)
+        rng = block_rng(master_seed, k)
+        d = skip * stride
+        rng.bit_generator.advance(d // 4)
+        rng.bit_generator.random_raw(d % 4)
+        yield start, end - start, rng
+
+
 def thread_count() -> int:
     raw = os.environ.get("LKLLT_THREADS", "1")
     try:
@@ -45,15 +71,25 @@ def thread_count() -> int:
 
 
 def map_blocks(fn: Callable, master_seed: int, replicates: int) -> list:
-    """Apply ``fn(start, count, rng)`` to every block, in block order.
+    """Apply ``fn(start, count, rng)`` to every block, in replicate order.
 
     Runs on a thread pool when LKLLT_THREADS > 1; results are returned in
-    block order either way, so the reduction downstream is deterministic.
+    replicate order either way, so the reduction downstream is
+    deterministic.  If ``fn`` has a ``stride`` attribute, the number of
+    64-bit draws each of its replicates takes, the pool gets the near-equal
+    spans of ``_spans`` instead of whole blocks; every replicate draws the
+    same numbers either way.
     """
-    work = list(blocks(master_seed, replicates))
     n_threads = thread_count()
+    stride = getattr(fn, "stride", None)
+    if n_threads > 1 and stride is not None:
+        work = list(_spans(master_seed, replicates, stride, n_threads))
+    else:
+        work = list(blocks(master_seed, replicates))
     if n_threads == 1 or len(work) == 1:
         return [fn(*w) for w in work]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
         futures = [pool.submit(fn, *w) for w in work]
         return [f.result() for f in futures]

@@ -57,12 +57,16 @@ class PairModel:
     evaluated exactly at each state; the last two may be None when the model
     has no two-step evaluators for that jump size.
 
+    A model whose states each take a fixed number of 64-bit draws sets
+    ``stride`` to that number, so ``map_blocks`` may split its blocks.
+
     A finite-state model sets ``q_table`` to those four arrays evaluated once
     per state; its :meth:`q_block` then returns the index into them of each
     drawn state instead.
     """
 
     q_table: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
+    stride: int | None = None
 
     def q_block(self, rng: np.random.Generator, count: int, m: int):
         raise NotImplementedError
@@ -138,9 +142,12 @@ def pair_stats(model: PairModel, m: int, replicates: int, seed: int) -> PairChai
         raise InvalidParameter("m must be a positive integer")
     if replicates < 2:
         raise InvalidParameter("replicates must be >= 2")
-    parts = map_blocks(
-        lambda start, count, rng: model.q_block(rng, count, m), seed, replicates
-    )
+
+    def block(start, count, rng):
+        return model.q_block(rng, count, m)
+
+    block.stride = model.stride
+    parts = map_blocks(block, seed, replicates)
     if model.q_table is None:
         index = None
         tab_p, tab_m, tab_pp, tab_mm = (

@@ -10,14 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
 from .errors import InvalidParameter
 from .lattice import LatticeDist
-
-_STD_NORMAL = NormalDist()
 
 
 @dataclass(frozen=True)
@@ -105,6 +102,8 @@ def tp_normal_gaps(params: TPParams, eps: float = 1e-12) -> tuple[float, float, 
       interval with the closed-form antiderivative z*Phi(z) + phi(z) of the
       normal CDF and a crossing-point split, plus the two analytic tails.
     """
+    from statistics import NormalDist
+
     F = tp_dist(params, eps)
     mu, sigma = params.mu, math.sqrt(params.sigma2)
     # every lattice point of the support and the end point one past it
@@ -132,7 +131,8 @@ def tp_normal_gaps(params: TPParams, eps: float = 1e-12) -> tuple[float, float, 
     dw = float(np.sum(np.where(below, c - area, 0.0) + np.where(above, area - c, 0.0)))
     crossing = ~(below | above)
     ci, kc = c[crossing], k[crossing]
-    x_star = mu + sigma * np.array([_STD_NORMAL.inv_cdf(p) for p in ci.tolist()])
+    inv_cdf = NormalDist().inv_cdf
+    x_star = mu + sigma * np.array([inv_cdf(p) for p in ci.tolist()])
     zs = (x_star - mu) / sigma
     a_star = zs * _std_cdf(zs) + _phi(zs)
     left = ci * (x_star - kc) - sigma * (a_star - a0[crossing])

@@ -149,3 +149,28 @@ def test_layer_span_resolves(span):
     target = importlib.import_module(f"lkllt.{module}")
     for attr in attrs:
         target = getattr(target, attr)
+
+
+def _map_blocks_calls() -> list[tuple[str, int, int, int]]:
+    """(file, line, positional count, keyword count) of every call to
+    ``map_blocks`` under src/, read from the source."""
+    src = BENCH.parent / "src"
+    calls = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and (
+                getattr(node.func, "id", None) == "map_blocks"
+                or getattr(node.func, "attr", None) == "map_blocks"
+            ):
+                rel = str(path.relative_to(src))
+                calls.append((rel, node.lineno, len(node.args), len(node.keywords)))
+    return calls
+
+
+def test_map_blocks_calls_fit_the_traced_wrapper():
+    # layers.py traces map_blocks through a wrapper that takes exactly
+    # (fn, master_seed, replicates); anything a sampler needs beyond that
+    # rides on fn, as its ``stride`` attribute does
+    calls = _map_blocks_calls()
+    assert {"lkllt/er.py", "lkllt/rgg.py", "lkllt/smoothing.py"} <= {where for where, *_ in calls}
+    assert [c for c in calls if c[2:] != (3, 0)] == []

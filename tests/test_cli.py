@@ -223,13 +223,22 @@ def test_byte_determinism(tmp_path):
 
 
 def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
-    args = ["er", "iso", "--n", "60", "--p", "0.02", "--reps", "9000", "--seed", "3"]
-    a = tmp_path / "serial.csv"
-    b = tmp_path / "threaded.csv"
-    assert cli.main(args + ["--out", str(a)]) == 0
-    monkeypatch.setenv("LKLLT_THREADS", "4")
-    assert cli.main(args + ["--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    commands = [
+        "er iso --n 60 --p 0.02 --reps 9000 --seed 3",
+        # replicate counts that cut a 4096-replicate block mid-way
+        "er tri --n 16 --p 0.25 --reps 9001 --seed 3",
+        "bounds --model er-tri --n 12 --p 0.25 --reps 2200 --seed 1",
+        "bounds --model er-iso --n 20 --p 0.05 --reps 4097 --seed 2",
+        "bounds --model cw --n 100 --beta 0.5 --reps 9001 --seed 4",
+    ]
+    for command in commands:
+        outs = []
+        for threads in ("1", "2", "3", "4"):
+            monkeypatch.setenv("LKLLT_THREADS", threads)
+            out = tmp_path / f"threads{threads}.txt"
+            assert cli.main(command.split() + ["--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[1:] == outs[:1] * 3, command
 
 
 def test_json_format(tmp_path):
@@ -339,3 +348,48 @@ def test_replicate_prefix_stability():
         [p[0] for p in map_blocks(lambda s, c, r: model.q_block(r, c, 1), 7, 9000)]
     )
     assert np.array_equal(short, long[:5000])
+
+
+_ON_USE = ("concurrent.futures", "statistics", "fractions")
+
+
+def _modules_after(commands, threads):
+    """Which of ``_ON_USE`` a fresh process has loaded after running
+    ``commands`` through ``cli.main`` at ``LKLLT_THREADS=threads``."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, LKLLT_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "import sys, io, contextlib; from lkllt.cli import main\n"
+        f"for c in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(c.split()) == 0, c\n"
+        f"print(' '.join(m for m in {_ON_USE!r} if m in sys.modules))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    return set(run.stdout.split())
+
+
+def test_samplers_import_no_module_they_do_not_use():
+    commands = [
+        "er iso --n 30 --p 0.05 --reps 200 --seed 1",
+        "er tri --n 12 --p 0.25 --reps 200 --seed 1",
+        "rgg --b 0.2 --d 1 --lambda-grid 20:20:x2 --reps 100 --seed 1",
+        "bounds --model er-tri --n 8 --p 0.25 --reps 200 --seed 1",
+    ]
+    assert _modules_after(commands, "1") == set()
+
+
+@pytest.mark.parametrize(
+    "command,threads,module",
+    [
+        ("tp --mu 0 --sigma2 50", "1", "statistics"),
+        ("er oracle --n 4 --p 0.5 --stat isolated", "1", "fractions"),
+        ("er iso --n 30 --p 0.05 --reps 5000 --seed 1", "2", "concurrent.futures"),
+    ],
+)
+def test_modules_are_imported_where_they_are_used(command, threads, module):
+    assert module in _modules_after([command], threads)

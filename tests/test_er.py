@@ -610,7 +610,8 @@ def _triangle_counts_per_graph(n, p, rng, count):
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 @pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 1.0])
-@pytest.mark.parametrize("n", [3, 5, 12, 32, 64, 65, 128])
+# 63, 64, 65, 128 and 129 put rows on both sides of each 64-bit word boundary
+@pytest.mark.parametrize("n", [3, 5, 12, 32, 63, 64, 65, 128, 129])
 def test_triangle_count_block_matches_per_graph_loop(n, p, offset):
     # counts one below, at and one above a sub-chunk boundary
     count = max(1, _SAMPLE_CELLS // (n * n) + offset)

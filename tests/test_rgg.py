@@ -180,7 +180,7 @@ def _bnb_mis_recursive(masks, budget):
 @pytest.mark.parametrize("lam", [0.5, 3.0, 50.0, 200.0, 1000.0])
 def test_line_block_matches_per_replicate_reference(lam, b):
     rng = block_rng(31, int(lam))
-    sets = [_ppp(lam, 1, rng).points[:, 0] for _ in range(40)]
+    sets = [_ppp(lam, 1, rng)[:, 0] for _ in range(40)]
     r = b / lam
     w, ann = _line_block(sets, r)
     assert np.array_equal(w, [_greedy_line_reference(xs, r) for xs in sets])
@@ -209,7 +209,7 @@ def test_experiment_d1_matches_per_replicate_loop(lam, b):
     r = b * lam ** -1.0
 
     def reference(start, count, rng):
-        xs = [_ppp(lam, 1, rng).points[:, 0] for _ in range(count)]
+        xs = [_ppp(lam, 1, rng)[:, 0] for _ in range(count)]
         return [_greedy_line_reference(x, r) for x in xs], [_annulus_reference(x, r) for x in xs]
 
     parts = map_blocks(reference, 5, reps)
