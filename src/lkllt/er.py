@@ -82,6 +82,13 @@ def _word_cell_slots(n: int) -> np.ndarray:
     return cells
 
 
+def _gnp_stride(n: int) -> int:
+    """64-bit draws ``_slot_bits`` takes per n-vertex graph: one uniform per
+    pair slot, C(n, 2).  Samplers that draw through it declare this as the
+    ``stride`` that lets ``map_blocks`` cut their blocks."""
+    return comb(n, 2)
+
+
 def _slot_bits(n: int, p: float, rng: np.random.Generator, count: int) -> np.ndarray:
     """Pair-slot bits of ``count`` independent G(n, p) draws: a (count,
     C(n,2) + 1) boolean buffer whose last column, one slot past the last
@@ -89,10 +96,9 @@ def _slot_bits(n: int, p: float, rng: np.random.Generator, count: int) -> np.nda
 
     Graph t takes uniforms t*C(n,2) .. (t+1)*C(n,2)-1 of ``rng`` in pair-slot
     order, exactly what ``count`` successive one-graph draws consume, so
-    splitting a block does not change its graphs: each graph takes C(n, 2)
-    64-bit draws.
+    splitting a block does not change its graphs.
     """
-    N = comb(n, 2)
+    N = _gnp_stride(n)
     bits = np.zeros((count, N + 1), dtype=bool)
     np.less(rng.random((count, N)), p, out=bits[:, :N])
     return bits
@@ -395,7 +401,7 @@ class ERPairModel(PairModel):
         if statistic == "triangles" and n > _MAX_Q_EVAL_N:
             raise TooLarge(f"per-graph jump evaluation capped at n = {_MAX_Q_EVAL_N}")
         self.n, self.p, self.statistic = n, p, statistic
-        self.stride = comb(n, 2)  # every q_block graph comes from _gnp_slots
+        self.stride = _gnp_stride(n)  # q_block draws its graphs by _gnp_slots
         self.two_step = statistic == "isolated" or n <= 16
 
     def q_block(self, rng: np.random.Generator, count: int, m: int):
@@ -623,18 +629,10 @@ def _slot_decoder(n: int):
         np.minimum(c, ends[n], out=c)
         i = c >> b
         i[...] = table[i]
-        # ends[i] - c >> 63 is -1 exactly where c is past row i; both gathers
-        # go to the one buffer e, and "clip" takes into it without buffering
-        e = ends[i]
-        i -= np.right_shift(np.subtract(e, c, out=e), 63, out=e)
-        c -= np.take(jbase, i, out=e, mode="clip")
-        del e
-        # a position still past its row has j >= n; the clamp has i = n
-        miss = np.flatnonzero((c >= n) & (i < n))
-        if miss.size:
-            pos = c.flat[miss] + jbase[i.flat[miss]]
-            i.flat[miss] = row = np.searchsorted(ends[:n - 1], pos)
-            c.flat[miss] = pos - jbase[row]
+        i += c > ends[i]
+        miss = c > ends[i]
+        i[miss] = np.searchsorted(ends[:n - 1], c[miss])
+        c -= jbase[i]
         return i, c
 
     return s, b, decode
@@ -777,8 +775,8 @@ def er_rate_experiment(statistic: str, rows, replicates: int, seed: int) -> Rate
         def block(start, count, rng):
             return sampler(n, p, rng, count)
 
-        if statistic == "triangles":  # C(n, 2) uniforms per graph, see _slot_bits
-            block.stride = comb(n, 2)
+        if statistic == "triangles":  # its graphs come from _slot_bits
+            block.stride = _gnp_stride(n)
         parts = map_blocks(block, seed, replicates)
         values = np.concatenate(parts)
         emp = empirical_dist(values)

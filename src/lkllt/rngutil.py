@@ -15,6 +15,7 @@ would have drawn for them.
 from __future__ import annotations
 
 import os
+import threading
 from typing import Callable, Iterator
 
 import numpy as np
@@ -29,36 +30,28 @@ def block_rng(master_seed: int, block_index: int) -> np.random.Generator:
     )
 
 
-def blocks(master_seed: int, replicates: int) -> Iterator[tuple[int, int, np.random.Generator]]:
-    """Yield (start, count, rng) triples covering range(replicates)."""
-    start = 0
-    k = 0
-    while start < replicates:
-        count = min(BLOCK, replicates - start)
-        yield start, count, block_rng(master_seed, k)
-        start += count
-        k += 1
-
-
-def _spans(
-    master_seed: int, replicates: int, stride: int, pieces: int
+def blocks(
+    master_seed: int, replicates: int, stride: int | None = None, pieces: int = 1
 ) -> Iterator[tuple[int, int, np.random.Generator]]:
     """Yield (start, count, rng) triples covering range(replicates) in order,
-    cut into ``pieces`` near-equal runs and at every block end.
+    cut at every block end.
 
-    Each replicate takes ``stride`` 64-bit draws, so a span starting ``skip``
-    replicates into block k draws from block k's generator moved past
-    skip * stride draws.  Philox makes four 64-bit outputs per counter step:
-    ``advance`` moves whole steps and ``random_raw`` the rest.
+    A sampler whose replicates each take ``stride`` 64-bit draws may also be
+    cut into ``pieces`` near-equal runs: a run starting ``skip`` replicates
+    into block k draws from block k's generator moved past skip * stride
+    draws.  Philox makes four 64-bit outputs per counter step: ``advance``
+    moves whole steps and ``random_raw`` the rest.
     """
-    even = {i * replicates // pieces for i in range(pieces)}
-    cuts = sorted(even.union(range(0, replicates, BLOCK)))
+    cuts = set(range(0, replicates, BLOCK))
+    if stride is not None and replicates:
+        cuts.update(i * replicates // pieces for i in range(pieces))
+    cuts = sorted(cuts)
     for start, end in zip(cuts, cuts[1:] + [replicates]):
         k, skip = divmod(start, BLOCK)
         rng = block_rng(master_seed, k)
-        d = skip * stride
-        rng.bit_generator.advance(d // 4)
-        rng.bit_generator.random_raw(d % 4)
+        if skip:
+            rng.bit_generator.advance(skip * stride // 4)
+            rng.bit_generator.random_raw(skip * stride % 4)
         yield start, end - start, rng
 
 
@@ -73,23 +66,41 @@ def thread_count() -> int:
 def map_blocks(fn: Callable, master_seed: int, replicates: int) -> list:
     """Apply ``fn(start, count, rng)`` to every block, in replicate order.
 
-    Runs on a thread pool when LKLLT_THREADS > 1; results are returned in
-    replicate order either way, so the reduction downstream is
-    deterministic.  If ``fn`` has a ``stride`` attribute, the number of
-    64-bit draws each of its replicates takes, the pool gets the near-equal
-    spans of ``_spans`` instead of whole blocks; every replicate draws the
-    same numbers either way.
+    Runs on LKLLT_THREADS threads, the calling one among them, when that is
+    more than one; results are returned in replicate order either way, so
+    the reduction downstream is deterministic.  If ``fn`` has a ``stride``
+    attribute, the number of 64-bit draws each of its replicates takes, the
+    blocks are also cut into one near-equal run per thread (see ``blocks``);
+    every replicate draws the same numbers either way.
     """
     n_threads = thread_count()
-    stride = getattr(fn, "stride", None)
-    if n_threads > 1 and stride is not None:
-        work = list(_spans(master_seed, replicates, stride, n_threads))
-    else:
-        work = list(blocks(master_seed, replicates))
+    work = list(blocks(master_seed, replicates, getattr(fn, "stride", None), n_threads))
     if n_threads == 1 or len(work) == 1:
         return [fn(*w) for w in work]
-    from concurrent.futures import ThreadPoolExecutor
+    # plain threads: concurrent.futures would cost each process about 5 ms
+    # of imports (it pulls in logging)
+    results = [None] * len(work)
+    failed = []
+    todo = iter(range(len(work)))
+    lock = threading.Lock()
 
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        futures = [pool.submit(fn, *w) for w in work]
-        return [f.result() for f in futures]
+    def worker():
+        while not failed:
+            with lock:
+                i = next(todo, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(*work[i])
+            except BaseException as exc:
+                failed.append((i, exc))
+
+    helpers = [threading.Thread(target=worker) for _ in range(min(n_threads, len(work)) - 1)]
+    for t in helpers:
+        t.start()
+    worker()
+    for t in helpers:
+        t.join()
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    return results
