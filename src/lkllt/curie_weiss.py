@@ -195,12 +195,13 @@ def _sampler_tables(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The CDF that ``Generator.choice`` builds from ``probs``, and its guide.
 
     ``guide[j]`` is the state index of the key u = j / _GUIDE_SIZE, so every
-    key of bucket j maps into [guide[j], guide[j + 1]].
+    key of bucket j maps into [guide[j], guide[j + 1]].  The guide is int32,
+    so the state indices drawn through it take 4 bytes each.
     """
     cdf = probs.cumsum()
     cdf /= cdf[-1]
     guide = cdf.searchsorted(np.arange(_GUIDE_SIZE + 1) / _GUIDE_SIZE, side="right")
-    return cdf, guide
+    return cdf, guide.astype(np.int32)
 
 
 def _guided_search(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:

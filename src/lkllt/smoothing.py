@@ -54,19 +54,21 @@ class PairModel:
 
     Subclasses implement :meth:`q_block`: draw ``count`` stationary states
     from ``rng`` and return the arrays (Q(+m), Q(-m), Q(m,m), Q(-m,-m))
-    evaluated exactly at each state; the last two may be None when the model
-    has no two-step evaluators for that jump size.
+    evaluated exactly at each state.  A model without two-step evaluators
+    for that jump size sets ``two_step`` to False and returns None for the
+    last two.
 
     A model whose states each take a fixed number of 64-bit draws sets
     ``stride`` to that number, so ``map_blocks`` may split its blocks.
 
     A finite-state model sets ``q_table`` to those four arrays evaluated once
-    per state; its :meth:`q_block` then returns the index into them of each
-    drawn state instead.
+    per state (fewer than 2^31 states); its :meth:`q_block` then returns the
+    index into them of each drawn state instead, kept as int32.
     """
 
     q_table: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
     stride: int | None = None
+    two_step: bool = True
 
     def q_block(self, rng: np.random.Generator, count: int, m: int):
         raise NotImplementedError
@@ -106,10 +108,14 @@ def embedded_sum_bound(k: int, u: float, beta: float, sigma2: float, tail_prob: 
 
 
 def _mean_se(x: np.ndarray) -> tuple[float, float]:
+    # x.mean() and x.std(ddof=1) / sqrt(n) bit for bit, by numpy's own steps
+    # (pairwise sums, the mean subtracted, the deviations squared), but with
+    # the deviations formed in x itself: x is overwritten
     n = len(x)
-    mean = float(x.mean())
-    se = float(x.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return mean, se
+    mean = np.add.reduce(x) / n
+    np.subtract(x, mean, out=x)
+    np.multiply(x, x, out=x)
+    return float(mean), math.sqrt(np.add.reduce(x) / (n - 1)) / math.sqrt(n)
 
 
 def _var_se(x: np.ndarray, table: np.ndarray, index: np.ndarray | None) -> tuple[float, float]:
@@ -120,7 +126,11 @@ def _var_se(x: np.ndarray, table: np.ndarray, index: np.ndarray | None) -> tuple
     mean = x.mean()
     dev = x - mean
     var = float(np.dot(dev, dev) / (n - 1))
-    dev4 = dev ** 4 if index is None else ((table - mean) ** 4)[index]
+    if index is None:
+        dev4 = np.power(dev, 4, out=dev)
+    else:
+        del dev  # before the gather makes another per-replicate array
+        dev4 = ((table - mean) ** 4)[index]
     m4 = float(np.mean(dev4))
     inner = m4 - (n - 3) / (n - 1) * var * var
     se = math.sqrt(max(inner, 0.0) / n)
@@ -131,48 +141,66 @@ def pair_stats(model: PairModel, m: int, replicates: int, seed: int) -> PairChai
     """Estimate the pair-chain quantities by stationary Monte Carlo.
 
     The jump rate q_m is the pooled mean of both directional evaluators.
-    Per-replicate values are materialized in replicate order, so the
-    reductions are independent of the execution schedule.  For a finite-state
-    model (one with ``q_table``) they are gathered from the per-state tables
-    by the drawn state indices, and every per-replicate function of them is
-    evaluated once per state; each replicate gets the same value either way,
-    so the estimates are those of the per-replicate evaluation.
+    Per-replicate values are written in replicate order into arrays made
+    before sampling, so the reductions are independent of the execution
+    schedule.  Q(+m) and Q(-m) are the two halves of one array, which the
+    pooled mean reads last and overwrites.  For a finite-state model (one
+    with ``q_table``) the blocks write the drawn state indices, and the two
+    halves are gathered from the per-state tables; every other per-replicate
+    function of the state is evaluated once per state.  Each replicate gets
+    the same value either way, so the estimates are those of the
+    per-replicate evaluation.  Memory: 20 bytes per replicate for a
+    finite-state model (int32 index, Q(+m), Q(-m)) plus one array of
+    per-replicate values at a time; 32 bytes (Q(+m), Q(-m), Q(m,m),
+    Q(-m,-m)) plus one such array otherwise.
     """
     if m < 1:
         raise InvalidParameter("m must be a positive integer")
     if replicates < 2:
         raise InvalidParameter("replicates must be >= 2")
 
-    def block(start, count, rng):
-        return model.q_block(rng, count, m)
-
-    block.stride = model.stride
-    parts = map_blocks(block, seed, replicates)
+    q = np.empty(2 * replicates)
+    qp, qm = q[:replicates], q[replicates:]
     if model.q_table is None:
         index = None
-        tab_p, tab_m, tab_pp, tab_mm = (
-            None if any(p[i] is None for p in parts) else np.concatenate([p[i] for p in parts])
-            for i in range(4)
-        )
+        two = (np.empty(replicates), np.empty(replicates)) if model.two_step else (None, None)
+        tab_p, tab_m, tab_pp, tab_mm = outs = (qp, qm, *two)
+
+        def block(start, count, rng):
+            for dst, vals in zip(outs, model.q_block(rng, count, m)):
+                if dst is not None:
+                    dst[start:start + count] = vals
     else:
-        index = np.concatenate(parts)
+        index = np.empty(replicates, dtype=np.int32)
         tab_p, tab_m, tab_pp, tab_mm = model.q_table
-    del parts
 
-    def gather(table: np.ndarray) -> np.ndarray:
-        return table if index is None else table[index]
+        def block(start, count, rng):
+            index[start:start + count] = model.q_block(rng, count, m)
 
-    qp, qm = gather(tab_p), gather(tab_m)
-    q_pooled, se_q = _mean_se(np.concatenate([qp, qm]))
-    if q_pooled <= 0.0:
-        raise DegenerateChain("estimated jump rate is zero")
+    block.stride = model.stride
+    map_blocks(block, seed, replicates)
+    if index is not None:
+        # mode="raise" would fill a full-length copy of out and then copy it
+        np.take(tab_p, index, out=qp, mode="clip")
+        np.take(tab_m, index, out=qm, mode="clip")
+
+    def two_step_gap(tab2: np.ndarray, tab1: np.ndarray) -> np.ndarray:
+        # |Q(m,m) - Q(m)^2| per replicate; formed in tab2 when that is per replicate
+        if index is not None:
+            return np.abs(tab2 - tab1 ** 2)[index]
+        np.subtract(tab2, tab1 ** 2, out=tab2)
+        return np.abs(tab2, out=tab2)
+
     var_p, se_var_p = _var_se(qp, tab_p, index)
     var_m, se_var_m = _var_se(qm, tab_m, index)
     ediff_p = ediff_m = None
     se_ed_p = se_ed_m = 0.0
     if tab_pp is not None and tab_mm is not None:
-        ediff_p, se_ed_p = _mean_se(gather(np.abs(tab_pp - tab_p ** 2)))
-        ediff_m, se_ed_m = _mean_se(gather(np.abs(tab_mm - tab_m ** 2)))
+        ediff_p, se_ed_p = _mean_se(two_step_gap(tab_pp, tab_p))
+        ediff_m, se_ed_m = _mean_se(two_step_gap(tab_mm, tab_m))
+    q_pooled, se_q = _mean_se(q)  # last: it overwrites Q(+m) and Q(-m)
+    if q_pooled <= 0.0:
+        raise DegenerateChain("estimated jump rate is zero")
     return PairChainStats(
         m=m,
         q_m=q_pooled,
@@ -203,11 +231,11 @@ def exact_pair_stats(
     and all standard errors vanish.
     """
     probs = np.asarray(probs, dtype=float)
-    q_pooled = 0.5 * (float(np.dot(probs, qp)) + float(np.dot(probs, qm)))
-    if q_pooled <= 0.0:
-        raise DegenerateChain("stationary jump rate is zero")
     mp = float(np.dot(probs, qp))
     mm = float(np.dot(probs, qm))
+    q_pooled = 0.5 * (mp + mm)
+    if q_pooled <= 0.0:
+        raise DegenerateChain("stationary jump rate is zero")
     var_p = float(np.dot(probs, (qp - mp) ** 2))
     var_m = float(np.dot(probs, (qm - mm) ** 2))
     ediff_p = float(np.dot(probs, np.abs(qpp - qp ** 2))) if qpp is not None else None

@@ -26,7 +26,8 @@ from lkllt.er import (
 )
 from lkllt.lattice import LatticeDist, dist_from_weights
 from lkllt.rngutil import map_blocks
-from lkllt.smoothing import PairChainStats
+from lkllt.errors import DegenerateChain
+from lkllt.smoothing import PairChainStats, PairModel
 
 
 def brute_convolve(F: LatticeDist, G: LatticeDist) -> LatticeDist:
@@ -256,6 +257,56 @@ def cw_pair_stats_per_replicate(model: CWPairModel, replicates: int, seed: int) 
     ediff_m, se_ed_m = mean_se(np.abs(qmm - qm ** 2))
     return PairChainStats(
         2, q_m, var_p, var_m, ediff_p, ediff_m, replicates,
+        se_q_m, se_var_p, se_var_m, se_ed_p, se_ed_m,
+    )
+
+
+def pair_stats_concatenated(model: PairModel, m: int, replicates: int, seed: int) -> PairChainStats:
+    """``pair_stats`` reduced the direct way: the blocks' arrays
+    concatenated, Q(+m) and Q(-m) gathered from ``q_table`` into arrays of
+    their own (for a finite-state model), the pooled mean and every standard
+    error from numpy's ``mean`` and ``std`` over fresh copies, and the
+    fourth powers over all replicates (per state for a finite-state model).
+    The reference for the bytes of the in-place reduction."""
+    parts = map_blocks(lambda start, count, rng: model.q_block(rng, count, m), seed, replicates)
+    if model.q_table is None:
+        index = None
+        tab_p, tab_m, tab_pp, tab_mm = (
+            None if any(p[i] is None for p in parts) else np.concatenate([p[i] for p in parts])
+            for i in range(4)
+        )
+    else:
+        index = np.concatenate(parts)
+        tab_p, tab_m, tab_pp, tab_mm = model.q_table
+
+    def gather(table):
+        return table if index is None else table[index]
+
+    def mean_se(x):
+        return float(x.mean()), float(x.std(ddof=1) / math.sqrt(len(x)))
+
+    def var_se(x, table):
+        n = len(x)
+        mean = x.mean()
+        dev = x - mean
+        var = float(np.dot(dev, dev) / (n - 1))
+        dev4 = dev ** 4 if index is None else ((table - mean) ** 4)[index]
+        inner = float(np.mean(dev4)) - (n - 3) / (n - 1) * var * var
+        return var, math.sqrt(max(inner, 0.0) / n)
+
+    qp, qm = gather(tab_p), gather(tab_m)
+    q_m, se_q_m = mean_se(np.concatenate([qp, qm]))
+    if q_m <= 0.0:
+        raise DegenerateChain("estimated jump rate is zero")
+    var_p, se_var_p = var_se(qp, tab_p)
+    var_m, se_var_m = var_se(qm, tab_m)
+    ediff_p = ediff_m = None
+    se_ed_p = se_ed_m = 0.0
+    if tab_pp is not None and tab_mm is not None:
+        ediff_p, se_ed_p = mean_se(gather(np.abs(tab_pp - tab_p ** 2)))
+        ediff_m, se_ed_m = mean_se(gather(np.abs(tab_mm - tab_m ** 2)))
+    return PairChainStats(
+        m, q_m, var_p, var_m, ediff_p, ediff_m, replicates,
         se_q_m, se_var_p, se_var_m, se_ed_p, se_ed_m,
     )
 

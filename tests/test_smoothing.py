@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from lkllt.lattice import convolve, dist_from_weights
 from lkllt.metrics import smoothing_term
 from lkllt.smoothing import (
     PairChainStats,
+    _mean_se,
+    _var_se,
     embedded_sum_bound,
     exact_pair_stats,
     mattner_roos_bound,
@@ -17,6 +21,8 @@ from lkllt.smoothing import (
     pair_bound_d2,
     pair_stats,
 )
+
+from helpers import pair_stats_concatenated
 
 
 def test_mattner_roos_point_mass_and_empty():
@@ -165,3 +171,68 @@ def test_exact_pair_stats_matches_hand_weights():
     assert st.q_m == pytest.approx(0.25)
     assert st.var_q_plus == pytest.approx(np.dot(probs, (qp - 0.25) ** 2))
     assert st.ediff_plus == pytest.approx(0.0)
+
+
+def test_mean_se_and_var_se_equal_numpy_reductions():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    lengths = st.one_of(
+        st.integers(2, 20_000),
+        st.sampled_from([2, 3, 7, 9, 15, 8191, 8192, 8193, 8199, 16_385, 19_999]),
+    )
+
+    # ``states`` distinct values drawn with replacement: a few states give
+    # long runs of repeated values, one gives a constant array
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(n=lengths, states=st.integers(1, 5000), seed=st.integers(0, 2**32 - 1),
+                      scale=st.sampled_from([1e-9, 1.0, 3e5]))
+    def check(n, states, seed, scale):
+        rng = np.random.default_rng(seed)
+        table = rng.random(states) * scale
+        index = rng.integers(0, states, n).astype(np.int32)
+        x = table[index]
+        want = (float(x.mean()), float(x.std(ddof=1) / math.sqrt(n)))
+        assert _mean_se(x.copy()) == want
+        assert _var_se(x, table, index) == _var_se(x.copy(), x.copy(), None)
+
+    check()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("reps", [2, 3, 4097, 9001])
+@pytest.mark.parametrize("make,m", [
+    (lambda: ERPairModel(6, 0.5, "isolated"), 1),
+    (lambda: ERPairModel(6, 0.5, "isolated"), 2),
+    (lambda: ERPairModel(12, 0.3, "triangles"), 1),  # with two-step values
+    (lambda: ERPairModel(20, 0.3, "triangles"), 1),  # without
+], ids=["iso-m1", "iso-m2", "tri-n12", "tri-n20"])
+def test_pair_stats_equal_concatenated_reference(make, m, reps, threads, monkeypatch):
+    monkeypatch.setenv("LKLLT_THREADS", threads)
+
+    def run(fn):
+        try:
+            return fn(make(), m, reps, 7)
+        except DegenerateChain:
+            return "degenerate"
+
+    got, want = run(pair_stats), run(pair_stats_concatenated)
+    if want == "degenerate":
+        assert got == want
+        return
+    for field in dataclasses.fields(got):
+        assert getattr(got, field.name) == getattr(want, field.name), field.name
+
+
+def test_pair_stats_memory_per_replicate(monkeypatch):
+    # int32 state index, Q(+m) and Q(-m) (20 bytes a replicate), and one
+    # more array of per-replicate values at a time: 3.5 doubles a replicate
+    monkeypatch.setenv("LKLLT_THREADS", "1")
+    reps = 200_000
+    model = CWPairModel(CWParams(100000, 0.5))
+    tracemalloc.start()
+    try:
+        pair_stats(model, 2, reps, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 8 * reps + 2e6
