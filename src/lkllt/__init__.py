@@ -5,7 +5,6 @@ from .errors import (
     InvalidDistribution,
     InvalidParameter,
     LklltError,
-    MissingCapability,
     NumericalFailure,
     TooLarge,
 )

@@ -10,6 +10,7 @@ draws of earlier replicates.  Wall-clock timing goes to stderr only.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -156,21 +157,12 @@ def _cmd_bounds(args) -> int:
         "replicates": args.reps,
         "seed": args.seed,
         "stats": {
-            "q_m": stats.q_m,
-            "var_q_plus": stats.var_q_plus,
-            "var_q_minus": stats.var_q_minus,
-            "ediff_plus": stats.ediff_plus,
-            "ediff_minus": stats.ediff_minus,
-            "se_q_m": stats.se_q_m,
-            "se_var_q_plus": stats.se_var_q_plus,
-            "se_var_q_minus": stats.se_var_q_minus,
-            "se_ediff_plus": stats.se_ediff_plus,
-            "se_ediff_minus": stats.se_ediff_minus,
+            f.name: getattr(stats, f.name)
+            for f in dataclasses.fields(stats)
+            if f.name not in ("m", "replicates")
         },
         "d1_pair_bound": pair_bound_d1(stats),
-        "d2_pair_bound": (
-            pair_bound_d2(stats) if stats.ediff_plus is not None else None
-        ),
+        "d2_pair_bound": pair_bound_d2(stats),
     }
     _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return 0

@@ -326,11 +326,10 @@ def tri_closed_forms(n: int, p: float) -> TriForms:
     return TriForms(q1, sigma2, var_q1, var_qn1, ediff_plus, ediff_minus)
 
 
-def _tri_q_block(bits: np.ndarray, adj: np.ndarray, p: float, two_step: bool):
+def _tri_q_block(bits: np.ndarray, adj: np.ndarray, p: float):
     """(Q(+1), Q(-1), Q(1,1), Q(-1,-1)) of the triangle count for every graph
     in a (count, n, n) adjacency stack whose pair-slot bits are ``bits``, as
-    ``_gnp_slots`` returns both; the two-step arrays are None unless
-    ``two_step`` is set.
+    ``_gnp_slots`` returns both.
 
     A resampled pair changes the count by exactly +-1 precisely when its two
     endpoints have exactly one common neighbour: adding the missing edge
@@ -360,8 +359,6 @@ def _tri_q_block(bits: np.ndarray, adj: np.ndarray, p: float, two_step: bool):
     n_down = np.count_nonzero(down, axis=1)
     qp = p * n_up / c2
     qm = (1 - p) * n_down / c2
-    if not two_step:
-        return qp, qm, None, None
     eq1 = (common == 1).astype(np.float32)
     two_step_q = []
     for r, move, n_moves, to_one, side in (
@@ -384,9 +381,8 @@ class ERPairModel(PairModel):
     """Edge-resampling pair model for one G(n, p) statistic.
 
     ``statistic`` is "isolated" or "triangles".  Isolated-vertex jumps of
-    size 1 and 2 carry closed-form two-step evaluators.  Triangle jumps of
-    size 1 carry the exact two-step values of ``_tri_q_block`` for n <= 16
-    and one-step values only beyond.
+    size 1 and 2 carry closed-form two-step evaluators; triangle jumps of
+    size 1 carry the exact two-step values of ``_tri_q_block``.
     """
 
     def __init__(self, n: int, p: float, statistic: str):
@@ -402,7 +398,6 @@ class ERPairModel(PairModel):
             raise TooLarge(f"per-graph jump evaluation capped at n = {_MAX_Q_EVAL_N}")
         self.n, self.p, self.statistic = n, p, statistic
         self.stride = _gnp_stride(n)  # q_block draws its graphs by _gnp_slots
-        self.two_step = statistic == "isolated" or n <= 16
 
     def q_block(self, rng: np.random.Generator, count: int, m: int):
         if self.statistic == "isolated" and m not in (1, 2):
@@ -410,9 +405,9 @@ class ERPairModel(PairModel):
         if self.statistic == "triangles" and m != 1:
             raise InvalidParameter("triangle jumps support m = 1 only")
         n, p = self.n, self.p
-        out = [np.empty(count) for _ in range(4 if self.two_step else 2)]
-        tri_two_step = self.statistic == "triangles" and self.two_step
-        step = max(1, (_TWO_STEP_CELLS if tri_two_step else _CHUNK_CELLS) // (n * n))
+        out = [np.empty(count) for _ in range(4)]
+        cells = _CHUNK_CELLS if self.statistic == "isolated" else _TWO_STEP_CELLS
+        step = max(1, cells // (n * n))
         for start in range(0, count, step):
             bits, adj = _gnp_slots(n, p, rng, min(step, count - start))
             if self.statistic == "isolated":
@@ -420,10 +415,10 @@ class ERPairModel(PairModel):
                 k = 2 * (m - 1)
                 vals = (q[k], q[k + 1], q[k + 4], q[k + 5])
             else:
-                vals = _tri_q_block(bits, adj, p, self.two_step)
+                vals = _tri_q_block(bits, adj, p)
             for dst, v in zip(out, vals):
                 dst[start:start + len(adj)] = v
-        return tuple(out) if self.two_step else (*out, None, None)
+        return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,6 @@ class DegenerateChain(LklltError):
     """A chain statistic (e.g. a jump rate q_m) is zero, so a bound is undefined."""
 
 
-class MissingCapability(LklltError):
-    """A pair model lacks the evaluators required by the requested bound."""
-
-
 class NumericalFailure(LklltError):
     """An iterative numerical routine failed to reach its tolerance."""
 

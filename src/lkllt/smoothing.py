@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateChain, InvalidParameter, MissingCapability
+from .errors import DegenerateChain, InvalidParameter
 from .rngutil import map_blocks
 
 
@@ -30,17 +30,17 @@ class PairChainStats:
     """Monte Carlo estimates of the pair-chain quantities for one jump size m.
 
     q_m pools both jump directions (exchangeability makes their means equal).
-    ediff_* are the means of |Q(m,m) - Q(m)^2| and |Q(-m,-m) - Q(-m)^2|;
-    None when the model has no two-step evaluators.  Standard errors are the
-    raw per-estimate ones; they are not propagated through the bounds.
+    ediff_* are the means of |Q(m,m) - Q(m)^2| and |Q(-m,-m) - Q(-m)^2|.
+    Standard errors are the raw per-estimate ones; they are not propagated
+    through the bounds.
     """
 
     m: int
     q_m: float
     var_q_plus: float
     var_q_minus: float
-    ediff_plus: float | None
-    ediff_minus: float | None
+    ediff_plus: float
+    ediff_minus: float
     replicates: int
     se_q_m: float = 0.0
     se_var_q_plus: float = 0.0
@@ -54,9 +54,7 @@ class PairModel:
 
     Subclasses implement :meth:`q_block`: draw ``count`` stationary states
     from ``rng`` and return the arrays (Q(+m), Q(-m), Q(m,m), Q(-m,-m))
-    evaluated exactly at each state.  A model without two-step evaluators
-    for that jump size sets ``two_step`` to False and returns None for the
-    last two.
+    evaluated exactly at each state.
 
     A model whose states each take a fixed number of 64-bit draws sets
     ``stride`` to that number, so ``map_blocks`` may split its blocks.
@@ -68,7 +66,6 @@ class PairModel:
 
     q_table: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
     stride: int | None = None
-    two_step: bool = True
 
     def q_block(self, rng: np.random.Generator, count: int, m: int):
         raise NotImplementedError
@@ -163,13 +160,11 @@ def pair_stats(model: PairModel, m: int, replicates: int, seed: int) -> PairChai
     qp, qm = q[:replicates], q[replicates:]
     if model.q_table is None:
         index = None
-        two = (np.empty(replicates), np.empty(replicates)) if model.two_step else (None, None)
-        tab_p, tab_m, tab_pp, tab_mm = outs = (qp, qm, *two)
+        tab_p, tab_m, tab_pp, tab_mm = outs = (qp, qm, np.empty(replicates), np.empty(replicates))
 
         def block(start, count, rng):
             for dst, vals in zip(outs, model.q_block(rng, count, m)):
-                if dst is not None:
-                    dst[start:start + count] = vals
+                dst[start:start + count] = vals
     else:
         index = np.empty(replicates, dtype=np.int32)
         tab_p, tab_m, tab_pp, tab_mm = model.q_table
@@ -193,11 +188,8 @@ def pair_stats(model: PairModel, m: int, replicates: int, seed: int) -> PairChai
 
     var_p, se_var_p = _var_se(qp, tab_p, index)
     var_m, se_var_m = _var_se(qm, tab_m, index)
-    ediff_p = ediff_m = None
-    se_ed_p = se_ed_m = 0.0
-    if tab_pp is not None and tab_mm is not None:
-        ediff_p, se_ed_p = _mean_se(two_step_gap(tab_pp, tab_p))
-        ediff_m, se_ed_m = _mean_se(two_step_gap(tab_mm, tab_m))
+    ediff_p, se_ed_p = _mean_se(two_step_gap(tab_pp, tab_p))
+    ediff_m, se_ed_m = _mean_se(two_step_gap(tab_mm, tab_m))
     q_pooled, se_q = _mean_se(q)  # last: it overwrites Q(+m) and Q(-m)
     if q_pooled <= 0.0:
         raise DegenerateChain("estimated jump rate is zero")
@@ -221,8 +213,8 @@ def exact_pair_stats(
     probs: np.ndarray,
     qp: np.ndarray,
     qm: np.ndarray,
-    qpp: np.ndarray | None = None,
-    qmm: np.ndarray | None = None,
+    qpp: np.ndarray,
+    qmm: np.ndarray,
     m: int = 1,
 ) -> PairChainStats:
     """Pair-chain quantities computed exactly from a finite stationary law.
@@ -238,8 +230,8 @@ def exact_pair_stats(
         raise DegenerateChain("stationary jump rate is zero")
     var_p = float(np.dot(probs, (qp - mp) ** 2))
     var_m = float(np.dot(probs, (qm - mm) ** 2))
-    ediff_p = float(np.dot(probs, np.abs(qpp - qp ** 2))) if qpp is not None else None
-    ediff_m = float(np.dot(probs, np.abs(qmm - qm ** 2))) if qmm is not None else None
+    ediff_p = float(np.dot(probs, np.abs(qpp - qp ** 2)))
+    ediff_m = float(np.dot(probs, np.abs(qmm - qm ** 2)))
     return PairChainStats(
         m=m,
         q_m=q_pooled,
@@ -270,8 +262,6 @@ def pair_bound_d2(stats: PairChainStats) -> float:
     """
     if stats.q_m <= 0.0 or stats.q_m ** 2 == 0.0:
         raise DegenerateChain("jump rate q_m is zero or its square underflows")
-    if stats.ediff_plus is None or stats.ediff_minus is None:
-        raise MissingCapability("model provides no two-step jump evaluators")
     return (
         2.0 * stats.var_q_plus
         + stats.ediff_plus

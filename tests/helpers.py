@@ -132,6 +132,25 @@ def iso_q11_two_step(adj: np.ndarray, p: float) -> float:
     return total
 
 
+def two_step_probability(adj: np.ndarray, p: float, stat_fn, jump: int) -> float:
+    """Exact probability that two consecutive edge-resampling steps from the
+    graph with boolean (n, n) adjacency matrix ``adj`` each move the
+    statistic by ``jump``: every first move is enumerated, and the one-step
+    law of ``chain_step_probabilities`` is taken at each graph it reaches."""
+    n = len(adj)
+    c2 = comb(n, 2)
+    base = stat_fn(adj)
+    total = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            for present, pr in ((True, p), (False, 1 - p)):
+                nxt = adj.copy()
+                nxt[i, j] = nxt[j, i] = present
+                if stat_fn(nxt) - base == jump:
+                    total += pr / c2 * chain_step_probabilities(nxt, p, stat_fn).get(jump, 0.0)
+    return total
+
+
 def tri_q_block_per_slot(adj: np.ndarray, p: float):
     """(Q(+1), Q(-1), Q(1,1), Q(-1,-1)) of the triangle count for every graph
     of a (count, n, n) adjacency stack, the two-step values by a loop over
@@ -271,10 +290,7 @@ def pair_stats_concatenated(model: PairModel, m: int, replicates: int, seed: int
     parts = map_blocks(lambda start, count, rng: model.q_block(rng, count, m), seed, replicates)
     if model.q_table is None:
         index = None
-        tab_p, tab_m, tab_pp, tab_mm = (
-            None if any(p[i] is None for p in parts) else np.concatenate([p[i] for p in parts])
-            for i in range(4)
-        )
+        tab_p, tab_m, tab_pp, tab_mm = (np.concatenate([p[i] for p in parts]) for i in range(4))
     else:
         index = np.concatenate(parts)
         tab_p, tab_m, tab_pp, tab_mm = model.q_table
@@ -300,11 +316,8 @@ def pair_stats_concatenated(model: PairModel, m: int, replicates: int, seed: int
         raise DegenerateChain("estimated jump rate is zero")
     var_p, se_var_p = var_se(qp, tab_p)
     var_m, se_var_m = var_se(qm, tab_m)
-    ediff_p = ediff_m = None
-    se_ed_p = se_ed_m = 0.0
-    if tab_pp is not None and tab_mm is not None:
-        ediff_p, se_ed_p = mean_se(gather(np.abs(tab_pp - tab_p ** 2)))
-        ediff_m, se_ed_m = mean_se(gather(np.abs(tab_mm - tab_m ** 2)))
+    ediff_p, se_ed_p = mean_se(gather(np.abs(tab_pp - tab_p ** 2)))
+    ediff_m, se_ed_m = mean_se(gather(np.abs(tab_mm - tab_m ** 2)))
     return PairChainStats(
         m, q_m, var_p, var_m, ediff_p, ediff_m, replicates,
         se_q_m, se_var_p, se_var_m, se_ed_p, se_ed_m,

@@ -74,7 +74,7 @@ def test_criterion_2_q_function_equivalence():
             for jump, closed in ((1, q1), (-1, qn1), (2, q2), (-2, qn2)):
                 worst = max(worst, abs(float(closed[0]) - iso_bf.get(jump, 0.0)))
             tri_bf = chain_step_probabilities(adj[0], p, triangle_count)
-            q1, qn1, _, _ = _tri_q_block(bits, adj, p, False)
+            q1, qn1, _, _ = _tri_q_block(bits, adj, p)
             worst = max(worst, abs(float(q1[0]) - tri_bf.get(1, 0.0)))
             worst = max(worst, abs(float(qn1[0]) - tri_bf.get(-1, 0.0)))
     elapsed = time.perf_counter() - t0

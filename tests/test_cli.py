@@ -222,12 +222,16 @@ def test_byte_determinism(tmp_path):
         assert a.read_bytes() == b.read_bytes()
 
 
+TRIANGLE_BOUNDS_N20 = "bounds --model er-tri --n 20 --p 0.3 --reps 4097 --seed 2"
+
+
 def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
     commands = [
         "er iso --n 60 --p 0.02 --reps 9000 --seed 3",
         # replicate counts that cut a 4096-replicate block mid-way
         "er tri --n 16 --p 0.25 --reps 9001 --seed 3",
         "bounds --model er-tri --n 12 --p 0.25 --reps 2200 --seed 1",
+        TRIANGLE_BOUNDS_N20,
         "bounds --model er-iso --n 20 --p 0.05 --reps 4097 --seed 2",
         "bounds --model cw --n 100 --beta 0.5 --reps 9001 --seed 4",
     ]
@@ -239,6 +243,30 @@ def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
             assert cli.main(command.split() + ["--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[1:] == outs[:1] * 3, command
+
+
+def test_triangle_bounds_fill_the_two_step_fields_beyond_n16(capsys):
+    # above n = 16, where the two-step fields are numbers too; the one-step
+    # fields are also pinned by value, so the two-step path cannot move them
+    status, out = run_cli(TRIANGLE_BOUNDS_N20.split(), capsys)
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "57a16766f76aa36a76669641c350ccfb88bb06c44f9c9edd48ad09f389a90e38"
+    )
+    payload = json.loads(out)
+    stats = payload["stats"]
+    assert stats["q_m"] == 0.06830993152884651
+    assert stats["var_q_plus"] == 0.0002773232794978332
+    assert stats["var_q_minus"] == 0.00025574783597425885
+    assert stats["se_q_m"] == 0.00018035451660086292
+    assert stats["se_var_q_plus"] == 5.718199545076158e-06
+    assert stats["se_var_q_minus"] == 5.5435380061783745e-06
+    assert payload["d1_pair_bound"] == 0.4778974790113492
+    for value in (
+        payload["d2_pair_bound"], stats["ediff_plus"], stats["ediff_minus"],
+        stats["se_ediff_plus"], stats["se_ediff_minus"],
+    ):
+        assert math.isfinite(value) and value > 0
 
 
 def test_json_format(tmp_path):

@@ -52,6 +52,7 @@ from helpers import (
     isolated_counts_per_replicate,
     tri_q_block_per_slot,
     triangle_count,
+    two_step_probability,
 )
 
 
@@ -202,7 +203,7 @@ def _slot_bits(adj: np.ndarray) -> np.ndarray:
 
 def _tri_q(adj: np.ndarray, p: float) -> tuple[float, float]:
     """(Q(+1), Q(-1)) of one (n, n) adjacency matrix."""
-    qp, qm, _, _ = _tri_q_block(_slot_bits(adj[None]), adj[None], p, False)
+    qp, qm, _, _ = _tri_q_block(_slot_bits(adj[None]), adj[None], p)
     return float(qp[0]), float(qm[0])
 
 
@@ -334,11 +335,39 @@ def test_tri_two_step_matches_paper_identity_at_n8():
     assert stats.ediff_plus == pytest.approx(closed, abs=3 * stats.se_ediff_plus)
 
 
+@pytest.mark.xfail(
+    reason="TriForms.ediff_plus/minus are p*q1/C(n,2) and (1-p)*q1/C(n,2), not "
+    "E|Q(+-1,+-1) - Q(+-1)^2|; the Monte Carlo values sit 27 to 224 standard errors away",
+    raises=AssertionError,
+    strict=True,
+)
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+@pytest.mark.parametrize("n,p", [(12, 0.25), (20, 0.3)])
+def test_tri_closed_form_two_step_gap_matches_monte_carlo(n, p, sign):
+    stats = pair_stats(ERPairModel(n, p, "triangles"), 1, 40000, seed=3)
+    closed = getattr(tri_closed_forms(n, p), f"ediff_{sign}")
+    got, se = getattr(stats, f"ediff_{sign}"), getattr(stats, f"se_ediff_{sign}")
+    assert got == pytest.approx(closed, abs=3 * se)
+
+
+@pytest.mark.parametrize("n,p,count", [(5, 0.5, 12), (6, 0.4, 12), (8, 0.3, 8), (17, 0.3, 1)])
+def test_tri_two_step_matches_move_enumeration(n, p, count):
+    # Q(1,1) and Q(-1,-1) against every first move of each graph followed by
+    # the recounted one-step law, not by the common-neighbour gains
+    bits, adj = _gnp_slots(n, p, block_rng(41, n), count)
+    _, _, qpp, qmm = _tri_q_block(bits, adj, p)
+    for t, g in enumerate(adj):
+        for got, jump in ((qpp[t], 1), (qmm[t], -1)):
+            want = two_step_probability(g, p, triangle_count, jump)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-18), f"graph {t}, jump {jump}"
+    assert qpp.any() and qmm.any()  # not zeros only
+
+
 def test_tri_two_step_probability_consistency():
     # two-step enumeration from the empty-ish graphs: adding any edge to an
     # empty graph creates no triangle, so both two-step rates vanish
     empty = np.zeros((1, 5, 5), dtype=bool)
-    assert _tri_q_block(_slot_bits(empty), empty, 0.4, True)[2][0] == 0.0
+    assert _tri_q_block(_slot_bits(empty), empty, 0.4)[2][0] == 0.0
 
 
 def test_er_pair_model_rates_match_closed_forms():
@@ -488,10 +517,10 @@ def test_tri_block_matches_brute_force_on_every_graph_n5(p):
     for t, (i, j) in enumerate(pairs):
         adj[:, i, j] = adj[:, j, i] = (np.arange(len(adj)) >> t) & 1 == 1
     bits = _slot_bits(adj)
-    got = _tri_q_block(bits, adj, p, True)
+    got = _tri_q_block(bits, adj, p)
     _assert_brute_force(adj, p, got)
     for k in (0, 7, 300, 1023):
-        one = _tri_q_block(bits[k:k + 1], adj[k:k + 1], p, True)
+        one = _tri_q_block(bits[k:k + 1], adj[k:k + 1], p)
         assert tuple(v[0] for v in one) == tuple(v[k] for v in got)
 
 
@@ -524,10 +553,12 @@ def test_tri_q_block_draws_match_per_graph_loop():
     n, p, count = 40, 0.2, 500
     assert count > 2 * (_CHUNK_CELLS // n**2)
     qp, qm, qpp, qmm = ERPairModel(n, p, "triangles").q_block(block_rng(6, 0), count, 1)
-    assert qpp is None and qmm is None
     rng = block_rng(6, 0)
     want = np.array([_tri_q(_gnp_slots(n, p, rng, 1)[1][0], p) for _ in range(count)])
     assert np.array_equal(qp, want[:, 0]) and np.array_equal(qm, want[:, 1])
+    adj = _gnp_slots(n, p, block_rng(6, 0), count)[1]
+    _, _, want_pp, want_mm = tri_q_block_per_slot(adj, p)
+    assert np.array_equal(qpp, want_pp) and np.array_equal(qmm, want_mm)
 
 
 def test_tri_q_block_memory_is_bounded_by_sub_chunks():
@@ -554,11 +585,11 @@ def _assert_same_bytes(got, want) -> None:
 def test_tri_q_block_bytes_equal_the_per_slot_loop(n, p):
     bits, adj = _gnp_slots(n, p, block_rng(31, n), 60 if n <= 16 else 12)
     want = tri_q_block_per_slot(adj, p)
-    _assert_same_bytes(_tri_q_block(bits, adj, p, True), want)
+    _assert_same_bytes(_tri_q_block(bits, adj, p), want)
     # blocks of one graph too: np.sum adds a single row pairwise but several
     # rows column by column, so only these blocks tell its order from the loop's
     for k in range(len(adj)):
-        one = _tri_q_block(bits[k:k + 1], adj[k:k + 1], p, True)
+        one = _tri_q_block(bits[k:k + 1], adj[k:k + 1], p)
         _assert_same_bytes(one, [w[k:k + 1] for w in want])
 
 
@@ -589,7 +620,7 @@ def test_tri_two_step_q_block_memory_is_bounded_by_sub_chunks():
 
 def test_pair_model_validates_before_drawing():
     rng = block_rng(0, 0)
-    assert not ERPairModel(65, 0.3, "triangles").two_step  # one-step only: allowed
+    ERPairModel(65, 0.3, "triangles")  # below the cap: allowed
     with pytest.raises(TooLarge):
         ERPairModel(513, 0.3, "triangles")
     with pytest.raises(InvalidParameter):

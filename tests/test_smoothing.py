@@ -7,7 +7,7 @@ import pytest
 
 from lkllt.curie_weiss import CWPairModel, CWParams, cw_exact_pmf
 from lkllt.er import ERPairModel, iso_moments
-from lkllt.errors import DegenerateChain, InvalidParameter, MissingCapability
+from lkllt.errors import DegenerateChain, InvalidParameter
 from lkllt.lattice import convolve, dist_from_weights
 from lkllt.metrics import smoothing_term
 from lkllt.smoothing import (
@@ -123,12 +123,6 @@ def test_bounds_trivial_and_errors():
     )
     assert pair_bound_d1(flat) == 0.0
     assert pair_bound_d2(flat) == 0.0
-    no_two_step = PairChainStats(
-        m=1, q_m=0.5, var_q_plus=0.1, var_q_minus=0.1,
-        ediff_plus=None, ediff_minus=None, replicates=10,
-    )
-    with pytest.raises(MissingCapability):
-        pair_bound_d2(no_two_step)
     dead = PairChainStats(
         m=1, q_m=0.0, var_q_plus=0.0, var_q_minus=0.0,
         ediff_plus=0.0, ediff_minus=0.0, replicates=10,
@@ -203,8 +197,8 @@ def test_mean_se_and_var_se_equal_numpy_reductions():
 @pytest.mark.parametrize("make,m", [
     (lambda: ERPairModel(6, 0.5, "isolated"), 1),
     (lambda: ERPairModel(6, 0.5, "isolated"), 2),
-    (lambda: ERPairModel(12, 0.3, "triangles"), 1),  # with two-step values
-    (lambda: ERPairModel(20, 0.3, "triangles"), 1),  # without
+    (lambda: ERPairModel(12, 0.3, "triangles"), 1),
+    (lambda: ERPairModel(20, 0.3, "triangles"), 1),
 ], ids=["iso-m1", "iso-m2", "tri-n12", "tri-n20"])
 def test_pair_stats_equal_concatenated_reference(make, m, reps, threads, monkeypatch):
     monkeypatch.setenv("LKLLT_THREADS", threads)
