@@ -167,11 +167,11 @@ def iso_moments(n: int, p: float) -> IsoMoments:
     return IsoMoments(e_w, e_w2, e_w3, e_w4, e_w1, e_e2, e_w1sq, e_e2sq, e_w1e2, sigma2)
 
 
-def _iso_q_from_counts(n: int, p: float, w, w1, e2):
+def _iso_q_from_counts(n: int, p: float, w, w1, e2, m: int):
     """Exact jump probabilities of the edge-resampling chain for the
     isolated-vertex count, and the closed-form two-step products, from the
-    counts (W, W1, E2).  Returns
-    (Q(1), Q(-1), Q(2), Q(-2), Q(1,1), Q(-1,-1), Q(2,2), Q(-2,-2)).
+    counts (W, W1, E2).  Returns (Q(m), Q(-m), Q(m,m), Q(-m,-m)) for m = 1
+    or 2, which the caller has checked.
 
     Q(1,1) counts ordered pairs of distinct "+1 edges" of the starting graph;
     it can over-count realizable second moves (the first removal may change
@@ -181,18 +181,21 @@ def _iso_q_from_counts(n: int, p: float, w, w1, e2):
     """
     c2 = comb(n, 2)
     w = np.asarray(w, dtype=float)
-    w1 = np.asarray(w1, dtype=float)
     e2 = np.asarray(e2, dtype=float)
-    plus_edges = w1 - 2 * e2
-    q1 = plus_edges * (1 - p) / c2
-    qn1 = w * (n - w) * p / c2
-    q2 = e2 * (1 - p) / c2
-    qn2 = w * (w - 1) / 2 * p / c2
-    q11 = plus_edges * (plus_edges - 1) * (1 - p) ** 2 / c2 ** 2
-    qn1n1 = w * (w - 1) * (n - w + 1) * (n - w) * p * p / c2 ** 2
-    q22 = e2 * (e2 - 1) * (1 - p) ** 2 / c2 ** 2
-    qn2n2 = (w * (w - 1) / 2) * ((w - 2) * (w - 3) / 2) * p * p / c2 ** 2
-    return q1, qn1, q2, qn2, q11, qn1n1, q22, qn2n2
+    if m == 1:
+        plus_edges = np.asarray(w1, dtype=float) - 2 * e2
+        return (
+            plus_edges * (1 - p) / c2,
+            w * (n - w) * p / c2,
+            plus_edges * (plus_edges - 1) * (1 - p) ** 2 / c2 ** 2,
+            w * (w - 1) * (n - w + 1) * (n - w) * p * p / c2 ** 2,
+        )
+    return (
+        e2 * (1 - p) / c2,
+        w * (w - 1) / 2 * p / c2,
+        e2 * (e2 - 1) * (1 - p) ** 2 / c2 ** 2,
+        (w * (w - 1) / 2) * ((w - 2) * (w - 3) / 2) * p * p / c2 ** 2,
+    )
 
 
 def _iso_counts(adj: np.ndarray):
@@ -411,9 +414,7 @@ class ERPairModel(PairModel):
         for start in range(0, count, step):
             bits, adj = _gnp_slots(n, p, rng, min(step, count - start))
             if self.statistic == "isolated":
-                q = _iso_q_from_counts(n, p, *_iso_counts(adj))
-                k = 2 * (m - 1)
-                vals = (q[k], q[k + 1], q[k + 4], q[k + 5])
+                vals = _iso_q_from_counts(n, p, *_iso_counts(adj), m)
             else:
                 vals = _tri_q_block(bits, adj, p)
             for dst, v in zip(out, vals):
@@ -444,15 +445,6 @@ def _enumeration_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for table in (inc, within, tri):
         table.flags.writeable = False
     return inc, within, tri
-
-
-def _enumerate_graphs(n: int, p: float):
-    """Every edge mask on n vertices, its edge count and its G(n, p) weight."""
-    E = comb(n, 2)
-    masks = np.arange(1 << E, dtype=np.uint32)
-    e_count = np.bitwise_count(masks)
-    prob = (p ** e_count.astype(float)) * ((1 - p) ** (E - e_count).astype(float))
-    return masks, e_count, prob
 
 
 def _enumerated_iso_counts(n: int, masks: np.ndarray):
@@ -518,32 +510,24 @@ _TRI_MOMENTS = {"e_t": (1,), "e_t2": (2,), "e_t3": (3,), "e_t4": (4,)}
 _ORACLE_MASKS = 1 << 16  # edge masks per enumeration chunk: a few MB of temporaries
 
 
-def enumerate_graphs_oracle(n: int, p: float, statistic: str):
-    """Exact law and first four moments of a statistic by full enumeration.
+def _enumeration_tally(n: int, p: float, iso: bool):
+    """(tally, weights, pe) over all 2^C(n,2) edge masks (n <= 7), in chunks.
 
-    Iterates all 2^C(n,2) edge configurations (n <= 7) in chunks of masks,
-    weighting each by p^edges * (1-p)^non-edges.  For "isolated" the cross
-    moments of the auxiliary counts (W1, E2) are included, since the
-    closed-form moment battery covers them.  The law's weights are summed
-    per value in mask order and the moments from exact per-key tallies, so
-    the chunking does not change a bit.  Returns (LatticeDist, dict of
-    moments).
+    ``tally[e, W, W1, E2]`` (``tally[e, T]`` when not ``iso``) counts the
+    graphs with e edges and those counts, ``weights`` is the law of W (of T)
+    summed in mask order, and ``pe[e]`` = p^e (1-p)^(C(n,2)-e) is the weight
+    of one e-edge graph; the chunking does not change a bit of any of them.
     """
     if n > 7:
         raise TooLarge("enumeration oracle is capped at n = 7")
-    if statistic not in ("isolated", "triangles"):
-        raise InvalidParameter("statistic must be 'isolated' or 'triangles'")
     if not 0.0 <= p <= 1.0:
         raise InvalidParameter("p must lie in [0, 1]")
-    iso = statistic == "isolated"
-    powers = _ISO_MOMENTS if iso else _TRI_MOMENTS
     E = comb(n, 2)
     e = np.arange(E + 1, dtype=float)
     pe = (p ** e) * ((1 - p) ** (E - e))
     # no count exceeds the empty graph's n isolated vertices or the complete
     # graph's C(n, 3) triangles, so the law's support ends there
     top = n if iso else comb(n, 3)
-    # graphs per (e, W, W1, E2) or per (e, T)
     tally = np.zeros((E + 1,) + (top + 1,) * (3 if iso else 1), dtype=np.int64)
     weights = np.zeros(top + 1)
     for start in range(0, 1 << E, _ORACLE_MASKS):
@@ -553,24 +537,36 @@ def enumerate_graphs_oracle(n: int, p: float, statistic: str):
         keys = np.ravel_multi_index((e_count, *counts), tally.shape)
         tally += np.bincount(keys, minlength=tally.size).reshape(tally.shape)
         np.add.at(weights, counts[0], pe[e_count])
-    moments = _exact_means(tally, pe, powers)
+    return tally, weights, pe
+
+
+def enumerate_graphs_oracle(n: int, p: float, statistic: str):
+    """Exact law and first four moments of a statistic over every graph on
+    n <= 7 vertices, weighted by p^edges * (1-p)^non-edges; for "isolated"
+    with the cross moments of (W1, E2) that the closed-form battery covers.
+    Returns (LatticeDist, dict of moments)."""
+    if statistic not in ("isolated", "triangles"):
+        raise InvalidParameter("statistic must be 'isolated' or 'triangles'")
+    iso = statistic == "isolated"
+    tally, weights, pe = _enumeration_tally(n, p, iso)
+    moments = _exact_means(tally, pe, _ISO_MOMENTS if iso else _TRI_MOMENTS)
     return dist_from_weights(0, weights), moments
 
 
 def iso_exact_pair_stats(n: int, p: float, m: int):
-    """Exact pair-chain statistics for the isolated-vertex chain (n <= 7),
-    computed by weighting the closed-form jump evaluators over all graphs."""
-    if n > 7:
-        raise TooLarge("exact pair statistics are capped at n = 7")
-    masks, _, prob = _enumerate_graphs(n, p)
-    q1, qn1, q2, qn2, q11, qn1n1, q22, qn2n2 = _iso_q_from_counts(
-        n, p, *_enumerated_iso_counts(n, masks)
-    )
-    if m == 1:
-        return exact_pair_stats(prob, q1, qn1, q11, qn1n1, m=1)
-    if m == 2:
-        return exact_pair_stats(prob, q2, qn2, q22, qn2n2, m=2)
-    raise InvalidParameter("m must be 1 or 2")
+    """Exact pair-chain statistics of jump size m (1 or 2) for the
+    isolated-vertex chain (2 <= n <= 7).  The jump values depend on a graph
+    only through (W, W1, E2) and its weight only through its edge count, so
+    they are taken once per nonzero tally key (115 at n = 7, too few for the
+    BLAS thread count to change a sum), weighted by the key's total weight."""
+    if n < 2:
+        raise InvalidParameter("n must be >= 2")
+    if m not in (1, 2):
+        raise InvalidParameter("m must be 1 or 2")
+    tally, _, pe = _enumeration_tally(n, p, True)
+    e, w, w1, e2 = np.nonzero(tally)
+    q = _iso_q_from_counts(n, p, w, w1, e2, m)
+    return exact_pair_stats(tally[e, w, w1, e2] * pe[e], *q, m=m)
 
 
 # ---------------------------------------------------------------------------

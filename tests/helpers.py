@@ -20,9 +20,9 @@ from lkllt.curie_weiss import CWPairModel, CWParams, _q_arrays, parity_shift
 from lkllt.er import (
     _ISO_MOMENTS,
     _TRI_MOMENTS,
-    _enumerate_graphs,
     _enumerated_iso_counts,
     _enumerated_triangles,
+    _iso_q_from_counts,
 )
 from lkllt.lattice import LatticeDist, dist_from_weights
 from lkllt.rngutil import map_blocks
@@ -360,11 +360,21 @@ def cw_exact_pmf_full_lattice(params: CWParams, half_lattice: bool = False) -> L
     return dist_from_weights(-n, full)
 
 
+def all_graph_masks(n: int, p: float):
+    """Every edge mask on n vertices at once, its edge count and its G(n, p)
+    weight."""
+    E = comb(n, 2)
+    masks = np.arange(1 << E, dtype=np.uint32)
+    e_count = np.bitwise_count(masks)
+    prob = (p ** e_count.astype(float)) * ((1 - p) ** (E - e_count).astype(float))
+    return masks, e_count, prob
+
+
 def enumerate_graphs_oracle_unchunked(n: int, p: float, statistic: str):
     """Every graph at once: the law by one weighted bincount over all masks,
     the moments from one tally over all (e, *counts) keys.  The reference
     for ``enumerate_graphs_oracle``'s bytes."""
-    masks, e_count, prob = _enumerate_graphs(n, p)
+    masks, e_count, prob = all_graph_masks(n, p)
     if statistic == "isolated":
         counts, powers = _enumerated_iso_counts(n, masks), _ISO_MOMENTS
     else:
@@ -402,6 +412,26 @@ def enumerated_iso_counts_per_edge(n: int, masks: np.ndarray):
     for b, (i, j) in zip(bits, edges):
         e2 += b & (deg[i] == 1) & (deg[j] == 1)
     return (deg == 0).sum(axis=0), (deg == 1).sum(axis=0), e2
+
+
+def iso_exact_pair_stats_per_graph(n: int, p: float, m: int) -> PairChainStats:
+    """The isolated-vertex pair-chain statistics of jump size m as a
+    ``math.fsum`` of weight times value over every graph, each graph's
+    (W, W1, E2) from ``enumerated_iso_counts_per_edge``.  The per-graph
+    values come from ``_iso_q_from_counts``, which the one-step tests check
+    against chain enumeration; what this references is the enumeration and
+    its weighting.  q_m is 0.0 where the chain never jumps by m."""
+    masks, _, prob = all_graph_masks(n, p)
+    qp, qm, qpp, qmm = _iso_q_from_counts(n, p, *enumerated_iso_counts_per_edge(n, masks), m)
+
+    def mean(x):
+        return math.fsum((prob * x).tolist())
+
+    mp, mm = mean(qp), mean(qm)
+    return PairChainStats(
+        m, 0.5 * (mp + mm), mean((qp - mp) ** 2), mean((qm - mm) ** 2),
+        mean(np.abs(qpp - qp ** 2)), mean(np.abs(qmm - qm ** 2)), replicates=0,
+    )
 
 
 def enumerated_triangles_per_triple(n: int, masks: np.ndarray) -> np.ndarray:

@@ -70,9 +70,10 @@ def test_criterion_2_q_function_equivalence():
             p = float(rng.uniform(0.1, 0.9))
             bits, adj = _gnp_slots(n, p, rng, 1)
             iso_bf = chain_step_probabilities(adj[0], p, isolated_count)
-            q1, qn1, q2, qn2, *_ = _iso_q_from_counts(n, p, *_iso_counts(adj))
-            for jump, closed in ((1, q1), (-1, qn1), (2, q2), (-2, qn2)):
-                worst = max(worst, abs(float(closed[0]) - iso_bf.get(jump, 0.0)))
+            for m in (1, 2):
+                q, qn, _, _ = _iso_q_from_counts(n, p, *_iso_counts(adj), m)
+                for jump, closed in ((m, q), (-m, qn)):
+                    worst = max(worst, abs(float(closed[0]) - iso_bf.get(jump, 0.0)))
             tri_bf = chain_step_probabilities(adj[0], p, triangle_count)
             q1, qn1, _, _ = _tri_q_block(bits, adj, p)
             worst = max(worst, abs(float(q1[0]) - tri_bf.get(1, 0.0)))

@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from math import comb
@@ -14,7 +17,6 @@ from lkllt.er import (
     _SAMPLE_CELLS,
     _TWO_STEP_CELLS,
     ERPairModel,
-    _enumerate_graphs,
     _enumerated_iso_counts,
     _enumerated_triangles,
     _gap_chunk,
@@ -41,12 +43,14 @@ from lkllt.smoothing import pair_bound_d1, pair_bound_d2, pair_stats
 
 from helpers import (
     adjacency,
+    all_graph_masks,
     chain_step_probabilities,
     decode_pairs_by_searchsorted,
     enumerate_graphs_oracle_unchunked,
     enumerated_iso_counts_per_edge,
     enumerated_triangles_per_triple,
     graph_stats,
+    iso_exact_pair_stats_per_graph,
     iso_q11_two_step,
     isolated_count,
     isolated_counts_per_replicate,
@@ -138,7 +142,7 @@ def test_oracle_pmf_examples():
 def test_oracle_moments_equal_fsum_over_every_graph(n, statistic):
     # the oracle groups graphs by edge count; the sum over every graph's own
     # term must come out the same to the last bit
-    masks, _, _ = _enumerate_graphs(n, 0.5)
+    masks, _, _ = all_graph_masks(n, 0.5)
     if statistic == "isolated":
         w, w1, e2 = _enumerated_iso_counts(n, masks)
         terms = {
@@ -150,7 +154,7 @@ def test_oracle_moments_equal_fsum_over_every_graph(n, statistic):
         t = _enumerated_triangles(n, masks)
         terms = {"e_t": t, "e_t2": t ** 2, "e_t3": t ** 3, "e_t4": t ** 4}
     for p in (0.1, 0.3, 0.5):
-        _, _, prob = _enumerate_graphs(n, p)
+        _, _, prob = all_graph_masks(n, p)
         _, moments = enumerate_graphs_oracle(n, p, statistic)
         assert moments == {key: math.fsum((prob * x).tolist()) for key, x in terms.items()}
 
@@ -190,9 +194,9 @@ def test_oracle_memory_is_bounded_by_mask_chunks():
     assert peak < 48 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
-def _iso_q(adj: np.ndarray, p: float) -> tuple[float, ...]:
-    """(Q(1), Q(-1), Q(2), Q(-2), Q(1,1), ...) of one (n, n) adjacency matrix."""
-    return tuple(float(v[0]) for v in _iso_q_from_counts(len(adj), p, *_iso_counts(adj[None])))
+def _iso_q(adj: np.ndarray, p: float, m: int) -> tuple[float, ...]:
+    """(Q(m), Q(-m), Q(m,m), Q(-m,-m)) of one (n, n) adjacency matrix."""
+    return tuple(float(v[0]) for v in _iso_q_from_counts(len(adj), p, *_iso_counts(adj[None]), m))
 
 
 def _slot_bits(adj: np.ndarray) -> np.ndarray:
@@ -209,15 +213,12 @@ def _tri_q(adj: np.ndarray, p: float) -> tuple[float, float]:
 
 def test_iso_q_examples():
     p = 0.5
-    _, q_neg1, _, q_neg2, *_ = _iso_q(adjacency(3, []), p)
-    assert q_neg1 == 0.0
-    assert q_neg2 == pytest.approx(0.5)
-    q1, _, q2, *_ = _iso_q(adjacency(3, [(0, 1)]), p)
-    assert q1 == 0.0
-    assert q2 == pytest.approx(1 / 6)
+    assert _iso_q(adjacency(3, []), p, 1)[1] == 0.0
+    assert _iso_q(adjacency(3, []), p, 2)[1] == pytest.approx(0.5)
+    assert _iso_q(adjacency(3, [(0, 1)]), p, 1)[0] == 0.0
+    assert _iso_q(adjacency(3, [(0, 1)]), p, 2)[0] == pytest.approx(1 / 6)
     k4 = adjacency(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    q1, _, q2, *_ = _iso_q(k4, p)
-    assert q1 == q2 == 0.0
+    assert _iso_q(k4, p, 1)[0] == _iso_q(k4, p, 2)[0] == 0.0
 
 
 def test_tri_q_examples():
@@ -239,7 +240,8 @@ def test_one_step_chain_equivalence():
             p = float(rng.uniform(0.1, 0.9))
             (adj,) = _gnp_slots(n, p, rng, 1)[1]
             iso_bf = chain_step_probabilities(adj, p, isolated_count)
-            q1, q_neg1, q2, q_neg2, *_ = _iso_q(adj, p)
+            q1, q_neg1, _, _ = _iso_q(adj, p, 1)
+            q2, q_neg2, _, _ = _iso_q(adj, p, 2)
             for jump, closed in ((1, q1), (-1, q_neg1), (2, q2), (-2, q_neg2)):
                 assert closed == pytest.approx(iso_bf.get(jump, 0.0), abs=1e-14)
             tri_bf = chain_step_probabilities(adj, p, triangle_count)
@@ -254,7 +256,7 @@ def test_iso_q11_closed_form_overcounts():
     # enumeration adjudicate.  Lock in the canonical counterexample and report
     # the observed spread.
     path3 = adjacency(3, [(0, 1), (1, 2)])
-    closed = _iso_q(path3, 0.5)[4]
+    closed = _iso_q(path3, 0.5, 1)[2]
     truth = iso_q11_two_step(path3, 0.5)
     assert closed == pytest.approx(1 / 18)
     assert truth == 0.0
@@ -264,7 +266,7 @@ def test_iso_q11_closed_form_overcounts():
         n = int(rng.integers(4, 7))
         p = float(rng.uniform(0.2, 0.8))
         (adj,) = _gnp_slots(n, p, rng, 1)[1]
-        gaps.append(_iso_q(adj, p)[4] - iso_q11_two_step(adj, p))
+        gaps.append(_iso_q(adj, p, 1)[2] - iso_q11_two_step(adj, p))
     warnings.warn(
         "isolated-vertex q11 closed form vs chain enumeration: "
         f"min gap {min(gaps):.3e}, max gap {max(gaps):.3e}"
@@ -386,6 +388,77 @@ def test_exact_bounds_dominate_exact_law():
     st = iso_exact_pair_stats(5, 0.5, 1)
     assert pair_bound_d1(st) >= smoothing_term(law, 1, 1)
     assert pair_bound_d2(st) >= smoothing_term(law, 2, 1)
+
+
+_PAIR_STATS_FIELDS = ("q_m", "var_q_plus", "var_q_minus", "ediff_plus", "ediff_minus")
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_iso_exact_pair_stats_equal_fsum_over_every_graph(n, p, m):
+    want = iso_exact_pair_stats_per_graph(n, p, m)
+    if want.q_m == 0.0:  # n = 2 never jumps by one
+        with pytest.raises(DegenerateChain):
+            iso_exact_pair_stats(n, p, m)
+        return
+    got = iso_exact_pair_stats(n, p, m)
+    assert (got.m, got.replicates) == (m, 0)
+    for field in _PAIR_STATS_FIELDS:
+        assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12, abs=0), field
+
+
+def test_iso_exact_pair_stats_memory_is_bounded_by_mask_chunks():
+    # one float64 per graph over all 2^21 graphs at n = 7 alone would be 16 MB
+    tracemalloc.start()
+    try:
+        iso_exact_pair_stats(7, 0.5, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("n,p,m,error", [
+    (1, 0.5, 1, InvalidParameter),
+    (0, 0.5, 1, InvalidParameter),
+    (8, 0.5, 1, TooLarge),
+    (4, -0.1, 1, InvalidParameter),
+    (4, 1.1, 1, InvalidParameter),
+    (3, math.nan, 1, InvalidParameter),
+    (5, 0.5, 3, InvalidParameter),
+    (5, 0.5, 0, InvalidParameter),
+])
+def test_iso_exact_pair_stats_rejects_bad_input_before_enumerating(monkeypatch, n, p, m, error):
+    def enumerated(*args):
+        raise AssertionError("enumerated before the inputs were checked")
+
+    monkeypatch.setattr(lkllt.er, "_enumerated_iso_counts", enumerated)
+    with pytest.raises(error):
+        iso_exact_pair_stats(n, p, m)
+
+
+def test_iso_exact_pair_stats_bits_do_not_depend_on_the_openblas_thread_count():
+    # OpenBLAS threads np.dot from about 10k terms on, and its sum then
+    # depends on the thread count; a reduction over per-key terms stays short
+    src = str(os.path.dirname(os.path.dirname(lkllt.er.__file__)))
+    script = (
+        "from lkllt.er import iso_exact_pair_stats\n"
+        "for p in (0.1, 0.5, 0.9):\n"
+        "    for m in (1, 2):\n"
+        "        st = iso_exact_pair_stats(7, p, m)\n"
+        f"        print(*(getattr(st, f).hex() for f in {_PAIR_STATS_FIELDS!r}))\n"
+    )
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, check=True, timeout=120,
+        )
+        outs.append(run.stdout)
+    assert len(outs[0].splitlines()) == 6
+    assert outs[0] == outs[1]
 
 
 def test_iso_smoothing_bounds_scaling_dense_regime():
@@ -543,8 +616,7 @@ def test_iso_q_block_draws_match_per_graph_loop(m):
     want = np.empty((4, count))
     for t in range(count):
         s = graph_stats(_gnp_slots(n, p, rng, 1)[1][0])
-        v = _iso_q_from_counts(n, p, s.w_isolated, s.w1, s.e2)
-        want[:, t] = (v[0], v[1], v[4], v[5]) if m == 1 else (v[2], v[3], v[6], v[7])
+        want[:, t] = _iso_q_from_counts(n, p, s.w_isolated, s.w1, s.e2, m)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
 
