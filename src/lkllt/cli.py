@@ -10,7 +10,6 @@ draws of earlier replicates.  Wall-clock timing goes to stderr only.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -19,17 +18,6 @@ from pathlib import Path
 
 from . import __version__
 from .errors import LklltError, NumericalFailure
-from .lattice import LatticeDist
-from .metrics import (
-    KOLMOGOROV,
-    LOCAL,
-    TOTAL_VARIATION,
-    WASSERSTEIN,
-    distance,
-    local_span,
-    smoothing_term,
-)
-from .report import RateTable, fmt
 
 
 def parse_grid(spec: str, integer: bool = True) -> list:
@@ -43,6 +31,8 @@ def parse_grid(spec: str, integer: bool = True) -> list:
         raise argparse.ArgumentTypeError(
             f"grid {spec!r} must look like a:b:xk (geometric, factor k)"
         )
+    if not all(map(math.isfinite, (a, b, k))):
+        raise argparse.ArgumentTypeError(f"grid {spec!r} has a non-finite entry")
     if a <= 0 or b < a or k <= 1:
         raise argparse.ArgumentTypeError(f"grid {spec!r} is empty or non-increasing")
     out = []
@@ -61,7 +51,7 @@ def _write(text: str, out) -> None:
         sys.stdout.write(text)
 
 
-def _emit(table: RateTable, args) -> None:
+def _emit(table, args) -> None:
     _write(table.to_json() if args.format == "json" else table.to_csv(), args.out)
 
 
@@ -71,6 +61,12 @@ def _common_output(sub):
 
 
 def _cmd_metrics(args) -> int:
+    from .lattice import LatticeDist
+    from .metrics import (
+        KOLMOGOROV, LOCAL, TOTAL_VARIATION, WASSERSTEIN, distance, local_span, smoothing_term,
+    )
+    from .report import RateTable
+
     F = LatticeDist.from_json(Path(args.f).read_text())
     G = LatticeDist.from_json(Path(args.g).read_text())
     table = RateTable(
@@ -90,10 +86,11 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_tp(args) -> int:
+    from .report import RateTable
     from .tp import tp_normal_gaps, tp_params
 
-    sigma2s = parse_grid(args.sigma2_grid, integer=False) if args.sigma2_grid else [args.sigma2]
-    if sigma2s is None or sigma2s == [None]:
+    sigma2s = args.sigma2_grid or [args.sigma2]
+    if sigma2s == [None]:
         raise LklltError("provide --sigma2 or --sigma2-grid")
     table = RateTable(
         ["mu", "sigma2", "local_gap", "dk", "dw"],
@@ -108,6 +105,7 @@ def _cmd_tp(args) -> int:
 
 def _cmd_verify_lk(args) -> int:
     from .lk import KNOWN_CASES, lk_fuzz
+    from .report import RateTable, fmt
 
     cases = sorted(KNOWN_CASES) if args.case == "all" else [args.case]
     rows: list = []
@@ -156,11 +154,7 @@ def _cmd_bounds(args) -> int:
         "m": m,
         "replicates": args.reps,
         "seed": args.seed,
-        "stats": {
-            f.name: getattr(stats, f.name)
-            for f in dataclasses.fields(stats)
-            if f.name not in ("m", "replicates")
-        },
+        "stats": {k: v for k, v in vars(stats).items() if k not in ("m", "replicates")},
         "d1_pair_bound": pair_bound_d1(stats),
         "d2_pair_bound": pair_bound_d2(stats),
     }
@@ -251,7 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("tp", help="translated-Poisson vs normal comparison gaps")
     s.add_argument("--mu", type=float, default=0.0)
     s.add_argument("--sigma2", type=float, default=None)
-    s.add_argument("--sigma2-grid", default=None, help="geometric grid a:b:xk")
+    s.add_argument(
+        "--sigma2-grid", type=lambda s_: parse_grid(s_, False), default=None,
+        help="geometric grid a:b:xk",
+    )
     _common_output(s)
     s.set_defaults(fn=_cmd_tp)
 

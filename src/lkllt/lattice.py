@@ -73,9 +73,6 @@ class LatticeDist:
         """CDF values at the support points offset, offset+1, ..."""
         return np.cumsum(self.pmf)
 
-    def shift(self, j: int) -> "LatticeDist":
-        return LatticeDist(self.offset + int(j), self.pmf)
-
     def as_seq(self) -> "SignedSeq":
         return SignedSeq(self.offset, self.pmf)
 
@@ -158,42 +155,30 @@ def smooth_uniform(F: LatticeDist, m: int) -> LatticeDist:
     return LatticeDist(F.offset, np.convolve(F.pmf, kernel))
 
 
-def _diff_once(values: np.ndarray) -> np.ndarray:
-    # (Delta f)(k) = f(k+1) - f(k); support gains one point on the left.
-    # The same subtraction as np.diff(values, prepend=0.0, append=0.0),
-    # without its concatenate and broadcast wrappers.
-    ext = np.zeros(len(values) + 2)
-    ext[1:-1] = values
-    return ext[1:] - ext[:-1]
-
-
 def difference(s: SignedSeq, n: int) -> SignedSeq:
     """n-th forward difference of a finite sequence (zero-extended).
 
     The support grows left by n; n = 0 is the identity.
     """
-    if n < 0:
-        raise InvalidParameter("n must be nonnegative")
-    vals = s.values
-    for _ in range(n):
-        vals = _diff_once(vals)
-    return SignedSeq(s.offset - n, vals)
+    return span_difference(s, n, 1)
 
 
 def span_difference(s: SignedSeq, n: int, m: int) -> SignedSeq:
-    """n-fold span-m difference: one step maps f(j) to f(j+m) - f(j)."""
+    """n-fold span-m difference: one step maps f(j) to f(j+m) - f(j).
+
+    One step is one subtraction over a zero-padded copy; the support grows
+    left by m.
+    """
     if n < 0:
         raise InvalidParameter("n must be nonnegative")
     if m < 1:
         raise InvalidParameter("m must be a positive integer")
-    offset, vals = s.offset, s.values
+    vals = s.values
     for _ in range(n):
-        ext = np.zeros(len(vals) + m)
-        ext[: len(vals)] += vals   # f(j + m) term, indexed from offset - m
-        ext[m:] -= vals            # f(j) term
-        vals = ext
-        offset -= m
-    return SignedSeq(offset, vals)
+        ext = np.zeros(len(vals) + 2 * m)
+        ext[m : m + len(vals)] = vals
+        vals = ext[m:] - ext[:-m]
+    return SignedSeq(s.offset - n * m, vals)
 
 
 def seq_norm(s: SignedSeq, p) -> float:

@@ -29,6 +29,7 @@ from .metrics import (
 )
 
 SQRT2 = math.sqrt(2.0)
+_MAX_WIDTH = 50  # widest support window of a random_dist draw
 
 
 def _inv(x) -> float:
@@ -131,7 +132,7 @@ KNOWN_CASES = {
 }
 
 
-def random_dist(rng: np.random.Generator, max_width: int = 50) -> LatticeDist:
+def random_dist(rng: np.random.Generator) -> LatticeDist:
     """A random test distribution: exponential masses on a random window.
 
     One draw in eight is a deliberate corner case (point mass, two-point
@@ -147,11 +148,11 @@ def random_dist(rng: np.random.Generator, max_width: int = 50) -> LatticeDist:
         w[0], w[-1] = rng.exponential(), rng.exponential()
         return dist_from_weights(offset, w)
     if corner == 2:
-        width = int(rng.integers(1, max_width // 2))
+        width = int(rng.integers(1, _MAX_WIDTH // 2))
         w = np.zeros(2 * width + 1)
         w[::2] = rng.exponential(size=width + 1)
         return dist_from_weights(offset, w)
-    width = int(rng.integers(2, max_width + 1))
+    width = int(rng.integers(2, _MAX_WIDTH + 1))
     return dist_from_weights(offset, rng.exponential(size=width))
 
 

@@ -12,7 +12,6 @@ empirical mean and variance (no closed forms exist for them).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,22 +25,14 @@ from .tp import tp_dist, tp_params
 _LINE_CELLS = 1 << 13  # padded points per 1-d evaluation sub-chunk: under 1 MB of temporaries
 
 
-@dataclass(frozen=True)
-class PointSet:
-    d: int
-    points: np.ndarray  # (count, d) in [0,1]^d
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-def ppp_sample(lam: float, d: int, seed: int) -> PointSet:
-    """Homogeneous Poisson process on the unit cube: Poisson count, uniform locations."""
+def ppp_sample(lam: float, d: int, seed: int) -> np.ndarray:
+    """Homogeneous Poisson process on the unit cube: a Poisson count of
+    uniform locations, as a (count, d) array."""
     if not lam > 0:
         raise InvalidParameter("intensity must be positive")
     if d < 1:
         raise InvalidParameter("dimension must be >= 1")
-    return PointSet(d, _ppp(lam, d, block_rng(seed, 0)))
+    return _ppp(lam, d, block_rng(seed, 0))
 
 
 def _ppp(lam: float, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -146,15 +137,16 @@ def _bnb_mis(masks: list[int], budget: int) -> int:
     return best
 
 
-def rgg_independence(points: PointSet, r: float, budget: int = 10 ** 6) -> int:
-    """Exact independence number of the geometric graph at radius r."""
+def rgg_independence(points: np.ndarray, r: float, budget: int = 10 ** 6) -> int:
+    """Exact independence number of the geometric graph on the (count, d)
+    array ``points`` at radius r."""
     if r < 0:
         raise InvalidParameter("radius must be nonnegative")
     if len(points) == 0:
         return 0
-    if points.d == 1:
-        return int(_line_block([points.points[:, 0]], r)[0][0])
-    return _bnb_mis(_conflict_masks(points.points, r), budget)
+    if points.shape[1] == 1:
+        return int(_line_block([points[:, 0]], r)[0][0])
+    return _bnb_mis(_conflict_masks(points, r), budget)
 
 
 RGG_COLUMNS = [
@@ -190,7 +182,7 @@ def rgg_experiment(b: float, d: int, lambda_grid, replicates: int, seed: int) ->
 
         def one_block(start, count, rng, lam=lam, r=r):
             if d != 1:
-                w = [rgg_independence(PointSet(d, _ppp(lam, d, rng)), r) for _ in range(count)]
+                w = [rgg_independence(_ppp(lam, d, rng), r) for _ in range(count)]
                 return np.array(w, dtype=np.int64), np.full(count, math.nan)
             # the draws stay one replicate at a time, in order (the Poisson
             # count takes a variable number of them); evaluation is per sub-chunk

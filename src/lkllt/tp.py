@@ -16,6 +16,8 @@ import numpy as np
 from .errors import InvalidParameter
 from .lattice import LatticeDist
 
+_EPS = 1e-12  # omitted Poisson mass of every truncated TP law
+
 
 @dataclass(frozen=True)
 class TPParams:
@@ -74,11 +76,9 @@ def _poisson_block(lam: float, eps: float) -> tuple[int, np.ndarray]:
         half = int(half * 1.5) + 10
 
 
-def tp_dist(params: TPParams, eps: float = 1e-12) -> LatticeDist:
-    """The TP law as a LatticeDist, truncated so omitted mass < eps."""
-    if not 0 < eps <= 1e-6:
-        raise InvalidParameter("eps must satisfy 0 < eps <= 1e-6")
-    lo, pm = _poisson_block(params.lam, eps)
+def tp_dist(params: TPParams) -> LatticeDist:
+    """The TP law as a LatticeDist, truncated so omitted mass < _EPS."""
+    lo, pm = _poisson_block(params.lam, _EPS)
     return LatticeDist(params.shift + lo, pm / pm.sum())
 
 
@@ -91,7 +91,7 @@ def _phi(z: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
 
 
-def tp_normal_gaps(params: TPParams, eps: float = 1e-12) -> tuple[float, float, float]:
+def tp_normal_gaps(params: TPParams) -> tuple[float, float, float]:
     """(local gap, Kolmogorov distance, Wasserstein distance) of TP vs N(mu, sigma2).
 
     * local gap: sup over integers k of |TP{k} - normal density at k|.
@@ -104,7 +104,7 @@ def tp_normal_gaps(params: TPParams, eps: float = 1e-12) -> tuple[float, float, 
     """
     from statistics import NormalDist
 
-    F = tp_dist(params, eps)
+    F = tp_dist(params)
     mu, sigma = params.mu, math.sqrt(params.sigma2)
     # every lattice point of the support and the end point one past it
     k = np.arange(F.offset, F.support_end + 1)

@@ -27,7 +27,7 @@ from lkllt.er import (
 )
 from lkllt.lk import KNOWN_CASES, SQRT2, lk_fuzz
 from lkllt.metrics import smoothing_term, smoothing_term_dual
-from lkllt.rgg import PointSet, rgg_experiment, rgg_independence
+from lkllt.rgg import rgg_experiment, rgg_independence
 from lkllt.rngutil import block_rng
 from lkllt.smoothing import PairChainStats, pair_bound_d1, pair_bound_d2, pair_stats
 from lkllt.tp import tp_dist, tp_params
@@ -279,7 +279,7 @@ def test_criterion_10_geometric_graph_sanity():
         xs = rng.random((n, 1))
         r = float(rng.uniform(0.01, 0.4))
         all_equal = all_equal and (
-            rgg_independence(PointSet(1, xs), r) == subset_max_independent(xs, r)
+            rgg_independence(xs, r) == subset_max_independent(xs, r)
         )
     tab = rgg_experiment(0.2, 1, [50, 100, 200], replicates=20000, seed=10)
     ratios = tab.column("var_w_over_lam")

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lkllt import cli
+from lkllt import __version__, cli
 from lkllt.errors import NumericalFailure
 from lkllt.lattice import dist_from_weights
 
@@ -35,6 +35,29 @@ def test_grid_parse():
         cli.parse_grid("64:32:x2")
     with pytest.raises(Exception):
         cli.parse_grid("64-128")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "cw rate --beta 0.5 --n-grid 64:inf:x2",  # was an OverflowError traceback
+        "tp --sigma2-grid 1:inf:x2",  # appended inf forever
+        "tp --sigma2-grid nan:10:x2",  # printed a header-only table with exit 0
+        "rgg --lambda-grid 10:20:xinf --reps 10",
+        "er iso --n-grid 10:20:xnan --reps 10",
+    ],
+)
+def test_non_finite_grids_exit_2(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command.split())
+    assert exc.value.code == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_pyproject_version_is_the_package_version():
+    tomllib = pytest.importorskip("tomllib")
+    with (Path(cli.__file__).resolve().parents[2] / "pyproject.toml").open("rb") as f:
+        assert tomllib.load(f)["project"]["version"] == __version__
 
 
 def test_metrics_subcommand(tmp_path, capsys):
@@ -378,12 +401,13 @@ def test_replicate_prefix_stability():
     assert np.array_equal(short, long[:5000])
 
 
-_ON_USE = ("concurrent.futures", "statistics", "fractions")
+_ON_USE = ("concurrent.futures", "statistics", "fractions", "numpy")
 
 
 def _modules_after(commands, threads):
-    """Which of ``_ON_USE`` a fresh process has loaded after running
-    ``commands`` through ``cli.main`` at ``LKLLT_THREADS=threads``."""
+    """Which of ``_ON_USE`` and of the lkllt submodules a fresh process has
+    loaded after importing ``lkllt.cli`` and running ``commands`` through
+    ``cli.main`` at ``LKLLT_THREADS=threads``."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, LKLLT_THREADS=threads)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -391,8 +415,12 @@ def _modules_after(commands, threads):
         "import sys, io, contextlib; from lkllt.cli import main\n"
         f"for c in {commands!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert main(c.split()) == 0, c\n"
-        f"print(' '.join(m for m in {_ON_USE!r} if m in sys.modules))\n"
+        "        try:\n"
+        "            status = main(c.split())\n"
+        "        except SystemExit as exc:  # argparse ends --version this way\n"
+        "            status = exc.code\n"
+        "    assert status == 0, c\n"
+        f"print(' '.join(m for m in sys.modules if m in {_ON_USE!r} or m.startswith('lkllt.')))\n"
     )
     run = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True,
@@ -408,10 +436,11 @@ def test_samplers_import_no_module_they_do_not_use():
         "rgg --b 0.2 --d 1 --lambda-grid 20:20:x2 --reps 100 --seed 1",
         "bounds --model er-tri --n 8 --p 0.25 --reps 200 --seed 1",
     ]
-    assert _modules_after(commands, "1") == set()
+    unused = {"concurrent.futures", "statistics", "fractions"}
+    assert unused.isdisjoint(_modules_after(commands, "1"))
     # the pool runs on plain threads: two blocks and a cut block at two threads
     commands = ["er iso --n 30 --p 0.05 --reps 5000 --seed 1", commands[3]]
-    assert _modules_after(commands, "2") == set()
+    assert unused.isdisjoint(_modules_after(commands, "2"))
 
 
 @pytest.mark.parametrize(
@@ -423,3 +452,19 @@ def test_samplers_import_no_module_they_do_not_use():
 )
 def test_modules_are_imported_where_they_are_used(command, module):
     assert module in _modules_after([command], "1")
+
+
+@pytest.mark.parametrize(
+    "command,loaded",
+    [
+        ("--version", {"lkllt.cli", "lkllt.errors"}),
+        (
+            "tp --mu 0 --sigma2 50",
+            # statistics imports fractions
+            {"lkllt.cli", "lkllt.errors", "lkllt.lattice", "lkllt.report", "lkllt.tp",
+             "numpy", "statistics", "fractions"},
+        ),
+    ],
+)
+def test_commands_load_only_the_modules_they_run(command, loaded):
+    assert _modules_after([command], "1") == loaded

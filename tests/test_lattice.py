@@ -6,7 +6,6 @@ import pytest
 from lkllt.errors import InvalidDistribution, InvalidParameter
 from lkllt.lattice import (
     LatticeDist,
-    _diff_once,
     SignedSeq,
     convolve,
     difference,
@@ -191,10 +190,17 @@ def _signed_inputs():
 
 @pytest.mark.parametrize("values", _signed_inputs())
 def test_diff_once_is_the_zero_padded_np_diff(values):
-    got = _diff_once(values)
-    want = np.diff(values, prepend=0.0, append=0.0)
-    assert got.dtype == want.dtype
-    assert got.tobytes() == want.tobytes()
+    # one span-m step is the zero-padded np.diff of every residue class mod m
+    s = SignedSeq(3, values)
+    for m in (1, 2, 3):
+        want = np.zeros(len(s.values) + m)
+        for r in range(m):
+            want[r::m] = np.diff(s.values[r::m], prepend=0.0, append=0.0)
+        want = SignedSeq(s.offset - m, want)
+        got = span_difference(s, 1, m)
+        assert got.offset == want.offset
+        assert got.values.dtype == want.values.dtype
+        assert got.values.tobytes() == want.values.tobytes()
 
 
 @pytest.mark.parametrize("values", _signed_inputs())

@@ -8,7 +8,6 @@ import pytest
 from lkllt.errors import InvalidParameter, TooLarge
 from lkllt.rgg import (
     _LINE_CELLS,
-    PointSet,
     _bnb_mis,
     _line_block,
     _ppp,
@@ -22,7 +21,7 @@ from helpers import subset_max_independent
 
 
 def pts1d(xs):
-    return PointSet(1, np.asarray(xs, dtype=float).reshape(-1, 1))
+    return np.asarray(xs, dtype=float).reshape(-1, 1)
 
 
 def test_line_example():
@@ -35,7 +34,7 @@ def test_zero_radius_counts_distinct_points():
 
 def test_single_point():
     assert rgg_independence(pts1d([0.5]), 0.2) == 1
-    assert rgg_independence(PointSet(1, np.zeros((0, 1))), 0.2) == 0
+    assert rgg_independence(np.zeros((0, 1)), 0.2) == 0
 
 
 def test_radius_validation():
@@ -49,7 +48,7 @@ def test_greedy_matches_subset_bruteforce():
         n = int(rng.integers(1, 21))
         xs = rng.random((n, 1))
         r = float(rng.uniform(0.01, 0.4))
-        assert rgg_independence(PointSet(1, xs), r) == subset_max_independent(xs, r)
+        assert rgg_independence(xs, r) == subset_max_independent(xs, r)
 
 
 def test_bnb_matches_subset_bruteforce_2d():
@@ -58,12 +57,12 @@ def test_bnb_matches_subset_bruteforce_2d():
         n = int(rng.integers(1, 13))
         pts = rng.random((n, 2))
         r = float(rng.uniform(0.05, 0.6))
-        assert rgg_independence(PointSet(2, pts), r) == subset_max_independent(pts, r)
+        assert rgg_independence(pts, r) == subset_max_independent(pts, r)
 
 
 def test_bnb_budget_guard():
     rng = block_rng(19, 0)
-    pts = PointSet(2, rng.random((40, 2)))
+    pts = rng.random((40, 2))
     with pytest.raises(TooLarge):
         rgg_independence(pts, 0.05, budget=10)
 
@@ -71,7 +70,7 @@ def test_bnb_budget_guard():
 def test_monotone_in_radius():
     rng = block_rng(20, 0)
     xs = rng.random((30, 1))
-    vals = [rgg_independence(PointSet(1, xs), r) for r in (0.0, 0.05, 0.1, 0.2, 0.4)]
+    vals = [rgg_independence(xs, r) for r in (0.0, 0.05, 0.1, 0.2, 0.4)]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
@@ -84,8 +83,8 @@ def test_ppp_point_count_concentration():
 
 def test_ppp_in_unit_cube():
     pts = ppp_sample(5.0, 3, seed=1)
-    assert pts.points.shape[1] == 3
-    assert np.all((pts.points >= 0) & (pts.points <= 1))
+    assert pts.shape[1] == 3
+    assert np.all((pts >= 0) & (pts <= 1))
     with pytest.raises(InvalidParameter):
         ppp_sample(0.0, 1, 1)
     with pytest.raises(InvalidParameter):

@@ -34,7 +34,7 @@ def test_params_validation():
 
 
 def test_dist_mean_variance_small():
-    d = tp_dist(tp_params(3.0, 2.0), eps=1e-12)
+    d = tp_dist(tp_params(3.0, 2.0))
     assert d.mean() == pytest.approx(3.0, abs=1e-9)
     assert 2.0 - 1e-6 <= d.variance() <= 3.0
 
@@ -47,13 +47,6 @@ def test_dist_point_mass_value():
 def test_dist_normalized():
     d = tp_dist(tp_params(5.3, 4.0))
     assert d.pmf.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_dist_eps_validation():
-    p = tp_params(0.0, 1.0)
-    for bad in (0.0, -1e-9, 1e-3):
-        with pytest.raises(InvalidParameter):
-            tp_dist(p, eps=bad)
 
 
 def test_shift_equivariance_exact():
