@@ -18,10 +18,7 @@ import numpy as np
 
 from .errors import InvalidParameter, NumericalFailure
 from .lattice import LatticeDist
-from .metrics import KOLMOGOROV, LOCAL, TOTAL_VARIATION, WASSERSTEIN, distance
-from .report import RateTable
 from .smoothing import PairModel, exact_pair_stats, pair_bound_d1, pair_bound_d2
-from .tp import tp_dist, tp_params
 
 
 @dataclass(frozen=True)
@@ -269,6 +266,10 @@ def cw_rate_experiment(beta: float, h: float, n_grid) -> RateTable:
     magnetization jumps are evaluated exactly from the stationary law, so
     every row is deterministic.
     """
+    from .metrics import KOLMOGOROV, LOCAL, TOTAL_VARIATION, WASSERSTEIN, distance
+    from .report import RateTable
+    from .tp import tp_dist, tp_params
+
     if not 0 < beta < 1:
         raise InvalidParameter("rate experiment requires 0 < beta < 1")
     m0 = cw_m0(beta, h)

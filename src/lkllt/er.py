@@ -23,12 +23,8 @@ from math import comb
 import numpy as np
 
 from .errors import DegenerateChain, InvalidParameter, TooLarge
-from .lattice import dist_from_weights, empirical_dist
-from .metrics import KOLMOGOROV, LOCAL, TOTAL_VARIATION, distance, local_span
-from .report import RateTable
 from .rngutil import map_blocks
 from .smoothing import PairChainStats, PairModel, exact_pair_stats, pair_bound_d1, pair_bound_d2
-from .tp import tp_dist, tp_params
 
 _MAX_Q_EVAL_N = 512  # per-graph jump evaluation beyond this uses moment-only paths
 _CHUNK_CELLS = 1 << 18  # adjacency cells per evaluation sub-chunk: a few MB of temporaries
@@ -545,6 +541,8 @@ def enumerate_graphs_oracle(n: int, p: float, statistic: str):
     n <= 7 vertices, weighted by p^edges * (1-p)^non-edges; for "isolated"
     with the cross moments of (W1, E2) that the closed-form battery covers.
     Returns (LatticeDist, dict of moments)."""
+    from .lattice import dist_from_weights
+
     if statistic not in ("isolated", "triangles"):
         raise InvalidParameter("statistic must be 'isolated' or 'triangles'")
     iso = statistic == "isolated"
@@ -744,6 +742,11 @@ def er_rate_experiment(statistic: str, rows, replicates: int, seed: int) -> Rate
     its span-2 variant, total variation and Kolmogorov columns plus the
     worst per-point Monte Carlo standard error of the empirical pmf.
     """
+    from .lattice import empirical_dist
+    from .metrics import KOLMOGOROV, LOCAL, TOTAL_VARIATION, distance, local_span
+    from .report import RateTable
+    from .tp import tp_dist, tp_params
+
     if statistic not in ("isolated", "triangles"):
         raise InvalidParameter("statistic must be 'isolated' or 'triangles'")
     if replicates < 2:

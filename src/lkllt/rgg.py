@@ -16,11 +16,7 @@ import math
 import numpy as np
 
 from .errors import InvalidParameter, TooLarge
-from .lattice import empirical_dist
-from .metrics import KOLMOGOROV, LOCAL, TOTAL_VARIATION, distance
-from .report import RateTable
 from .rngutil import block_rng, map_blocks
-from .tp import tp_dist, tp_params
 
 _LINE_CELLS = 1 << 13  # padded points per 1-d evaluation sub-chunk: under 1 MB of temporaries
 
@@ -163,6 +159,11 @@ def rgg_experiment(b: float, d: int, lambda_grid, replicates: int, seed: int) ->
     explicit threshold); it is echoed in the metadata.  Also reports the
     empty-annulus diagnostic counter backing the block decomposition.
     """
+    from .lattice import empirical_dist
+    from .metrics import KOLMOGOROV, LOCAL, TOTAL_VARIATION, distance
+    from .report import RateTable
+    from .tp import tp_dist, tp_params
+
     if not b > 0:
         raise InvalidParameter("b must be positive")
     if d < 1:

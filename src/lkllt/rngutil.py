@@ -74,7 +74,11 @@ def map_blocks(fn: Callable, master_seed: int, replicates: int) -> list:
     every replicate draws the same numbers either way.
     """
     n_threads = thread_count()
-    work = list(blocks(master_seed, replicates, getattr(fn, "stride", None), n_threads))
+    work = blocks(master_seed, replicates, getattr(fn, "stride", None), n_threads)
+    if n_threads > 1:
+        work = list(work)
+    # on one thread each generator is made as its block runs, so none is
+    # kept per block
     if n_threads == 1 or len(work) == 1:
         return [fn(*w) for w in work]
     # plain threads: concurrent.futures would cost each process about 5 ms

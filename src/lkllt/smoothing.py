@@ -17,6 +17,7 @@ through the stationary sampling of states.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +61,9 @@ class PairModel:
     ``stride`` to that number, so ``map_blocks`` may split its blocks.
 
     A finite-state model sets ``q_table`` to those four arrays evaluated once
-    per state (fewer than 2^31 states); its :meth:`q_block` then returns the
-    index into them of each drawn state instead, kept as int32.
+    per state; its :meth:`q_block` then returns the index into them of each
+    drawn state instead, and :func:`pair_stats` keeps only how often each
+    state was drawn.
     """
 
     q_table: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
@@ -115,98 +117,120 @@ def _mean_se(x: np.ndarray) -> tuple[float, float]:
     return float(mean), math.sqrt(np.add.reduce(x) / (n - 1)) / math.sqrt(n)
 
 
-def _var_se(x: np.ndarray, table: np.ndarray, index: np.ndarray | None) -> tuple[float, float]:
-    # unbiased variance and its moment-based standard error of x, which is
-    # table[index] (table itself when index is None); the fourth powers are
-    # taken once per table entry, which gives each replicate the same value
+def _var_se(x: np.ndarray) -> tuple[float, float]:
+    # unbiased variance of x and its moment-based standard error
     n = len(x)
-    mean = x.mean()
-    dev = x - mean
+    dev = x - x.mean()
     var = float(np.dot(dev, dev) / (n - 1))
-    if index is None:
-        dev4 = np.power(dev, 4, out=dev)
-    else:
-        del dev  # before the gather makes another per-replicate array
-        dev4 = ((table - mean) ** 4)[index]
-    m4 = float(np.mean(dev4))
+    return var, _se_of_var(var, float(np.mean(np.power(dev, 4, out=dev))), n)
+
+
+def _se_of_var(var: float, m4: float, n: float) -> float:
+    # standard error of an unbiased variance from the fourth central moment
     inner = m4 - (n - 3) / (n - 1) * var * var
-    se = math.sqrt(max(inner, 0.0) / n)
-    return var, se
+    return math.sqrt(max(inner, 0.0) / n)
+
+
+def _weighted_mean_se(w: np.ndarray, x: np.ndarray) -> tuple[float, float]:
+    # _mean_se of the values x[i], each repeated w[i] times
+    n = np.add.reduce(w)
+    mean = np.add.reduce(np.multiply(w, x)) / n
+    dev = x - mean
+    ss = np.add.reduce(np.multiply(w, dev * dev))
+    return float(mean), math.sqrt(ss / (n - 1)) / math.sqrt(n)
+
+
+def _weighted_var_se(w: np.ndarray, x: np.ndarray) -> tuple[float, float]:
+    # _var_se of the values x[i], each repeated w[i] times
+    n = np.add.reduce(w)
+    dev2 = x - np.add.reduce(np.multiply(w, x)) / n
+    dev2 *= dev2
+    var = float(np.add.reduce(np.multiply(w, dev2)) / (n - 1))
+    return var, _se_of_var(var, float(np.add.reduce(np.multiply(w, dev2 * dev2)) / n), n)
+
+
+def _replicate_estimates(model: PairModel, m: int, replicates: int, seed: int) -> list:
+    # (estimate, se) of q_m, Var Q(+m), Var Q(-m), E|Q(m,m) - Q(m)^2| and
+    # E|Q(-m,-m) - Q(-m)^2| from per-replicate arrays filled by the blocks
+    q = np.empty(2 * replicates)
+    qp, qm = q[:replicates], q[replicates:]
+    outs = (qp, qm, np.empty(replicates), np.empty(replicates))
+
+    def block(start, count, rng):
+        for dst, vals in zip(outs, model.q_block(rng, count, m)):
+            dst[start:start + count] = vals
+
+    block.stride = model.stride
+    map_blocks(block, seed, replicates)
+    var_p, var_m = _var_se(qp), _var_se(qm)
+    ediffs = []
+    for two, one in zip(outs[2:], outs[:2]):
+        # |Q(m,m) - Q(m)^2|, formed in the two-step array
+        np.subtract(two, one ** 2, out=two)
+        ediffs.append(_mean_se(np.abs(two, out=two)))
+    # last: it overwrites Q(+m) and Q(-m)
+    return [_mean_se(q), var_p, var_m, *ediffs]
+
+
+def _state_counts(model: PairModel, m: int, replicates: int, seed: int) -> np.ndarray:
+    # draws of each state of a finite-state model, added into one int64
+    # array under a lock (numpy releases the GIL inside the add); integer
+    # addition is exact, so the order in which blocks finish cannot matter
+    counts = np.zeros(len(model.q_table[0]), dtype=np.int64)
+    lock = threading.Lock()
+
+    def block(start, count, rng):
+        drawn = np.bincount(model.q_block(rng, count, m), minlength=len(counts))
+        with lock:
+            np.add(counts, drawn, out=counts)
+
+    block.stride = model.stride
+    map_blocks(block, seed, replicates)
+    return counts
+
+
+def _tallied_estimates(model: PairModel, m: int, replicates: int, seed: int) -> list:
+    # the estimates of _replicate_estimates from the states' draw counts
+    counts = _state_counts(model, m, replicates, seed)
+    drawn = np.flatnonzero(counts)
+    w = counts[drawn].astype(float)
+    qp, qm, qpp, qmm = (table[drawn] for table in model.q_table)
+    return [
+        _weighted_mean_se(np.concatenate([w, w]), np.concatenate([qp, qm])),
+        _weighted_var_se(w, qp),
+        _weighted_var_se(w, qm),
+        _weighted_mean_se(w, np.abs(qpp - qp ** 2)),
+        _weighted_mean_se(w, np.abs(qmm - qm ** 2)),
+    ]
+
+
+_ESTIMATED = ("q_m", "var_q_plus", "var_q_minus", "ediff_plus", "ediff_minus")
 
 
 def pair_stats(model: PairModel, m: int, replicates: int, seed: int) -> PairChainStats:
     """Estimate the pair-chain quantities by stationary Monte Carlo.
 
     The jump rate q_m is the pooled mean of both directional evaluators.
-    Per-replicate values are written in replicate order into arrays made
-    before sampling, so the reductions are independent of the execution
-    schedule.  Q(+m) and Q(-m) are the two halves of one array, which the
-    pooled mean reads last and overwrites.  For a finite-state model (one
-    with ``q_table``) the blocks write the drawn state indices, and the two
-    halves are gathered from the per-state tables; every other per-replicate
-    function of the state is evaluated once per state.  Each replicate gets
-    the same value either way, so the estimates are those of the
-    per-replicate evaluation.  Memory: 20 bytes per replicate for a
-    finite-state model (int32 index, Q(+m), Q(-m)) plus one array of
-    per-replicate values at a time; 32 bytes (Q(+m), Q(-m), Q(m,m),
-    Q(-m,-m)) plus one such array otherwise.
+    For a finite-state model (one with ``q_table``) the blocks only count
+    how often each state is drawn, and every estimate is a sum over the
+    drawn states of count times the state's value; memory is one int64
+    count per state, whatever the replicate count.  Otherwise the blocks
+    write Q(+m), Q(-m), Q(m,m) and Q(-m,-m) in replicate order into arrays
+    made before sampling (32 bytes per replicate, plus one more array of
+    per-replicate values at a time).  Either way the estimates do not depend
+    on the execution schedule.
     """
     if m < 1:
         raise InvalidParameter("m must be a positive integer")
     if replicates < 2:
         raise InvalidParameter("replicates must be >= 2")
-
-    q = np.empty(2 * replicates)
-    qp, qm = q[:replicates], q[replicates:]
-    if model.q_table is None:
-        index = None
-        tab_p, tab_m, tab_pp, tab_mm = outs = (qp, qm, np.empty(replicates), np.empty(replicates))
-
-        def block(start, count, rng):
-            for dst, vals in zip(outs, model.q_block(rng, count, m)):
-                dst[start:start + count] = vals
-    else:
-        index = np.empty(replicates, dtype=np.int32)
-        tab_p, tab_m, tab_pp, tab_mm = model.q_table
-
-        def block(start, count, rng):
-            index[start:start + count] = model.q_block(rng, count, m)
-
-    block.stride = model.stride
-    map_blocks(block, seed, replicates)
-    if index is not None:
-        # mode="raise" would fill a full-length copy of out and then copy it
-        np.take(tab_p, index, out=qp, mode="clip")
-        np.take(tab_m, index, out=qm, mode="clip")
-
-    def two_step_gap(tab2: np.ndarray, tab1: np.ndarray) -> np.ndarray:
-        # |Q(m,m) - Q(m)^2| per replicate; formed in tab2 when that is per replicate
-        if index is not None:
-            return np.abs(tab2 - tab1 ** 2)[index]
-        np.subtract(tab2, tab1 ** 2, out=tab2)
-        return np.abs(tab2, out=tab2)
-
-    var_p, se_var_p = _var_se(qp, tab_p, index)
-    var_m, se_var_m = _var_se(qm, tab_m, index)
-    ediff_p, se_ed_p = _mean_se(two_step_gap(tab_pp, tab_p))
-    ediff_m, se_ed_m = _mean_se(two_step_gap(tab_mm, tab_m))
-    q_pooled, se_q = _mean_se(q)  # last: it overwrites Q(+m) and Q(-m)
-    if q_pooled <= 0.0:
+    estimate = _replicate_estimates if model.q_table is None else _tallied_estimates
+    fields = {}
+    for name, (value, se) in zip(_ESTIMATED, estimate(model, m, replicates, seed)):
+        fields[name], fields["se_" + name] = value, se
+    if fields["q_m"] <= 0.0:
         raise DegenerateChain("estimated jump rate is zero")
-    return PairChainStats(
-        m=m,
-        q_m=q_pooled,
-        var_q_plus=var_p,
-        var_q_minus=var_m,
-        ediff_plus=ediff_p,
-        ediff_minus=ediff_m,
-        replicates=replicates,
-        se_q_m=se_q,
-        se_var_q_plus=se_var_p,
-        se_var_q_minus=se_var_m,
-        se_ediff_plus=se_ed_p,
-        se_ediff_minus=se_ed_m,
-    )
+    return PairChainStats(m=m, replicates=replicates, **fields)
 
 
 def exact_pair_stats(

@@ -243,21 +243,21 @@ def gibbs_weight(spins, beta: float, h: float) -> float:
     return math.exp(beta / n * inter + h * sum(spins))
 
 
-def cw_pair_stats_per_replicate(model: CWPairModel, replicates: int, seed: int) -> PairChainStats:
-    """The Curie-Weiss pair-chain estimates, evaluated per replicate.
-
-    Each block draws its magnetizations with ``rng.choice``, the evaluators
-    run at every drawn value, and the fourth central moment is ``dev ** 4``
-    over the replicates.
-    """
+def cw_draws_per_replicate(model: CWPairModel, replicates: int, seed: int) -> np.ndarray:
+    """The magnetizations the Curie-Weiss pair chain draws, in replicate
+    order: each block draws its values with ``rng.choice``."""
     parts = map_blocks(
-        lambda start, count, rng: _q_arrays(
-            rng.choice(model.values, size=count, p=model.probs), model.params
-        ),
+        lambda start, count, rng: rng.choice(model.values, size=count, p=model.probs),
         seed,
         replicates,
     )
-    qp, qm, qpp, qmm = (np.concatenate([part[i] for part in parts]) for i in range(4))
+    return np.concatenate(parts)
+
+
+def pair_stats_from_replicates(m: int, qp, qm, qpp, qmm) -> PairChainStats:
+    """The pair-chain estimates from per-replicate arrays, reduced the direct
+    way: the pooled mean and every standard error from numpy's ``mean`` and
+    ``std`` over fresh copies, and the fourth powers over all replicates."""
 
     def mean_se(x):
         return float(x.mean()), float(x.std(ddof=1) / math.sqrt(len(x)))
@@ -270,58 +270,30 @@ def cw_pair_stats_per_replicate(model: CWPairModel, replicates: int, seed: int) 
         return var, math.sqrt(max(inner, 0.0) / n)
 
     q_m, se_q_m = mean_se(np.concatenate([qp, qm]))
+    if q_m <= 0.0:
+        raise DegenerateChain("estimated jump rate is zero")
     var_p, se_var_p = var_se(qp)
     var_m, se_var_m = var_se(qm)
     ediff_p, se_ed_p = mean_se(np.abs(qpp - qp ** 2))
     ediff_m, se_ed_m = mean_se(np.abs(qmm - qm ** 2))
     return PairChainStats(
-        2, q_m, var_p, var_m, ediff_p, ediff_m, replicates,
+        m, q_m, var_p, var_m, ediff_p, ediff_m, len(qp),
         se_q_m, se_var_p, se_var_m, se_ed_p, se_ed_m,
     )
+
+
+def cw_pair_stats_per_replicate(model: CWPairModel, replicates: int, seed: int) -> PairChainStats:
+    """The Curie-Weiss pair-chain estimates, with the evaluators run at
+    every value ``cw_draws_per_replicate`` draws."""
+    draws = cw_draws_per_replicate(model, replicates, seed)
+    return pair_stats_from_replicates(2, *_q_arrays(draws, model.params))
 
 
 def pair_stats_concatenated(model: PairModel, m: int, replicates: int, seed: int) -> PairChainStats:
-    """``pair_stats`` reduced the direct way: the blocks' arrays
-    concatenated, Q(+m) and Q(-m) gathered from ``q_table`` into arrays of
-    their own (for a finite-state model), the pooled mean and every standard
-    error from numpy's ``mean`` and ``std`` over fresh copies, and the
-    fourth powers over all replicates (per state for a finite-state model).
-    The reference for the bytes of the in-place reduction."""
+    """``pair_stats`` of a model without ``q_table`` over the blocks' arrays
+    concatenated: the reference for the bytes of the in-place reduction."""
     parts = map_blocks(lambda start, count, rng: model.q_block(rng, count, m), seed, replicates)
-    if model.q_table is None:
-        index = None
-        tab_p, tab_m, tab_pp, tab_mm = (np.concatenate([p[i] for p in parts]) for i in range(4))
-    else:
-        index = np.concatenate(parts)
-        tab_p, tab_m, tab_pp, tab_mm = model.q_table
-
-    def gather(table):
-        return table if index is None else table[index]
-
-    def mean_se(x):
-        return float(x.mean()), float(x.std(ddof=1) / math.sqrt(len(x)))
-
-    def var_se(x, table):
-        n = len(x)
-        mean = x.mean()
-        dev = x - mean
-        var = float(np.dot(dev, dev) / (n - 1))
-        dev4 = dev ** 4 if index is None else ((table - mean) ** 4)[index]
-        inner = float(np.mean(dev4)) - (n - 3) / (n - 1) * var * var
-        return var, math.sqrt(max(inner, 0.0) / n)
-
-    qp, qm = gather(tab_p), gather(tab_m)
-    q_m, se_q_m = mean_se(np.concatenate([qp, qm]))
-    if q_m <= 0.0:
-        raise DegenerateChain("estimated jump rate is zero")
-    var_p, se_var_p = var_se(qp, tab_p)
-    var_m, se_var_m = var_se(qm, tab_m)
-    ediff_p, se_ed_p = mean_se(gather(np.abs(tab_pp - tab_p ** 2)))
-    ediff_m, se_ed_m = mean_se(gather(np.abs(tab_mm - tab_m ** 2)))
-    return PairChainStats(
-        m, q_m, var_p, var_m, ediff_p, ediff_m, replicates,
-        se_q_m, se_var_p, se_var_m, se_ed_p, se_ed_m,
-    )
+    return pair_stats_from_replicates(m, *(np.concatenate(arrays) for arrays in zip(*parts)))
 
 
 def subset_max_independent(points: np.ndarray, r: float) -> int:

@@ -165,11 +165,12 @@ def test_exact_law_outputs_match_goldens(command, capsys):
 
 # SHA-256 of the stdout of the seeded Monte Carlo commands of the benchmark
 # at seed 1, pinned from the per-replicate samplers and reductions that the
-# block samplers and the finite-state pair model replaced; every thread count
-# must reproduce them.
+# block samplers and the finite-state pair model replaced (`bounds --model
+# cw` from the reduction over its state counts); every thread count must
+# reproduce them.
 SEEDED_GOLDEN_SHA256 = {
     "bounds --model cw --n 100000 --beta 0.5 --reps 1400000 --seed 1":
-        "5236f2caa66cc95ec1bb974a934ffe7cd44f1e460206811a41c0e9a52c374cf2",
+        "7f4e0c841dd3b09fb1ddc219612cf852be76f275de1911d231b435e6c8627a7b",
     "bounds --model er-iso --n 6 --p 0.5 --reps 22000 --seed 1":
         "56cbdcb811b45c6f4d9d5ef8e5a997030024a68abc1acf6f8b123435d980c52d",
     "bounds --model er-tri --n 12 --p 0.25 --reps 2200 --seed 1":
@@ -194,16 +195,17 @@ def test_seeded_outputs_match_goldens(command, threads, capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == SEEDED_GOLDEN_SHA256[command]
 
 
-@pytest.mark.xfail(
-    len(os.sched_getaffinity(0)) >= 2,
-    reason="np.dot hands vectors of 10k+ elements to a threaded OpenBLAS ddot, "
-    "whose sum depends on the OpenBLAS thread count",
-    raises=AssertionError,
-    strict=True,
+@pytest.mark.parametrize(
+    "command",
+    [
+        "bounds --model cw --n 30 --beta 0.4 --reps 30000 --seed 6",
+        # 17,107 states: long enough that np.dot would hand them to threaded BLAS
+        "bounds --model cw --n 100000 --beta 0.5 --reps 200000 --seed 6",
+    ],
 )
-def test_openblas_thread_count_does_not_change_bytes():
+def test_openblas_thread_count_does_not_change_bytes(command):
     src = str(Path(cli.__file__).resolve().parents[1])
-    command = "bounds --model cw --n 30 --beta 0.4 --reps 30000 --seed 6".split()
+    command = command.split()
     outs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
@@ -463,6 +465,17 @@ def test_modules_are_imported_where_they_are_used(command, module):
             # statistics imports fractions
             {"lkllt.cli", "lkllt.errors", "lkllt.lattice", "lkllt.report", "lkllt.tp",
              "numpy", "statistics", "fractions"},
+        ),
+        # no rate-experiment module: tp, report, metrics, lattice
+        (
+            "bounds --model er-iso --n 6 --p 0.5 --reps 2200 --seed 1",
+            {"lkllt.cli", "lkllt.errors", "lkllt.er", "lkllt.rngutil", "lkllt.smoothing", "numpy"},
+        ),
+        # the exact law is a LatticeDist; the rate experiment's modules stay out
+        (
+            "bounds --model cw --n 1000 --beta 0.5 --reps 2200 --seed 1",
+            {"lkllt.cli", "lkllt.errors", "lkllt.curie_weiss", "lkllt.lattice", "lkllt.rngutil",
+             "lkllt.smoothing", "numpy"},
         ),
     ],
 )

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -12,8 +14,12 @@ from lkllt.lattice import convolve, dist_from_weights
 from lkllt.metrics import smoothing_term
 from lkllt.smoothing import (
     PairChainStats,
+    PairModel,
     _mean_se,
+    _state_counts,
     _var_se,
+    _weighted_mean_se,
+    _weighted_var_se,
     embedded_sum_bound,
     exact_pair_stats,
     mattner_roos_bound,
@@ -187,7 +193,18 @@ def test_mean_se_and_var_se_equal_numpy_reductions():
         x = table[index]
         want = (float(x.mean()), float(x.std(ddof=1) / math.sqrt(n)))
         assert _mean_se(x.copy()) == want
-        assert _var_se(x, table, index) == _var_se(x.copy(), x.copy(), None)
+        dev = x - x.mean()
+        var = float(np.dot(dev, dev) / (n - 1))
+        inner = float(np.mean(dev ** 4)) - (n - 3) / (n - 1) * var * var
+        assert _var_se(x) == (var, math.sqrt(max(inner, 0.0) / n))
+        # the same values as state counts: equal up to the order of the sums
+        w = np.bincount(index, minlength=states).astype(float)
+        for got, exact, unit in zip(
+            (*_weighted_mean_se(w, table), *_weighted_var_se(w, table)),
+            (*want, *_var_se(x)),
+            (scale, scale, scale ** 2, scale ** 2),
+        ):
+            assert math.isclose(got, exact, rel_tol=1e-12, abs_tol=1e-12 * unit)
 
     check()
 
@@ -218,8 +235,9 @@ def test_pair_stats_equal_concatenated_reference(make, m, reps, threads, monkeyp
 
 
 def test_pair_stats_memory_per_replicate(monkeypatch):
-    # int32 state index, Q(+m) and Q(-m) (20 bytes a replicate), and one
-    # more array of per-replicate values at a time: 3.5 doubles a replicate
+    # a ceiling of 3.5 doubles a replicate (an int32 state index, Q(+m),
+    # Q(-m) and one more array of per-replicate values); the state tally
+    # sits far under it
     monkeypatch.setenv("LKLLT_THREADS", "1")
     reps = 200_000
     model = CWPairModel(CWParams(100000, 0.5))
@@ -230,3 +248,58 @@ def test_pair_stats_memory_per_replicate(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * 8 * reps + 2e6
+
+
+def test_pair_stats_memory_does_not_grow_with_replicates_on_a_finite_state_model(monkeypatch):
+    # one count per state (17,107 states here): the peak is the sampler's
+    # tables and one block's draws, at 100k replicates as at 1.4M (a block
+    # generator kept per 4,096 replicates would add about 0.2 MB)
+    monkeypatch.setenv("LKLLT_THREADS", "1")
+    pair_stats(CWPairModel(CWParams(1000, 0.5)), 2, 5000, seed=2)  # numpy's one-time setup
+
+    def peak(reps):
+        model = CWPairModel(CWParams(100000, 0.5))
+        tracemalloc.start()
+        try:
+            pair_stats(model, 2, reps, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(100_000), peak(1_400_000)
+    assert large <= 2e6
+    assert abs(large - small) <= 0.1e6
+
+
+class _WideStates(PairModel):
+    # 2^20 states, so adding one block's counts takes about as long as
+    # drawing them
+    def __init__(self):
+        self.q_table = (np.zeros(1 << 20),) * 4
+
+    def q_block(self, rng, count, m):
+        return rng.integers(0, 1 << 20, count)
+
+
+def test_state_counts_lose_no_draw_under_contention(monkeypatch):
+    # four threads on two cores with a switch interval of a microsecond: an
+    # add into the shared counts outside the lock would lose a block's draws
+    reps = 32 * 4096 + 7
+    monkeypatch.setenv("LKLLT_THREADS", "1")
+    want = _state_counts(_WideStates(), 1, reps, seed=3)
+    assert want.sum() == reps
+    monkeypatch.setenv("LKLLT_THREADS", "4")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            got = []
+            runner = threading.Thread(
+                target=lambda: got.append(_state_counts(_WideStates(), 1, reps, 3))
+            )
+            runner.start()
+            runner.join(timeout=60)
+            assert not runner.is_alive()
+            assert np.array_equal(got[0], want)
+    finally:
+        sys.setswitchinterval(interval)
