@@ -62,12 +62,12 @@ class LatticeDist:
 
     def mean(self) -> float:
         k = np.arange(len(self.pmf))
-        return self.offset + float(np.dot(k, self.pmf))
+        return self.offset + float(np.add.reduce(np.multiply(k, self.pmf)))
 
     def variance(self) -> float:
         k = np.arange(len(self.pmf), dtype=float)
-        m = float(np.dot(k, self.pmf))
-        return float(np.dot((k - m) ** 2, self.pmf))
+        m = float(np.add.reduce(np.multiply(k, self.pmf)))
+        return float(np.add.reduce(np.multiply((k - m) ** 2, self.pmf)))
 
     def cdf(self) -> np.ndarray:
         """CDF values at the support points offset, offset+1, ..."""
@@ -188,7 +188,7 @@ def seq_norm(s: SignedSeq, p) -> float:
     if p == 1:
         return float(np.abs(s.values).sum())
     if p == 2:
-        return float(math.sqrt(np.dot(s.values, s.values)))
+        return float(math.sqrt(np.add.reduce(np.multiply(s.values, s.values))))
     if p == math.inf:
         return float(np.abs(s.values).max())
     raise InvalidParameter(f"unsupported norm p={p!r}")

@@ -145,4 +145,4 @@ def smoothing_term_dual(F: LatticeDist, n: int, m: int) -> float:
     # E (Delta_m^n g)(W): align dg with the pmf support
     pos = F.offset + np.arange(len(pmf)) - dg.offset
     ok = (pos >= 0) & (pos < len(dg.values))
-    return float(np.dot(pmf[ok], dg.values[pos[ok]]))
+    return float(np.add.reduce(np.multiply(pmf[ok], dg.values[pos[ok]])))

@@ -106,55 +106,43 @@ def embedded_sum_bound(k: int, u: float, beta: float, sigma2: float, tail_prob: 
     return (2.0 ** k) * tail_prob + 2.0 * core ** (k / 2.0)
 
 
-def _mean_se(x: np.ndarray) -> tuple[float, float]:
-    # x.mean() and x.std(ddof=1) / sqrt(n) bit for bit, by numpy's own steps
-    # (pairwise sums, the mean subtracted, the deviations squared), but with
-    # the deviations formed in x itself: x is overwritten
-    n = len(x)
-    mean = np.add.reduce(x) / n
-    np.subtract(x, mean, out=x)
-    np.multiply(x, x, out=x)
-    return float(mean), math.sqrt(np.add.reduce(x) / (n - 1)) / math.sqrt(n)
-
-
-def _var_se(x: np.ndarray) -> tuple[float, float]:
-    # unbiased variance of x and its moment-based standard error
-    n = len(x)
-    dev = x - x.mean()
-    var = float(np.dot(dev, dev) / (n - 1))
-    return var, _se_of_var(var, float(np.mean(np.power(dev, 4, out=dev))), n)
-
-
 def _se_of_var(var: float, m4: float, n: float) -> float:
     # standard error of an unbiased variance from the fourth central moment
     inner = m4 - (n - 3) / (n - 1) * var * var
     return math.sqrt(max(inner, 0.0) / n)
 
 
-def _weighted_mean_se(w: np.ndarray, x: np.ndarray) -> tuple[float, float]:
-    # _mean_se of the values x[i], each repeated w[i] times
+def _centred_sums(w: np.ndarray, x: np.ndarray, squarings) -> tuple:
+    # total weight, mean and each sum w (x - mean)^(2^k), k in squarings, of
+    # the values x[i] each repeated w[i] times, in one temporary array; unit
+    # weights give the pairwise sums of x.mean() and x.var() bit for bit
     n = np.add.reduce(w)
-    mean = np.add.reduce(np.multiply(w, x)) / n
-    dev = x - mean
-    ss = np.add.reduce(np.multiply(w, dev * dev))
+    tmp = np.multiply(w, x)
+    mean = np.add.reduce(tmp) / n
+    sums = []
+    for k in squarings:
+        np.subtract(x, mean, out=tmp)
+        for _ in range(k):
+            np.multiply(tmp, tmp, out=tmp)
+        sums.append(np.add.reduce(np.multiply(w, tmp, out=tmp)))
+    return n, mean, sums
+
+
+def _weighted_mean_se(w: np.ndarray, x: np.ndarray) -> tuple[float, float]:
+    n, mean, (ss,) = _centred_sums(w, x, (1,))
     return float(mean), math.sqrt(ss / (n - 1)) / math.sqrt(n)
 
 
 def _weighted_var_se(w: np.ndarray, x: np.ndarray) -> tuple[float, float]:
-    # _var_se of the values x[i], each repeated w[i] times
-    n = np.add.reduce(w)
-    dev2 = x - np.add.reduce(np.multiply(w, x)) / n
-    dev2 *= dev2
-    var = float(np.add.reduce(np.multiply(w, dev2)) / (n - 1))
-    return var, _se_of_var(var, float(np.add.reduce(np.multiply(w, dev2 * dev2)) / n), n)
+    n, _, (ss, s4) = _centred_sums(w, x, (1, 2))
+    var = float(ss / (n - 1))
+    return var, _se_of_var(var, float(s4 / n), n)
 
 
-def _replicate_estimates(model: PairModel, m: int, replicates: int, seed: int) -> list:
-    # (estimate, se) of q_m, Var Q(+m), Var Q(-m), E|Q(m,m) - Q(m)^2| and
-    # E|Q(-m,-m) - Q(-m)^2| from per-replicate arrays filled by the blocks
-    q = np.empty(2 * replicates)
-    qp, qm = q[:replicates], q[replicates:]
-    outs = (qp, qm, np.empty(replicates), np.empty(replicates))
+def _replicate_values(model: PairModel, m: int, replicates: int, seed: int) -> tuple:
+    # unit weights (a stride-0 view) and Q(+m), Q(-m), Q(m,m), Q(-m,-m) per
+    # replicate, written by the blocks in replicate order
+    outs = tuple(np.empty(replicates) for _ in range(4))
 
     def block(start, count, rng):
         for dst, vals in zip(outs, model.q_block(rng, count, m)):
@@ -162,14 +150,7 @@ def _replicate_estimates(model: PairModel, m: int, replicates: int, seed: int) -
 
     block.stride = model.stride
     map_blocks(block, seed, replicates)
-    var_p, var_m = _var_se(qp), _var_se(qm)
-    ediffs = []
-    for two, one in zip(outs[2:], outs[:2]):
-        # |Q(m,m) - Q(m)^2|, formed in the two-step array
-        np.subtract(two, one ** 2, out=two)
-        ediffs.append(_mean_se(np.abs(two, out=two)))
-    # last: it overwrites Q(+m) and Q(-m)
-    return [_mean_se(q), var_p, var_m, *ediffs]
+    return (np.broadcast_to(1.0, replicates), *outs)
 
 
 def _state_counts(model: PairModel, m: int, replicates: int, seed: int) -> np.ndarray:
@@ -189,12 +170,9 @@ def _state_counts(model: PairModel, m: int, replicates: int, seed: int) -> np.nd
     return counts
 
 
-def _tallied_estimates(model: PairModel, m: int, replicates: int, seed: int) -> list:
-    # the estimates of _replicate_estimates from the states' draw counts
-    counts = _state_counts(model, m, replicates, seed)
-    drawn = np.flatnonzero(counts)
-    w = counts[drawn].astype(float)
-    qp, qm, qpp, qmm = (table[drawn] for table in model.q_table)
+def _estimates(w, qp, qm, qpp, qmm) -> list:
+    # (estimate, se) of q_m, Var Q(+m), Var Q(-m), E|Q(m,m) - Q(m)^2| and
+    # E|Q(-m,-m) - Q(-m)^2| over values weighted by w
     return [
         _weighted_mean_se(np.concatenate([w, w]), np.concatenate([qp, qm])),
         _weighted_var_se(w, qp),
@@ -211,22 +189,24 @@ def pair_stats(model: PairModel, m: int, replicates: int, seed: int) -> PairChai
     """Estimate the pair-chain quantities by stationary Monte Carlo.
 
     The jump rate q_m is the pooled mean of both directional evaluators.
-    For a finite-state model (one with ``q_table``) the blocks only count
-    how often each state is drawn, and every estimate is a sum over the
-    drawn states of count times the state's value; memory is one int64
-    count per state, whatever the replicate count.  Otherwise the blocks
-    write Q(+m), Q(-m), Q(m,m) and Q(-m,-m) in replicate order into arrays
-    made before sampling (32 bytes per replicate, plus one more array of
-    per-replicate values at a time).  Either way the estimates do not depend
-    on the execution schedule.
+    A finite-state model (one with ``q_table``) keeps one int64 draw count
+    per state, whatever the replicate count, and each drawn state weighs its
+    values by its count; any other model keeps Q(+m), Q(-m), Q(m,m) and
+    Q(-m,-m) per replicate, in replicate order, at unit weight.  One weighted
+    reduction serves both, and its result does not depend on the schedule.
     """
     if m < 1:
         raise InvalidParameter("m must be a positive integer")
     if replicates < 2:
         raise InvalidParameter("replicates must be >= 2")
-    estimate = _replicate_estimates if model.q_table is None else _tallied_estimates
+    if model.q_table is None:
+        values = _replicate_values(model, m, replicates, seed)
+    else:
+        counts = _state_counts(model, m, replicates, seed)
+        drawn = np.flatnonzero(counts)
+        values = (counts[drawn].astype(float), *(table[drawn] for table in model.q_table))
     fields = {}
-    for name, (value, se) in zip(_ESTIMATED, estimate(model, m, replicates, seed)):
+    for name, (value, se) in zip(_ESTIMATED, _estimates(*values)):
         fields[name], fields["se_" + name] = value, se
     if fields["q_m"] <= 0.0:
         raise DegenerateChain("estimated jump rate is zero")

@@ -257,16 +257,18 @@ def cw_draws_per_replicate(model: CWPairModel, replicates: int, seed: int) -> np
 def pair_stats_from_replicates(m: int, qp, qm, qpp, qmm) -> PairChainStats:
     """The pair-chain estimates from per-replicate arrays, reduced the direct
     way: the pooled mean and every standard error from numpy's ``mean`` and
-    ``std`` over fresh copies, and the fourth powers over all replicates."""
+    ``std`` over fresh copies, and the variances from numpy's pairwise sums of
+    the squared deviations and of their squares over all replicates."""
 
     def mean_se(x):
         return float(x.mean()), float(x.std(ddof=1) / math.sqrt(len(x)))
 
     def var_se(x):
         n = len(x)
-        dev = x - x.mean()
-        var = float(np.dot(dev, dev) / (n - 1))
-        inner = float(np.mean(dev ** 4)) - (n - 3) / (n - 1) * var * var
+        dev2 = x - x.mean()
+        dev2 *= dev2
+        var = float(np.add.reduce(dev2) / (n - 1))
+        inner = float(np.add.reduce(dev2 * dev2) / n) - (n - 3) / (n - 1) * var * var
         return var, math.sqrt(max(inner, 0.0) / n)
 
     q_m, se_q_m = mean_se(np.concatenate([qp, qm]))

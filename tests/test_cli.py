@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -165,16 +166,16 @@ def test_exact_law_outputs_match_goldens(command, capsys):
 
 # SHA-256 of the stdout of the seeded Monte Carlo commands of the benchmark
 # at seed 1, pinned from the per-replicate samplers and reductions that the
-# block samplers and the finite-state pair model replaced (`bounds --model
-# cw` from the reduction over its state counts); every thread count must
-# reproduce them.
+# block samplers and the finite-state pair model replaced (the three
+# `bounds` commands from the one weighted reduction of pair_stats); every
+# thread count must reproduce them.
 SEEDED_GOLDEN_SHA256 = {
     "bounds --model cw --n 100000 --beta 0.5 --reps 1400000 --seed 1":
         "7f4e0c841dd3b09fb1ddc219612cf852be76f275de1911d231b435e6c8627a7b",
     "bounds --model er-iso --n 6 --p 0.5 --reps 22000 --seed 1":
-        "56cbdcb811b45c6f4d9d5ef8e5a997030024a68abc1acf6f8b123435d980c52d",
+        "75a0058100f3f7b4a9a33e2a6cfeda341892fda46cf0870d3227eb474b0e563c",
     "bounds --model er-tri --n 12 --p 0.25 --reps 2200 --seed 1":
-        "ff6c75abed8b9dcee641c46b18e00592c2470773a30a49560289877615c5a1bd",
+        "5f21499e682c4866192a5c8b882dc38f5b10c69ed2bf0196198cc4cb11aa920a",
     "er iso --n 2000 --p 0.0005 --reps 7000 --seed 1":
         "2ccb0620de19c91a42da2572db95ef7ca45cf4310f4acf90f8b95b3f1b0041d0",
     "er tri --n 64 --p 0.125 --reps 6000 --seed 1":
@@ -201,6 +202,9 @@ def test_seeded_outputs_match_goldens(command, threads, capsys, monkeypatch):
         "bounds --model cw --n 30 --beta 0.4 --reps 30000 --seed 6",
         # 17,107 states: long enough that np.dot would hand them to threaded BLAS
         "bounds --model cw --n 100000 --beta 0.5 --reps 200000 --seed 6",
+        # per-replicate values: 22,000 terms to each variance, 44,000 to q_m
+        "bounds --model er-iso --n 6 --p 0.5 --reps 22000 --seed 1",
+        "bounds --model er-tri --n 12 --p 0.25 --reps 22000 --seed 1",
     ],
 )
 def test_openblas_thread_count_does_not_change_bytes(command):
@@ -219,6 +223,41 @@ def test_openblas_thread_count_does_not_change_bytes(command):
         outs.append(run.stdout)
     assert outs[0] == outs[1]
 
+
+
+def _blas_reductions(source: str, filename: str) -> list[tuple[str, int]]:
+    """(enclosing top-level definition, line) of every np.dot, np.inner,
+    np.vdot and ``.dot(`` call in a module's source."""
+    found = []
+    for top in ast.parse(source, filename).body:
+        for node in ast.walk(top):
+            func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+            if isinstance(func, ast.Attribute) and (
+                func.attr == "dot"
+                or func.attr in ("inner", "vdot") and getattr(func.value, "id", None) == "np"
+            ):
+                found.append((getattr(top, "name", "<module>"), node.lineno))
+    return found
+
+
+def test_blas_reductions_are_left_only_in_exact_pair_stats():
+    # OpenBLAS sums a long dot product in an order that depends on its thread
+    # count, so every other reduction is numpy's own pairwise sum; np.matmul
+    # is left out, since _tri_q_block multiplies 0/1 float32 matrices exactly
+    assert _blas_reductions(
+        "import numpy as np\n"
+        "def f(a):\n"
+        "    return np.dot(a, a) + a.dot(a) + np.inner(a, a) + np.vdot(a, a) + np.matmul(a, a)\n",
+        "<probe>",
+    ) == [("f", 3)] * 4
+    src = Path(cli.__file__).resolve().parents[1]
+    outside = [
+        (str(path.relative_to(src)), *call)
+        for path in sorted(src.rglob("*.py"))
+        for call in _blas_reductions(path.read_text(), str(path))
+        if (str(path.relative_to(src)), call[0]) != ("lkllt/smoothing.py", "exact_pair_stats")
+    ]
+    assert outside == []
 
 def test_deep_independent_set_search_exits_cleanly(capsys):
     # 1500 points at b = 0.05 make a take branch deeper than the recursion limit
@@ -276,17 +315,17 @@ def test_triangle_bounds_fill_the_two_step_fields_beyond_n16(capsys):
     status, out = run_cli(TRIANGLE_BOUNDS_N20.split(), capsys)
     assert status == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "57a16766f76aa36a76669641c350ccfb88bb06c44f9c9edd48ad09f389a90e38"
+        "5861cd9187d9beb79b9095b75b57c9f20b4fe22c7dc464e4338f1ea5c976b282"
     )
     payload = json.loads(out)
     stats = payload["stats"]
     assert stats["q_m"] == 0.06830993152884651
-    assert stats["var_q_plus"] == 0.0002773232794978332
-    assert stats["var_q_minus"] == 0.00025574783597425885
+    assert stats["var_q_plus"] == 0.0002773232794978333
+    assert stats["var_q_minus"] == 0.00025574783597425896
     assert stats["se_q_m"] == 0.00018035451660086292
-    assert stats["se_var_q_plus"] == 5.718199545076158e-06
-    assert stats["se_var_q_minus"] == 5.5435380061783745e-06
-    assert payload["d1_pair_bound"] == 0.4778974790113492
+    assert stats["se_var_q_plus"] == 5.718199545076157e-06
+    assert stats["se_var_q_minus"] == 5.543538006178374e-06
+    assert payload["d1_pair_bound"] == 0.4778974790113493
     for value in (
         payload["d2_pair_bound"], stats["ediff_plus"], stats["ediff_minus"],
         stats["se_ediff_plus"], stats["se_ediff_minus"],

@@ -15,9 +15,7 @@ from lkllt.metrics import smoothing_term
 from lkllt.smoothing import (
     PairChainStats,
     PairModel,
-    _mean_se,
     _state_counts,
-    _var_se,
     _weighted_mean_se,
     _weighted_var_se,
     embedded_sum_bound,
@@ -191,17 +189,22 @@ def test_mean_se_and_var_se_equal_numpy_reductions():
         table = rng.random(states) * scale
         index = rng.integers(0, states, n).astype(np.int32)
         x = table[index]
+        # unit weights, as per-replicate values get them: numpy's reductions
+        # bit for bit, the variance from pairwise sums of the squared deviations
+        ones = np.broadcast_to(1.0, n)
         want = (float(x.mean()), float(x.std(ddof=1) / math.sqrt(n)))
-        assert _mean_se(x.copy()) == want
-        dev = x - x.mean()
-        var = float(np.dot(dev, dev) / (n - 1))
-        inner = float(np.mean(dev ** 4)) - (n - 3) / (n - 1) * var * var
-        assert _var_se(x) == (var, math.sqrt(max(inner, 0.0) / n))
+        assert _weighted_mean_se(ones, x) == want
+        dev2 = x - x.mean()
+        dev2 *= dev2
+        var = float(np.add.reduce(dev2) / (n - 1))
+        inner = float(np.add.reduce(dev2 * dev2) / n) - (n - 3) / (n - 1) * var * var
+        want_var = (var, math.sqrt(max(inner, 0.0) / n))
+        assert _weighted_var_se(ones, x) == want_var
         # the same values as state counts: equal up to the order of the sums
         w = np.bincount(index, minlength=states).astype(float)
         for got, exact, unit in zip(
             (*_weighted_mean_se(w, table), *_weighted_var_se(w, table)),
-            (*want, *_var_se(x)),
+            (*want, *want_var),
             (scale, scale, scale ** 2, scale ** 2),
         ):
             assert math.isclose(got, exact, rel_tol=1e-12, abs_tol=1e-12 * unit)
@@ -248,6 +251,22 @@ def test_pair_stats_memory_per_replicate(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * 8 * reps + 2e6
+
+
+def test_pair_stats_memory_per_replicate_on_a_model_without_states(monkeypatch):
+    # a ceiling of 10 doubles a replicate: Q(+m), Q(-m), Q(m,m), Q(-m,-m),
+    # then the pooled values, their unit weights and one temporary of the
+    # pooled length; the per-replicate unit weights are a stride-0 view
+    monkeypatch.setenv("LKLLT_THREADS", "1")
+    reps = 200_000
+    model = ERPairModel(6, 0.5, "isolated")
+    tracemalloc.start()
+    try:
+        pair_stats(model, 1, reps, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 8 * reps + 2e6
 
 
 def test_pair_stats_memory_does_not_grow_with_replicates_on_a_finite_state_model(monkeypatch):
