@@ -26,9 +26,9 @@ from .errors import DegenerateChain, InvalidParameter, TooLarge
 from .rngutil import map_blocks
 from .smoothing import PairChainStats, PairModel, exact_pair_stats, pair_bound_d1, pair_bound_d2
 
-_MAX_Q_EVAL_N = 512  # per-graph jump evaluation beyond this uses moment-only paths
+_MAX_Q_EVAL_N = 512  # ERPairModel raises TooLarge for triangles beyond this n
 _CHUNK_CELLS = 1 << 18  # adjacency cells per evaluation sub-chunk: a few MB of temporaries
-_TWO_STEP_CELLS = _CHUNK_CELLS // 8  # per two-step triangle sub-chunk: under 1.5 MB of temporaries
+_TWO_STEP_CELLS = _CHUNK_CELLS // 8  # per two-step triangle sub-chunk: 0.85 MB tracemalloc peak
 _SAMPLE_CELLS = _CHUNK_CELLS // 4  # per triangle-count sub-chunk: about 1 MB of temporaries
 _ISO_POSITIONS = 1 << 14  # gap positions per isolated-count sub-chunk: 128 KB per int64 array
 
@@ -100,17 +100,11 @@ def _slot_bits(n: int, p: float, rng: np.random.Generator, count: int) -> np.nda
     return bits
 
 
-def _gnp_slots(n: int, p: float, rng: np.random.Generator, count: int):
-    """Pair-slot bits (count, C(n,2)) and boolean adjacency stack (count, n, n)
-    of independent G(n, p) draws from ``_slot_bits``.
-
-    The adjacency is one gather of the bits through ``_cell_slots``, whose
-    diagonal reads the False column past the last slot; the bits returned
-    are a view that leaves that column out.
-    """
-    bits = _slot_bits(n, p, rng, count)
-    adj = bits.take(_cell_slots(n), axis=1).reshape(count, n, n)
-    return bits[:, :-1], adj
+def _gnp_adjacency(n: int, p: float, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Boolean adjacency stack (count, n, n) of independent G(n, p) draws
+    from ``_slot_bits``: one gather of the bits through ``_cell_slots``,
+    whose diagonal reads the False column past the last slot."""
+    return _slot_bits(n, p, rng, count).take(_cell_slots(n), axis=1).reshape(count, n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +250,11 @@ def iso_smoothing_bounds(n: int, p: float) -> IsoBounds:
 @dataclass(frozen=True)
 class TriForms:
     """Closed forms for the triangle statistic: the +1 jump rate, the
-    variance of the count, upper bounds for the jump-probability variances
-    (grouped covariance sums) and the exact two-step mean differences."""
+    variance of the count and upper bounds for the jump-probability
+    variances (grouped covariance sums).  ``ediff_plus/minus`` are not the
+    two-step mean differences E|Q(+-1,+-1) - Q(+-1)^2|: Monte Carlo puts
+    those 27 to 224 standard errors away (the strict xfail of
+    ``test_tri_closed_form_two_step_gap_matches_monte_carlo``)."""
 
     q1: float
     sigma2: float
@@ -273,7 +270,6 @@ def tri_closed_forms(n: int, p: float) -> TriForms:
     if not 0.0 < p < 1.0:
         raise InvalidParameter("p must lie in (0, 1)")
     c2 = comb(n, 2)
-    q = lambda k: _qpow(p, k)
     q1 = (n - 2) * p ** 3 * (1 - p) * (1 - p * p) ** (n - 3)
     sigma2 = comb(n, 3) * (p ** 3 * (1 - p ** 3) + 3 * (n - 3) * p ** 5 * (1 - p))
 
@@ -325,51 +321,43 @@ def tri_closed_forms(n: int, p: float) -> TriForms:
     return TriForms(q1, sigma2, var_q1, var_qn1, ediff_plus, ediff_minus)
 
 
-def _tri_q_block(bits: np.ndarray, adj: np.ndarray, p: float):
+def _tri_q_block(adj: np.ndarray, p: float):
     """(Q(+1), Q(-1), Q(1,1), Q(-1,-1)) of the triangle count for every graph
-    in a (count, n, n) adjacency stack whose pair-slot bits are ``bits``, as
-    ``_gnp_slots`` returns both.
+    in a (count, n, n) adjacency stack.
 
     A resampled pair changes the count by exactly +-1 precisely when its two
     endpoints have exactly one common neighbour: adding the missing edge
     completes one triangle, removing the present edge destroys one.  The
-    common-neighbour counts come from one batched product C = A.A (float32
-    holds these integers, at most n - 2, exactly).
+    common-neighbour counts come from one batched product C = A.A, exact in
+    float32; its diagonal holds the degrees, not moves.
 
     Toggling pair (i, j) changes only C(i, k), by A(j, k), and C(j, k), by
     A(i, k).  Adding it turns a count of 0 into 1 and one of 1 into 2 where
     k ~ j only, so the number of pairs with one common neighbour moves by
     M(i, j) + M(j, i), M = (([C = 0] - [C = 1]) o (1 - A)).A.  Removing it
     turns 2 into 1 and 1 into 0 where k ~ i and k ~ j, a move of
-    N(i, j) + N(j, i), N = (([C = 2] - [C = 1]) o A).A.  The entries of both
-    products are sums of at most n terms in {-1, 0, 1}, exact in float32.
-    The two-step terms are added per graph in upper-triangle slot order, the
-    order of a sum over that graph's candidate moves.
+    N(i, j) + N(j, i), N = (([C = 2] - [C = 1]) o A).A, both exact in
+    float32.  After each of the k moves of a sign, at rate r, k - 1 + gain
+    moves remain, so with G the sum of their gains Q(+-1,+-1) =
+    (r / C(n,2))^2 (k (k - 1) + G); k and G are sums of integers, exact in
+    float64 in any order.
     """
     n = adj.shape[1]
     c2 = comb(n, 2)
     a = adj.astype(np.float32)
     common = np.matmul(a, a)
-    ii, jj = _triu_index_arrays(n)
-    one = common[:, ii, jj] == 1
-    up = one & ~bits
-    down = one & bits
-    n_up = np.count_nonzero(up, axis=1)
-    n_down = np.count_nonzero(down, axis=1)
-    qp = p * n_up / c2
-    qm = (1 - p) * n_down / c2
-    eq1 = (common == 1).astype(np.float32)
-    two_step_q = []
-    for r, move, n_moves, to_one, side in (
-        (p, up, n_up, 0, 1 - a),  # M: a count of 0 becomes 1 where A(i, k) = 0
-        (1 - p, down, n_down, 2, a),  # N: a count of 2 becomes 1 where A(i, k) = 1
+    one = (common == 1) & ~np.eye(n, dtype=bool)
+    q, two_step_q = [], []
+    for r, move, to_one, side in (
+        (p, one & ~adj, 0, 1 - a),  # M: a count of 0 becomes 1 where A(i, k) = 0
+        (1 - p, one & adj, 2, a),  # N: a count of 2 becomes 1 where A(i, k) = 1
     ):
-        change = np.matmul(((common == to_one) - eq1) * side, a)
-        gain = (change[:, ii, jj] + change[:, jj, ii]).astype(np.int64)
-        q_next = r * (n_moves[:, None] - 1 + gain) / c2
-        # cumsum adds in slot order; np.sum would pair the terms up
-        two_step_q.append(np.where(move, r / c2 * q_next, 0.0).cumsum(axis=1)[:, -1])
-    return qp, qm, *two_step_q
+        k = np.add.reduce(move, axis=(1, 2), dtype=np.float64) / 2  # each pair twice
+        change = np.matmul(np.subtract(common == to_one, one, dtype=np.float32) * side, a)
+        gains = np.add.reduce(change * move, axis=(1, 2), dtype=np.float64)
+        q.append(r * k / c2)
+        two_step_q.append((r / c2) ** 2 * (k * (k - 1) + gains))
+    return *q, *two_step_q
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +384,7 @@ class ERPairModel(PairModel):
         if statistic == "triangles" and n > _MAX_Q_EVAL_N:
             raise TooLarge(f"per-graph jump evaluation capped at n = {_MAX_Q_EVAL_N}")
         self.n, self.p, self.statistic = n, p, statistic
-        self.stride = _gnp_stride(n)  # q_block draws its graphs by _gnp_slots
+        self.stride = _gnp_stride(n)  # q_block draws its graphs by _gnp_adjacency
 
     def q_block(self, rng: np.random.Generator, count: int, m: int):
         if self.statistic == "isolated" and m not in (1, 2):
@@ -408,11 +396,11 @@ class ERPairModel(PairModel):
         cells = _CHUNK_CELLS if self.statistic == "isolated" else _TWO_STEP_CELLS
         step = max(1, cells // (n * n))
         for start in range(0, count, step):
-            bits, adj = _gnp_slots(n, p, rng, min(step, count - start))
+            adj = _gnp_adjacency(n, p, rng, min(step, count - start))
             if self.statistic == "isolated":
                 vals = _iso_q_from_counts(n, p, *_iso_counts(adj), m)
             else:
-                vals = _tri_q_block(bits, adj, p)
+                vals = _tri_q_block(adj, p)
             for dst, v in zip(out, vals):
                 dst[start:start + len(adj)] = v
         return tuple(out)

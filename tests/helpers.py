@@ -155,8 +155,8 @@ def tri_q_block_per_slot(adj: np.ndarray, p: float):
     """(Q(+1), Q(-1), Q(1,1), Q(-1,-1)) of the triangle count for every graph
     of a (count, n, n) adjacency stack, the two-step values by a loop over
     the pair slots in upper-triangle order that updates the common-neighbour
-    counts of the two rows a move touches.  The reference for
-    ``_tri_q_block``'s bytes."""
+    counts of the two rows a move touches and adds up the integer gains of
+    the moves.  The reference for ``_tri_q_block``'s bytes."""
     n = adj.shape[1]
     c2 = comb(n, 2)
     a = adj.astype(np.float32)
@@ -169,8 +169,8 @@ def tri_q_block_per_slot(adj: np.ndarray, p: float):
     n_up = np.count_nonzero(up, axis=1)
     n_down = np.count_nonzero(down, axis=1)
     eq0, eq1, eq2 = common == 0, common == 1, common == 2
-    qpp = np.zeros(len(adj))
-    qmm = np.zeros(len(adj))
+    gains_up = np.zeros(len(adj), dtype=np.int64)
+    gains_down = np.zeros(len(adj), dtype=np.int64)
     for t, (i, j) in enumerate(zip(ii.tolist(), jj.tolist())):
         add, remove = up[:, t], down[:, t]
         ai, aj = adj[:, i], adj[:, j]
@@ -184,8 +184,7 @@ def tri_q_block_per_slot(adj: np.ndarray, p: float):
                 - np.count_nonzero(only_j & eq1[:, i], axis=1)
                 - np.count_nonzero(only_i & eq1[:, j], axis=1)
             )
-            q1_next = p * (n_up - 1 + gain) / c2
-            qpp += np.where(add, p / c2 * q1_next, 0.0)
+            gains_up += np.where(add, gain, 0)
         if remove.any():
             # removing (i, j): common(i, k) and common(j, k) drop by 1 where
             # k ~ i and k ~ j; a count of 2 becomes 1, a count of 1 leaves 1
@@ -196,8 +195,10 @@ def tri_q_block_per_slot(adj: np.ndarray, p: float):
                 - np.count_nonzero(both & eq1[:, i], axis=1)
                 - np.count_nonzero(both & eq1[:, j], axis=1)
             )
-            qn1_next = (1 - p) * (n_down - 1 + gain) / c2
-            qmm += np.where(remove, (1 - p) / c2 * qn1_next, 0.0)
+            gains_down += np.where(remove, gain, 0)
+    # the second step finds n_up - 1 + gain moves after each of the n_up first ones
+    qpp = (p / c2) ** 2 * (n_up * (n_up - 1) + gains_up)
+    qmm = ((1 - p) / c2) ** 2 * (n_down * (n_down - 1) + gains_down)
     return p * n_up / c2, (1 - p) * n_down / c2, qpp, qmm
 
 

@@ -17,7 +17,7 @@ from lkllt import cli
 from lkllt.curie_weiss import CWPairModel, CWParams, cw_exact_pmf, cw_rate_experiment
 from lkllt.er import (
     ERPairModel,
-    _gnp_slots,
+    _gnp_adjacency,
     _iso_counts,
     _iso_q_from_counts,
     _tri_q_block,
@@ -68,14 +68,14 @@ def test_criterion_2_q_function_equivalence():
     for n in (4, 5, 6):
         for _ in range(20):
             p = float(rng.uniform(0.1, 0.9))
-            bits, adj = _gnp_slots(n, p, rng, 1)
+            adj = _gnp_adjacency(n, p, rng, 1)
             iso_bf = chain_step_probabilities(adj[0], p, isolated_count)
             for m in (1, 2):
                 q, qn, _, _ = _iso_q_from_counts(n, p, *_iso_counts(adj), m)
                 for jump, closed in ((m, q), (-m, qn)):
                     worst = max(worst, abs(float(closed[0]) - iso_bf.get(jump, 0.0)))
             tri_bf = chain_step_probabilities(adj[0], p, triangle_count)
-            q1, qn1, _, _ = _tri_q_block(bits, adj, p)
+            q1, qn1, _, _ = _tri_q_block(adj, p)
             worst = max(worst, abs(float(q1[0]) - tri_bf.get(1, 0.0)))
             worst = max(worst, abs(float(qn1[0]) - tri_bf.get(-1, 0.0)))
     elapsed = time.perf_counter() - t0

@@ -167,15 +167,16 @@ def test_exact_law_outputs_match_goldens(command, capsys):
 # SHA-256 of the stdout of the seeded Monte Carlo commands of the benchmark
 # at seed 1, pinned from the per-replicate samplers and reductions that the
 # block samplers and the finite-state pair model replaced (the three
-# `bounds` commands from the one weighted reduction of pair_stats); every
-# thread count must reproduce them.
+# `bounds` commands from the one weighted reduction of pair_stats, er-tri's
+# two-step values from exact integer move counts); every thread count must
+# reproduce them.
 SEEDED_GOLDEN_SHA256 = {
     "bounds --model cw --n 100000 --beta 0.5 --reps 1400000 --seed 1":
         "7f4e0c841dd3b09fb1ddc219612cf852be76f275de1911d231b435e6c8627a7b",
     "bounds --model er-iso --n 6 --p 0.5 --reps 22000 --seed 1":
         "75a0058100f3f7b4a9a33e2a6cfeda341892fda46cf0870d3227eb474b0e563c",
     "bounds --model er-tri --n 12 --p 0.25 --reps 2200 --seed 1":
-        "5f21499e682c4866192a5c8b882dc38f5b10c69ed2bf0196198cc4cb11aa920a",
+        "1253db575ca0d5edba951ed71b63e48e6ae9092effa457dcb92a2004f345ffe6",
     "er iso --n 2000 --p 0.0005 --reps 7000 --seed 1":
         "2ccb0620de19c91a42da2572db95ef7ca45cf4310f4acf90f8b95b3f1b0041d0",
     "er tri --n 64 --p 0.125 --reps 6000 --seed 1":
@@ -205,6 +206,8 @@ def test_seeded_outputs_match_goldens(command, threads, capsys, monkeypatch):
         # per-replicate values: 22,000 terms to each variance, 44,000 to q_m
         "bounds --model er-iso --n 6 --p 0.5 --reps 22000 --seed 1",
         "bounds --model er-tri --n 12 --p 0.25 --reps 22000 --seed 1",
+        # float32 np.matmul over 64 x 64 adjacency blocks, large enough for threaded BLAS
+        "bounds --model er-tri --n 64 --p 0.125 --reps 300 --seed 1",
     ],
 )
 def test_openblas_thread_count_does_not_change_bytes(command):
@@ -225,37 +228,61 @@ def test_openblas_thread_count_does_not_change_bytes(command):
 
 
 
-def _blas_reductions(source: str, filename: str) -> list[tuple[str, int]]:
-    """(enclosing top-level definition, line) of every np.dot, np.inner,
-    np.vdot and ``.dot(`` call in a module's source."""
+_BLAS_CALLS = ("dot", "einsum", "inner", "matmul", "tensordot", "vdot")
+
+
+def _blas_reductions(source: str, filename: str) -> list[tuple[str, int, str]]:
+    """(enclosing top-level definition, line, form) of every np.dot, np.inner,
+    np.vdot, np.einsum, np.tensordot, np.matmul, ``.dot(`` call and ``@``
+    operator in a module's source, in line order."""
     found = []
     for top in ast.parse(source, filename).body:
         for node in ast.walk(top):
             func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
             if isinstance(func, ast.Attribute) and (
                 func.attr == "dot"
-                or func.attr in ("inner", "vdot") and getattr(func.value, "id", None) == "np"
+                or func.attr in _BLAS_CALLS and getattr(func.value, "id", None) == "np"
             ):
-                found.append((getattr(top, "name", "<module>"), node.lineno))
-    return found
+                form = func.attr
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                form = "@"
+            else:
+                continue
+            found.append((getattr(top, "name", "<module>"), node.lineno, form))
+    return sorted(found)
 
 
 def test_blas_reductions_are_left_only_in_exact_pair_stats():
     # OpenBLAS sums a long dot product in an order that depends on its thread
     # count, so every other reduction is numpy's own pairwise sum; np.matmul
-    # is left out, since _tri_q_block multiplies 0/1 float32 matrices exactly
+    # is left only to _tri_q_block, which multiplies 0/1 float32 matrices
+    # exactly
     assert _blas_reductions(
         "import numpy as np\n"
         "def f(a):\n"
-        "    return np.dot(a, a) + a.dot(a) + np.inner(a, a) + np.vdot(a, a) + np.matmul(a, a)\n",
+        "    b = np.dot(a, a) + a.dot(a) + np.inner(a, a) + np.vdot(a, a)\n"
+        "    b = b + np.einsum('ij,jk', a, a)\n"
+        "    b = b + np.tensordot(a, a)\n"
+        "    b = b + np.matmul(a, a)\n"
+        "    b = b + a @ a\n"
+        "    b @= a\n"
+        "    return np.add.reduce(b)\n",
         "<probe>",
-    ) == [("f", 3)] * 4
+    ) == [
+        ("f", 3, "dot"), ("f", 3, "dot"), ("f", 3, "inner"), ("f", 3, "vdot"),
+        ("f", 4, "einsum"), ("f", 5, "tensordot"), ("f", 6, "matmul"),
+        ("f", 7, "@"), ("f", 8, "@"),
+    ]
+    allowed = {
+        ("lkllt/smoothing.py", "exact_pair_stats", "dot"),
+        ("lkllt/er.py", "_tri_q_block", "matmul"),
+    }
     src = Path(cli.__file__).resolve().parents[1]
     outside = [
         (str(path.relative_to(src)), *call)
         for path in sorted(src.rglob("*.py"))
         for call in _blas_reductions(path.read_text(), str(path))
-        if (str(path.relative_to(src)), call[0]) != ("lkllt/smoothing.py", "exact_pair_stats")
+        if (str(path.relative_to(src)), call[0], call[2]) not in allowed
     ]
     assert outside == []
 
@@ -315,7 +342,7 @@ def test_triangle_bounds_fill_the_two_step_fields_beyond_n16(capsys):
     status, out = run_cli(TRIANGLE_BOUNDS_N20.split(), capsys)
     assert status == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "5861cd9187d9beb79b9095b75b57c9f20b4fe22c7dc464e4338f1ea5c976b282"
+        "ff85f927434d48ab421ae8d7b37101689a230d36788bc1cd69fa2f3d54759ecb"
     )
     payload = json.loads(out)
     stats = payload["stats"]
@@ -326,11 +353,33 @@ def test_triangle_bounds_fill_the_two_step_fields_beyond_n16(capsys):
     assert stats["se_var_q_plus"] == 5.718199545076157e-06
     assert stats["se_var_q_minus"] == 5.543538006178374e-06
     assert payload["d1_pair_bound"] == 0.4778974790113493
-    for value in (
-        payload["d2_pair_bound"], stats["ediff_plus"], stats["ediff_minus"],
-        stats["se_ediff_plus"], stats["se_ediff_minus"],
-    ):
-        assert math.isfinite(value) and value > 0
+    assert stats["ediff_plus"] == 0.00022302157446466136
+    assert stats["ediff_minus"] == 0.00021588906685994762
+    assert stats["se_ediff_plus"] == 1.6193986675849678e-06
+    assert stats["se_ediff_minus"] == 1.9830709898286593e-06
+    assert payload["d2_pair_bound"] == 0.32254035295670186
+
+
+def _er_p_column(command: str, capsys) -> list[float]:
+    status, out = run_cli(command.split() + ["--format", "json"], capsys)
+    assert status == 0
+    return json.loads(out)["columns"]["p"]
+
+
+def test_er_p_modes_scale_p_with_n(capsys):
+    assert _er_p_column(
+        "er iso --n-grid 10:20:x2 --p-mode c-over-n --p-coeff 2 --reps 50 --seed 1", capsys
+    ) == [0.2, 0.1]
+    assert _er_p_column(
+        "er tri --n-grid 8:16:x2 --p-mode power --p-coeff 1 --p-alpha 0.5 --reps 50 --seed 1",
+        capsys,
+    ) == [8 ** -0.5, 0.25]
+
+
+def test_er_const_p_mode_without_p_exits_2(capsys):
+    status = cli.main("er tri --n-grid 8:16:x2 --reps 50 --seed 1".split())
+    assert status == 2
+    assert "provide --p for p-mode const" in capsys.readouterr().err
 
 
 def test_json_format(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -21,11 +22,13 @@ from lkllt.er import (
     _enumerated_triangles,
     _gap_chunk,
     _geometric_gaps,
-    _gnp_slots,
+    _gnp_adjacency,
     _isolated_count_block,
     _iso_counts,
     _iso_q_from_counts,
+    _slot_bits,
     _slot_decoder,
+    _tri_bound_columns,
     _tri_q_block,
     _triangle_count_block,
     enumerate_graphs_oracle,
@@ -68,23 +71,23 @@ def _edge_count(adj: np.ndarray) -> int:
 @pytest.mark.parametrize("n", [2, 3, 5, 64])
 def test_gnp_slots_bits_and_adjacency_agree(n, p):
     count = 9
-    rng, one_rng = block_rng(12, n), block_rng(12, n)
-    bits, adj = _gnp_slots(n, p, rng, count)
+    rng, bits_rng, one_rng = block_rng(12, n), block_rng(12, n), block_rng(12, n)
+    adj = _gnp_adjacency(n, p, rng, count)
+    bits = _slot_bits(n, p, bits_rng, count)
     ii, jj = np.triu_indices(n, 1)
-    assert bits.shape == (count, comb(n, 2)) and adj.shape == (count, n, n)
-    assert np.array_equal(adj[:, ii, jj], bits)
+    assert bits.shape == (count, comb(n, 2) + 1) and adj.shape == (count, n, n)
+    assert np.array_equal(adj[:, ii, jj], bits[:, :-1]) and not bits[:, -1].any()
     assert np.array_equal(adj, adj.transpose(0, 2, 1))
     assert not adj[:, np.arange(n), np.arange(n)].any()
     # a block of graphs is the same graphs as that many one-graph blocks
-    singles = [_gnp_slots(n, p, one_rng, 1) for _ in range(count)]
-    assert np.array_equal(bits, np.concatenate([b for b, _ in singles]))
-    assert np.array_equal(adj, np.concatenate([a for _, a in singles]))
-    assert rng.random() == one_rng.random()
+    singles = [_gnp_adjacency(n, p, one_rng, 1) for _ in range(count)]
+    assert np.array_equal(adj, np.concatenate(singles))
+    assert rng.random() == bits_rng.random() == one_rng.random()
 
 
 def test_gnp_extremes():
-    assert _edge_count(_gnp_slots(5, 0.0, block_rng(1, 0), 1)[1]) == 0
-    assert _edge_count(_gnp_slots(5, 1.0, block_rng(1, 0), 1)[1]) == comb(5, 2)
+    assert _edge_count(_gnp_adjacency(5, 0.0, block_rng(1, 0), 1)) == 0
+    assert _edge_count(_gnp_adjacency(5, 1.0, block_rng(1, 0), 1)) == comb(5, 2)
     with pytest.raises(InvalidParameter):
         er_rate_experiment("isolated", [(5, 1.5)], 10, 1)
 
@@ -93,7 +96,7 @@ def test_gnp_edge_count_concentration():
     n, p = 100, 0.5
     mean, sd = comb(n, 2) * p, math.sqrt(comb(n, 2) * p * (1 - p))
     for seed in range(100):
-        count = _edge_count(_gnp_slots(n, p, block_rng(seed, 0), 1)[1])
+        count = _edge_count(_gnp_adjacency(n, p, block_rng(seed, 0), 1))
         assert abs(count - mean) <= 4 * sd
 
 
@@ -199,15 +202,9 @@ def _iso_q(adj: np.ndarray, p: float, m: int) -> tuple[float, ...]:
     return tuple(float(v[0]) for v in _iso_q_from_counts(len(adj), p, *_iso_counts(adj[None]), m))
 
 
-def _slot_bits(adj: np.ndarray) -> np.ndarray:
-    """Pair-slot bits, in upper-triangle order, of a (count, n, n) adjacency stack."""
-    ii, jj = np.triu_indices(adj.shape[1], 1)
-    return adj[:, ii, jj]
-
-
 def _tri_q(adj: np.ndarray, p: float) -> tuple[float, float]:
     """(Q(+1), Q(-1)) of one (n, n) adjacency matrix."""
-    qp, qm, _, _ = _tri_q_block(_slot_bits(adj[None]), adj[None], p)
+    qp, qm, _, _ = _tri_q_block(adj[None], p)
     return float(qp[0]), float(qm[0])
 
 
@@ -238,7 +235,7 @@ def test_one_step_chain_equivalence():
     for n in (4, 5, 6):
         for _ in range(12):
             p = float(rng.uniform(0.1, 0.9))
-            (adj,) = _gnp_slots(n, p, rng, 1)[1]
+            (adj,) = _gnp_adjacency(n, p, rng, 1)
             iso_bf = chain_step_probabilities(adj, p, isolated_count)
             q1, q_neg1, _, _ = _iso_q(adj, p, 1)
             q2, q_neg2, _, _ = _iso_q(adj, p, 2)
@@ -265,7 +262,7 @@ def test_iso_q11_closed_form_overcounts():
     for _ in range(100):
         n = int(rng.integers(4, 7))
         p = float(rng.uniform(0.2, 0.8))
-        (adj,) = _gnp_slots(n, p, rng, 1)[1]
+        (adj,) = _gnp_adjacency(n, p, rng, 1)
         gaps.append(_iso_q(adj, p, 1)[2] - iso_q11_two_step(adj, p))
     warnings.warn(
         "isolated-vertex q11 closed form vs chain enumeration: "
@@ -280,6 +277,14 @@ def test_tri_closed_forms_examples():
     assert f3.sigma2 == pytest.approx(7 / 64)
     with pytest.raises(InvalidParameter):
         tri_closed_forms(2, 0.5)
+
+
+@pytest.mark.parametrize("field", ["var_q1_bound", "var_qneg1_bound"])
+def test_tri_bound_columns_are_undefined_for_a_negative_variance_bound(field):
+    forms = tri_closed_forms(12, 0.25)
+    assert all(math.isfinite(b) for b in _tri_bound_columns(forms))
+    negative = dataclasses.replace(forms, **{field: -1e-18})
+    assert all(math.isnan(b) for b in _tri_bound_columns(negative))
 
 
 def test_tri_variance_bound_plus_side_mc():
@@ -356,8 +361,8 @@ def test_tri_closed_form_two_step_gap_matches_monte_carlo(n, p, sign):
 def test_tri_two_step_matches_move_enumeration(n, p, count):
     # Q(1,1) and Q(-1,-1) against every first move of each graph followed by
     # the recounted one-step law, not by the common-neighbour gains
-    bits, adj = _gnp_slots(n, p, block_rng(41, n), count)
-    _, _, qpp, qmm = _tri_q_block(bits, adj, p)
+    adj = _gnp_adjacency(n, p, block_rng(41, n), count)
+    _, _, qpp, qmm = _tri_q_block(adj, p)
     for t, g in enumerate(adj):
         for got, jump in ((qpp[t], 1), (qmm[t], -1)):
             want = two_step_probability(g, p, triangle_count, jump)
@@ -369,7 +374,7 @@ def test_tri_two_step_probability_consistency():
     # two-step enumeration from the empty-ish graphs: adding any edge to an
     # empty graph creates no triangle, so both two-step rates vanish
     empty = np.zeros((1, 5, 5), dtype=bool)
-    assert _tri_q_block(_slot_bits(empty), empty, 0.4)[2][0] == 0.0
+    assert _tri_q_block(empty, 0.4)[2][0] == 0.0
 
 
 def test_er_pair_model_rates_match_closed_forms():
@@ -556,7 +561,7 @@ def _tri_counts_from_scratch(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _brute_tri_q(adj: np.ndarray, p: float) -> tuple[float, float, float, float]:
     """(Q(+1), Q(-1), Q(1,1), Q(-1,-1)) of one graph: toggle each pair with one
     common neighbour and recount every pair of the resulting graph.  The
-    two-step terms are summed over the candidate pairs in (i, j) order."""
+    recounted moves of each sign are added as integers and multiplied once."""
     n = len(adj)
     c2 = comb(n, 2)
     (up,), (down,) = _tri_counts_from_scratch(adj[None])
@@ -567,12 +572,14 @@ def _brute_tri_q(adj: np.ndarray, p: float) -> tuple[float, float, float, float]
     for k, (i, j) in enumerate(cand):
         nxt[k, i, j] = nxt[k, j, i] = not adj[i, j]
     up_next, down_next = _tri_counts_from_scratch(nxt)
-    qpp = qmm = 0.0
+    up_moves = down_moves = 0
     for k, (i, j) in enumerate(cand):
         if adj[i, j]:
-            qmm += (1 - p) / c2 * ((1 - p) * int(down_next[k]) / c2)
+            down_moves += int(down_next[k])
         else:
-            qpp += p / c2 * (p * int(up_next[k]) / c2)
+            up_moves += int(up_next[k])
+    qpp = (p / c2) ** 2 * up_moves
+    qmm = ((1 - p) / c2) ** 2 * down_moves
     return p * int(up) / c2, (1 - p) * int(down) / c2, qpp, qmm
 
 
@@ -589,11 +596,10 @@ def test_tri_block_matches_brute_force_on_every_graph_n5(p):
     adj = np.zeros((1 << len(pairs), n, n), dtype=bool)
     for t, (i, j) in enumerate(pairs):
         adj[:, i, j] = adj[:, j, i] = (np.arange(len(adj)) >> t) & 1 == 1
-    bits = _slot_bits(adj)
-    got = _tri_q_block(bits, adj, p)
+    got = _tri_q_block(adj, p)
     _assert_brute_force(adj, p, got)
     for k in (0, 7, 300, 1023):
-        one = _tri_q_block(bits[k:k + 1], adj[k:k + 1], p)
+        one = _tri_q_block(adj[k:k + 1], p)
         assert tuple(v[0] for v in one) == tuple(v[k] for v in got)
 
 
@@ -603,7 +609,7 @@ def test_tri_block_matches_brute_force_on_every_graph_n5(p):
 def test_tri_q_block_matches_brute_force_on_random_blocks(n, count, p):
     got = ERPairModel(n, p, "triangles").q_block(block_rng(21, n), count, 1)
     rng = block_rng(21, n)
-    adj = np.concatenate([_gnp_slots(n, p, rng, 1)[1] for _ in range(count)])
+    adj = np.concatenate([_gnp_adjacency(n, p, rng, 1) for _ in range(count)])
     _assert_brute_force(adj, p, got)
 
 
@@ -615,7 +621,7 @@ def test_iso_q_block_draws_match_per_graph_loop(m):
     rng = block_rng(5, 0)
     want = np.empty((4, count))
     for t in range(count):
-        s = graph_stats(_gnp_slots(n, p, rng, 1)[1][0])
+        s = graph_stats(_gnp_adjacency(n, p, rng, 1)[0])
         want[:, t] = _iso_q_from_counts(n, p, s.w_isolated, s.w1, s.e2, m)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
@@ -626,9 +632,9 @@ def test_tri_q_block_draws_match_per_graph_loop():
     assert count > 2 * (_CHUNK_CELLS // n**2)
     qp, qm, qpp, qmm = ERPairModel(n, p, "triangles").q_block(block_rng(6, 0), count, 1)
     rng = block_rng(6, 0)
-    want = np.array([_tri_q(_gnp_slots(n, p, rng, 1)[1][0], p) for _ in range(count)])
+    want = np.array([_tri_q(_gnp_adjacency(n, p, rng, 1)[0], p) for _ in range(count)])
     assert np.array_equal(qp, want[:, 0]) and np.array_equal(qm, want[:, 1])
-    adj = _gnp_slots(n, p, block_rng(6, 0), count)[1]
+    adj = _gnp_adjacency(n, p, block_rng(6, 0), count)
     _, _, want_pp, want_mm = tri_q_block_per_slot(adj, p)
     assert np.array_equal(qpp, want_pp) and np.array_equal(qmm, want_mm)
 
@@ -655,13 +661,12 @@ def _assert_same_bytes(got, want) -> None:
 @pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 0.9, 1.0])
 @pytest.mark.parametrize("n", [3, 4, 8, 12, 16, 17, 32, 64])
 def test_tri_q_block_bytes_equal_the_per_slot_loop(n, p):
-    bits, adj = _gnp_slots(n, p, block_rng(31, n), 60 if n <= 16 else 12)
+    adj = _gnp_adjacency(n, p, block_rng(31, n), 60 if n <= 16 else 12)
     want = tri_q_block_per_slot(adj, p)
-    _assert_same_bytes(_tri_q_block(bits, adj, p), want)
-    # blocks of one graph too: np.sum adds a single row pairwise but several
-    # rows column by column, so only these blocks tell its order from the loop's
+    _assert_same_bytes(_tri_q_block(adj, p), want)
+    # blocks of one graph too: a graph's values do not depend on its block
     for k in range(len(adj)):
-        one = _tri_q_block(bits[k:k + 1], adj[k:k + 1], p)
+        one = _tri_q_block(adj[k:k + 1], p)
         _assert_same_bytes(one, [w[k:k + 1] for w in want])
 
 
@@ -673,12 +678,13 @@ def test_tri_two_step_q_block_bytes_across_sub_chunks(n, offset):
     step = _TWO_STEP_CELLS // (n * n)
     for count in (step + offset, 2 * step + 3):
         got = ERPairModel(n, 0.3, "triangles").q_block(block_rng(4, n), count, 1)
-        adj = _gnp_slots(n, 0.3, block_rng(4, n), count)[1]
+        adj = _gnp_adjacency(n, 0.3, block_rng(4, n), count)
         _assert_same_bytes(got, tri_q_block_per_slot(adj, 0.3))
 
 
 def test_tri_two_step_q_block_memory_is_bounded_by_sub_chunks():
-    # the per-slot loop over sub-chunks of 1024 graphs peaked at 2.7 MB
+    # the per-slot loop over sub-chunks of 1024 graphs peaked at 2.7 MB, and
+    # the per-slot arrays summed in slot order at 1.74 MB
     model, rng = ERPairModel(16, 0.3, "triangles"), block_rng(1, 0)
     tracemalloc.start()
     try:
@@ -687,7 +693,7 @@ def test_tri_two_step_q_block_memory_is_bounded_by_sub_chunks():
     finally:
         tracemalloc.stop()
     assert len(qpp) == 4096
-    assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert peak < 1.5 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_pair_model_validates_before_drawing():
@@ -708,7 +714,7 @@ def test_pair_model_validates_before_drawing():
 
 def _triangle_counts_per_graph(n, p, rng, count):
     """Triangle counts of ``count`` one-graph draws, one graph at a time."""
-    return np.array([triangle_count(_gnp_slots(n, p, rng, 1)[1][0]) for _ in range(count)])
+    return np.array([triangle_count(_gnp_adjacency(n, p, rng, 1)[0]) for _ in range(count)])
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])

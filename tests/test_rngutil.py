@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from lkllt.rngutil import BLOCK, block_rng, blocks, map_blocks
+from lkllt.rngutil import BLOCK, block_rng, blocks, map_blocks, thread_count
 
 
 def _after_plain_draws(seed: int, k: int, draws: int) -> np.random.Generator:
@@ -140,3 +140,9 @@ def test_map_blocks_hands_out_each_run_once_under_contention(monkeypatch):
         sys.setswitchinterval(interval)
     assert got == [want] * 50
     assert sorted(calls) == sorted([start for start, _ in want] * 50)
+
+
+@pytest.mark.parametrize("raw,want", [("abc", 1), ("0", 1), ("-2", 1), ("3", 3)])
+def test_thread_count_falls_back_to_one(raw, want, monkeypatch):
+    monkeypatch.setenv("LKLLT_THREADS", raw)
+    assert thread_count() == want
