@@ -43,16 +43,20 @@ def parse_grid(spec: str, integer: bool = True) -> list:
     return out
 
 
-def _write(text: str, out) -> None:
-    """Write ``text`` to the path ``out``, or to stdout when there is none."""
-    if out:
-        Path(out).write_text(text)
+def _write(doc, args) -> None:
+    """Stamp ``doc`` with the package version and write it to ``--out``, or
+    to stdout when there is none.  A dict is written as JSON, a RateTable as
+    CSV or, under ``--format json``, as JSON."""
+    if isinstance(doc, dict):
+        doc["version"] = __version__
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    else:
+        doc.metadata["version"] = __version__
+        text = doc.to_json() if args.format == "json" else doc.to_csv()
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-
-
-def _emit(table, args) -> None:
-    _write(table.to_json() if args.format == "json" else table.to_csv(), args.out)
 
 
 def _common_output(sub):
@@ -71,7 +75,7 @@ def _cmd_metrics(args) -> int:
     G = LatticeDist.from_json(Path(args.g).read_text())
     table = RateTable(
         ["quantity", "value"],
-        metadata={"command": "metrics", "version": __version__, "m": args.m, "n": args.n},
+        metadata={"command": "metrics", "m": args.m, "n": args.n},
     )
     table.add("dk", distance(F, G, KOLMOGOROV))
     table.add("dw", distance(F, G, WASSERSTEIN))
@@ -81,7 +85,7 @@ def _cmd_metrics(args) -> int:
         table.add(f"dloc_m{args.m}", distance(F, G, local_span(args.m)))
     table.add(f"smooth_n{args.n}_m{args.m}_f", smoothing_term(F, args.n, args.m))
     table.add(f"smooth_n{args.n}_m{args.m}_g", smoothing_term(G, args.n, args.m))
-    _emit(table, args)
+    _write(table, args)
     return 0
 
 
@@ -94,12 +98,12 @@ def _cmd_tp(args) -> int:
         raise LklltError("provide --sigma2 or --sigma2-grid")
     table = RateTable(
         ["mu", "sigma2", "local_gap", "dk", "dw"],
-        metadata={"command": "tp", "version": __version__, "mu": args.mu},
+        metadata={"command": "tp", "mu": args.mu},
     )
     for s2 in sigma2s:
         gaps = tp_normal_gaps(tp_params(args.mu, s2))
         table.add(args.mu, float(s2), *gaps)
-    _emit(table, args)
+    _write(table, args)
     return 0
 
 
@@ -108,28 +112,18 @@ def _cmd_verify_lk(args) -> int:
     from .report import RateTable, fmt
 
     cases = sorted(KNOWN_CASES) if args.case == "all" else [args.case]
-    rows: list = []
     table = RateTable(
         ["trial", "combo", "lhs", "rhs_core", "ratio"],
-        metadata={
-            "command": "verify_lk", "version": __version__,
-            "trials": args.trials, "seed": args.seed,
-        },
+        metadata={"command": "verify_lk", "trials": args.trials, "seed": args.seed},
     )
     ok = True
     for case in cases:
-        collected: list = []
-        worst = lk_fuzz(args.trials, args.seed, case, collect_rows=collected)
-        rows.extend(collected)
+        worst = lk_fuzz(args.trials, args.seed, case, collect_rows=table.rows)
         holds = worst <= math.sqrt(2.0) + 1e-12
         ok = ok and holds
-        sys.stdout.write(
-            f"{case}: worst_ratio={fmt(worst)} C=sqrt(2) holds={holds}\n"
-        )
+        sys.stdout.write(f"{case}: worst_ratio={fmt(worst)} C=sqrt(2) holds={holds}\n")
     if args.out:
-        for r in rows:
-            table.add(*r)
-        _emit(table, args)
+        _write(table, args)
     return 0 if ok else 1
 
 
@@ -148,17 +142,15 @@ def _cmd_bounds(args) -> int:
         model = ERPairModel(args.n, args.p, statistic)
         m = 1 if args.m is None else args.m
     stats = pair_stats(model, m, args.reps, args.seed)
-    payload = {
+    _write({
         "model": args.model,
-        "version": __version__,
         "m": m,
         "replicates": args.reps,
         "seed": args.seed,
         "stats": {k: v for k, v in vars(stats).items() if k not in ("m", "replicates")},
         "d1_pair_bound": pair_bound_d1(stats),
         "d2_pair_bound": pair_bound_d2(stats),
-    }
-    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    }, args)
     return 0
 
 
@@ -166,8 +158,8 @@ def _cmd_cw_rate(args) -> int:
     from .curie_weiss import cw_rate_experiment
 
     table = cw_rate_experiment(args.beta, args.h, args.n_grid)
-    table.metadata.update({"command": "cw_rate", "version": __version__})
-    _emit(table, args)
+    table.metadata["command"] = "cw_rate"
+    _write(table, args)
     return 0
 
 
@@ -194,8 +186,8 @@ def _cmd_er(args) -> int:
 
     statistic = "isolated" if args.er_cmd == "iso" else "triangles"
     table = er_rate_experiment(statistic, _er_rows(args), args.reps, args.seed)
-    table.metadata.update({"command": f"er_{args.er_cmd}", "version": __version__})
-    _emit(table, args)
+    table.metadata["command"] = f"er_{args.er_cmd}"
+    _write(table, args)
     return 0
 
 
@@ -203,17 +195,15 @@ def _cmd_er_oracle(args) -> int:
     from .er import enumerate_graphs_oracle
 
     law, moments = enumerate_graphs_oracle(args.n, args.p, args.stat)
-    payload = {
+    _write({
         "command": "er_oracle",
-        "version": __version__,
         "n": args.n,
         "p": args.p,
         "stat": args.stat,
         "offset": law.offset,
         "pmf": list(law.pmf),
         "moments": moments,
-    }
-    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    }, args)
     return 0
 
 
@@ -221,8 +211,8 @@ def _cmd_rgg(args) -> int:
     from .rgg import rgg_experiment
 
     table = rgg_experiment(args.b, args.d, args.lambda_grid, args.reps, args.seed)
-    table.metadata.update({"command": "rgg", "version": __version__})
-    _emit(table, args)
+    table.metadata["command"] = "rgg"
+    _write(table, args)
     return 0
 
 

@@ -54,25 +54,14 @@ def _triu_index_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=16)
-def _cell_slots(n: int) -> np.ndarray:
-    """Pair slot of every cell of a flattened (n, n) adjacency matrix, with
-    C(n, 2), one slot past the last pair, on the diagonal: n² intp entries,
-    the same order of memory as ``_triu_index_arrays``."""
+def _cell_slots(n: int, row: int) -> np.ndarray:
+    """Pair slot of every cell of a flattened (n, row) adjacency layout,
+    row >= n, with C(n, 2), one slot past the last pair, on the diagonal and
+    in the padding columns n .. row-1: n * row intp entries, the same order
+    of memory as ``_triu_index_arrays``."""
     ii, jj = _triu_index_arrays(n)
-    cells = np.full((n, n), len(ii), dtype=np.intp)
+    cells = np.full((n, row), len(ii), dtype=np.intp)
     cells[ii, jj] = cells[jj, ii] = np.arange(len(ii))
-    cells = cells.reshape(-1)
-    cells.flags.writeable = False
-    return cells
-
-
-@lru_cache(maxsize=16)
-def _word_cell_slots(n: int) -> np.ndarray:
-    """``_cell_slots`` with every row padded to whole 64-bit words by the
-    slot C(n, 2): n * 64 * ceil(n / 64) intp entries."""
-    row = -(-n // 64) * 64
-    cells = np.full((n, row), comb(n, 2), dtype=np.intp)
-    cells[:, :n] = _cell_slots(n).reshape(n, n)
     cells = cells.reshape(-1)
     cells.flags.writeable = False
     return cells
@@ -104,7 +93,7 @@ def _gnp_adjacency(n: int, p: float, rng: np.random.Generator, count: int) -> np
     """Boolean adjacency stack (count, n, n) of independent G(n, p) draws
     from ``_slot_bits``: one gather of the bits through ``_cell_slots``,
     whose diagonal reads the False column past the last slot."""
-    return _slot_bits(n, p, rng, count).take(_cell_slots(n), axis=1).reshape(count, n, n)
+    return _slot_bits(n, p, rng, count).take(_cell_slots(n, n), axis=1).reshape(count, n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -665,15 +654,15 @@ def _triangle_count_block(n: int, p: float, rng: np.random.Generator, count: int
     """Triangle counts for `count` independent G(n, p) draws.
 
     Sub-chunks of graphs are drawn by ``_slot_bits``; one gather through
-    ``_word_cell_slots`` lays out every adjacency row padded to whole words,
+    ``_cell_slots`` lays out every adjacency row padded to whole words,
     and one ``packbits`` packs them into uint64 words.  Every present edge
     (i, j) adds popcount(row i & row j), its number of common neighbours, to
     its graph's total, which sees each triangle once per edge.
     """
     out = np.empty(count, dtype=np.int64)
     ii, jj = _triu_index_arrays(n)
-    cells = _word_cell_slots(n)
-    width = len(cells) // (64 * n)  # words per row
+    width = -(-n // 64)  # words per row
+    cells = _cell_slots(n, 64 * width)
     step = max(1, _SAMPLE_CELLS // max(1, n * n))
     for start in range(0, count, step):
         k = min(step, count - start)
@@ -750,27 +739,26 @@ def er_rate_experiment(statistic: str, rows, replicates: int, seed: int) -> Rate
             "seed": seed,
         },
     )
-    for n, p in rows:
+    for n, p in rows:  # closed forms first: they reject n and p before any draw
         n = int(n)
-        sampler = _isolated_count_block if statistic == "isolated" else _triangle_count_block
-
-        def block(start, count, rng):
-            return sampler(n, p, rng, count)
-
-        if statistic == "triangles":  # its graphs come from _slot_bits
-            block.stride = _gnp_stride(n)
-        parts = map_blocks(block, seed, replicates)
-        values = np.concatenate(parts)
-        emp = empirical_dist(values)
         if statistic == "isolated":
             mom = iso_moments(n, p)
             mu, s2 = mom.e_w, mom.sigma2
             b = iso_smoothing_bounds(n, p)
             bound_cols = (b.d1_bound, b.d2_bound, b.d12_bound, b.d22_bound)
+
+            def block(start, count, rng):
+                return _isolated_count_block(n, p, rng, count)
         else:
             forms = tri_closed_forms(n, p)
             mu, s2 = comb(n, 3) * p ** 3, forms.sigma2
             bound_cols = _tri_bound_columns(forms)
+
+            def block(start, count, rng):
+                return _triangle_count_block(n, p, rng, count)
+
+            block.stride = _gnp_stride(n)  # its graphs come from _slot_bits
+        emp = empirical_dist(np.concatenate(map_blocks(block, seed, replicates)))
         target = tp_dist(tp_params(mu, s2))
         se_max = float(np.sqrt((emp.pmf * (1 - emp.pmf)).max() / replicates))
         table.add(

@@ -109,10 +109,6 @@ class SignedSeq:
         object.__setattr__(self, "offset", off)
         object.__setattr__(self, "values", arr)
 
-    @property
-    def support_end(self) -> int:
-        return self.offset + len(self.values)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SignedSeq):
             return NotImplemented

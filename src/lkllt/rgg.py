@@ -202,6 +202,11 @@ def rgg_experiment(b: float, d: int, lambda_grid, replicates: int, seed: int) ->
         emp = empirical_dist(w)
         mean_w = float(w.mean())
         var_w = float(w.var(ddof=1))
+        if not var_w > 0:  # a TP target needs a positive variance
+            raise InvalidParameter(
+                f"every replicate at lambda={lam:g} had the same independence "
+                f"number ({int(w[0])}): the law has no spread to compare"
+            )
         target = tp_dist(tp_params(mean_w, var_w))
         se_max = float(np.sqrt((emp.pmf * (1 - emp.pmf)).max() / replicates))
         table.add(

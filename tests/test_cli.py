@@ -13,6 +13,7 @@ import pytest
 from lkllt import __version__, cli
 from lkllt.errors import NumericalFailure
 from lkllt.lattice import dist_from_weights
+from lkllt.report import RateTable
 
 
 def run_cli(args, capsys):
@@ -186,6 +187,55 @@ SEEDED_GOLDEN_SHA256 = {
     "rgg --b 0.2 --d 2 --lambda-grid 50:100:x2 --reps 500 --seed 1":
         "67c7f8448d46f85eee8cf01f6a9adc0266efd8169f48fad98a3a71feb788a8a6",
 }
+
+
+# SHA-256 of the stdout of table commands that no golden above covers,
+# pinned before ``cli._write`` became the only writer; ``metrics`` reads the
+# two laws of ``write_dists``.
+TABLE_SHA256 = {
+    "metrics --m 2 --n 2":
+        "efd718dc30322f452e7d182ac0c7c2ba773a490563e43e4e4e20f1f6ba3157c6",
+    "metrics --m 2 --n 2 --format json":
+        "d66a6d5563469203aff8c2137fc24a9b3b0b6cba2ee0b0f9b790e2838d7f6377",
+    "tp --mu 0 --sigma2-grid 100:400:x2 --format json":
+        "587dad870f48b3609808560cc45929332054d8f26f139cc8b094da39951d1d81",
+}
+
+
+@pytest.mark.parametrize("command", sorted(TABLE_SHA256))
+def test_table_outputs_match_pins(command, tmp_path, capsys):
+    args = command.split()
+    if args[0] == "metrics":
+        f, g = write_dists(tmp_path)
+        args[1:1] = ["--f", str(f), "--g", str(g)]
+    status, out = run_cli(args, capsys)
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_SHA256[command]
+
+
+def test_every_document_goes_through_one_writer():
+    """json.dumps, write_text, to_csv, to_json and __version__ appear in
+    cli.py only in _write, apart from the import and the --version action;
+    sys.stdout.write only in _write and in verify lk's summary line."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    uses: dict = {}
+    for fn in tree.body:
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name) and node.id == "__version__":
+                name = "__version__"
+            elif isinstance(node, ast.Attribute):
+                name = ast.unparse(node)
+                if node.attr in ("write_text", "to_csv", "to_json"):
+                    name = node.attr
+            else:
+                continue
+            uses.setdefault(name, []).append(getattr(fn, "name", None))
+    assert uses["json.dumps"] == ["_write"]
+    assert uses["write_text"] == ["_write"]
+    assert sorted(uses["to_csv"]) == sorted(uses["to_json"]) == ["_write"]
+    assert sorted(uses["__version__"]) == ["_write", "_write", "build_parser"]
+    assert sorted(uses["sys.stdout.write"]) == ["_cmd_verify_lk", "_write"]
+    assert not hasattr(cli, "_emit")
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -419,11 +469,68 @@ def test_validation_exit_codes(tmp_path, capsys):
         ("tp --mu=-inf --sigma2 1", "mu"),
         ("bounds --model er-iso --n 6 --m 0 --reps 100", "m"),
         ("bounds --model cw --n 10 --m 0 --reps 100", "m"),
+        # n is checked by the closed forms before any replicate is drawn
+        ("er tri --n 0 --p 0.5 --reps 10", "n"),
+        ("er iso --n 0 --p 0.5 --reps 10", "n"),
+        ("er iso --n 1 --p 0.5 --reps 10", "n"),
+        ("er tri --n 2 --p 0.5 --reps 10", "n"),
     ):
         assert cli.main(command.split()) == 2, command
         err = capsys.readouterr().err
         assert err.startswith(f"error: {name} must"), (command, err)
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, message", [
+    ("tp --mu 0", "provide --sigma2 or --sigma2-grid"),
+    ("er iso --p 0.1 --reps 10", "provide --n or --n-grid"),
+    ("bounds --model cw --n 0 --reps 10", "n must be a positive integer"),
+    ("bounds --model cw --n 10 --m 1 --reps 10", "the magnetization chain jumps by +-2 only"),
+    ("er tri --n 10 --p 1 --reps 10", "p must lie in (0, 1)"),
+    ("bounds --model er-iso --n 6 --p 1.5 --reps 10", "p must lie in [0, 1]"),
+    ("er iso --n 5 --p 0.5 --reps 1", "replicates must be >= 2"),
+])
+def test_validation_messages(command, message, capsys):
+    assert cli.main(command.split()) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_grid_without_a_factor_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main("tp --sigma2-grid 1:2:3".split())
+    assert exc.value.code == 2
+    assert "grid '1:2:3' must look like a:b:xk" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pmf, message", [
+    ([], "pmf must be a nonempty 1-d array"),
+    ([0.5, -0.5, 1.0], "pmf entries must be finite and nonnegative"),
+    ([0.0, 0.0], "pmf has no positive mass"),
+])
+def test_metrics_rejects_a_bad_pmf_file(pmf, message, tmp_path, capsys):
+    _, g = write_dists(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"offset": 0, "pmf": pmf}))
+    assert cli.main(["metrics", "--f", str(bad), "--g", str(g)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", [
+    "rgg --b 50 --d 2 --lambda-grid 10:10:x2 --reps 5 --seed 1",
+    "rgg --b 50 --d 1 --lambda-grid 10:10:x2 --reps 5 --seed 1",
+    "rgg --d 2 --lambda-grid 0.001:0.001:x2 --reps 5",
+])
+def test_rgg_law_without_spread_names_the_cause(command, capsys):
+    # the radius covers the cube, or the cube holds no point: no TP target
+    assert cli.main(command.split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: every replicate at lambda=")
+    assert "same independence number" in err and "sigma2" not in err
+
+
+def test_rate_table_rejects_a_row_of_the_wrong_width():
+    with pytest.raises(ValueError, match="expected 2 values, got 1"):
+        RateTable(["quantity", "value"]).add("dk")
 
 
 def test_underflowing_squared_jump_rates(capsys):

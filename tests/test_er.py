@@ -712,6 +712,16 @@ def test_pair_model_validates_before_drawing():
     assert rng.random() == block_rng(0, 0).random()  # no draw was consumed
 
 
+@pytest.mark.parametrize("call", [
+    lambda: ERPairModel(6, 0.5, "edges"),
+    lambda: enumerate_graphs_oracle(4, 0.5, "edges"),
+    lambda: er_rate_experiment("edges", [(10, 0.5)], 10, 1),
+], ids=["pair-model", "oracle", "rate-experiment"])
+def test_unknown_statistic_is_rejected(call):
+    with pytest.raises(InvalidParameter, match="statistic must be 'isolated' or 'triangles'"):
+        call()
+
+
 def _triangle_counts_per_graph(n, p, rng, count):
     """Triangle counts of ``count`` one-graph draws, one graph at a time."""
     return np.array([triangle_count(_gnp_adjacency(n, p, rng, 1)[0]) for _ in range(count)])

@@ -105,6 +105,13 @@ def test_span_difference_identity_and_validation():
         span_difference(s, 1, 0)
 
 
+def test_signed_seq_and_span_difference_reject_bad_shape_and_order():
+    with pytest.raises(InvalidParameter, match="values must be a 1-d array"):
+        SignedSeq(0, np.zeros((2, 2)))
+    with pytest.raises(InvalidParameter, match="n must be nonnegative"):
+        span_difference(SignedSeq(0, np.array([1.0])), -1, 1)
+
+
 def test_seq_norms():
     s = SignedSeq(-1, np.array([1.0, -1.0]))
     assert seq_norm(s, 1) == 2.0

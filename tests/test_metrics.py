@@ -11,6 +11,7 @@ from lkllt.metrics import (
     Metric,
     TOTAL_VARIATION,
     WASSERSTEIN,
+    cdf_diff_norm,
     distance,
     local_span,
     smoothing_term,
@@ -63,6 +64,13 @@ def test_metric_validation():
         Metric("hellinger")
     with pytest.raises(InvalidParameter):
         Metric("tv", span=2)
+
+
+def test_span_and_order_validation():
+    with pytest.raises(InvalidParameter, match="span must be a positive integer"):
+        Metric("local", 0)
+    with pytest.raises(InvalidParameter, match="order and m must be positive integers"):
+        cdf_diff_norm(dist_from_weights(0, [1, 1]), 0, 1)
 
 
 def test_smoothing_term_point_mass():

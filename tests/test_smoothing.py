@@ -120,6 +120,11 @@ def test_pair_stats_validation():
         pair_stats(model, 0, 10, seed=0)
 
 
+def test_base_pair_model_has_no_q_block():
+    with pytest.raises(NotImplementedError):
+        PairModel().q_block(np.random.default_rng(0), 4, 1)
+
+
 def test_bounds_trivial_and_errors():
     flat = PairChainStats(
         m=1, q_m=0.5, var_q_plus=0.0, var_q_minus=0.0,
