@@ -21,7 +21,8 @@ from .errors import LklltError, NumericalFailure
 
 
 def parse_grid(spec: str, integer: bool = True) -> list:
-    """Geometric grid 'a:b:xk': from a to b inclusive, multiplying by k."""
+    """Geometric grid 'a:b:xk': from a to b inclusive, multiplying by k.
+    An integer grid rounds each point and drops a repeated one."""
     try:
         a_s, b_s, k_s = spec.split(":")
         if not k_s.startswith("x"):
@@ -38,7 +39,9 @@ def parse_grid(spec: str, integer: bool = True) -> list:
     out = []
     x = a
     while x <= b * (1 + 1e-12):
-        out.append(int(round(x)) if integer else x)
+        point = int(round(x)) if integer else x
+        if not out or point != out[-1]:
+            out.append(point)
         x *= k
     return out
 

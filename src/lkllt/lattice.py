@@ -2,11 +2,11 @@
 
 A :class:`LatticeDist` stores a finitely supported probability mass function
 as ``(offset, pmf)``: mass ``pmf[i]`` sits at the integer ``offset + i``.
-A :class:`SignedSeq` is the signed analogue used for difference operators
-and sequence norms.  Both are immutable; every operation returns a new
-value.  Cumulative distribution functions are never materialized: the
-identity "first difference of the CDF at j equals the mass at j+1" lets all
-CDF-difference functionals be computed from pmf differences.
+It is immutable; every operation returns a new value.  The difference
+operators and sequence norms work on plain 1-d float arrays.  Cumulative
+distribution functions are never materialized: the identity "first
+difference of the CDF at j equals the mass at j+1" lets all CDF-difference
+functionals be computed from pmf differences.
 """
 
 from __future__ import annotations
@@ -22,15 +22,6 @@ from .errors import InvalidDistribution, InvalidParameter
 _NORM_TOL = 1e-9  # reject mass vectors whose sum is further than this from 1
 
 
-def _trim(offset: int, values: np.ndarray) -> tuple[int, np.ndarray]:
-    """Drop exact zeros from both ends; interior zeros are kept."""
-    nz = values.nonzero()[0]
-    if nz.size == 0:
-        return 0, np.zeros(0)
-    lo, hi = nz[0], nz[-1] + 1
-    return offset + int(lo), values[lo:hi]
-
-
 @dataclass(frozen=True)
 class LatticeDist:
     """A finitely supported probability distribution on the integers."""
@@ -44,9 +35,11 @@ class LatticeDist:
             raise InvalidDistribution("pmf must be a nonempty 1-d array")
         if not np.isfinite(arr).all() or (arr < 0).any():
             raise InvalidDistribution("pmf entries must be finite and nonnegative")
-        off, arr = _trim(int(self.offset), arr)
-        if arr.size == 0:
+        nz = arr.nonzero()[0]  # exact zeros are trimmed from both ends
+        if nz.size == 0:
             raise InvalidDistribution("pmf has no positive mass")
+        off = int(self.offset) + int(nz[0])
+        arr = arr[nz[0] : nz[-1] + 1]
         total = float(arr.sum())
         if abs(total - 1.0) > _NORM_TOL:
             raise InvalidDistribution(f"pmf sums to {total!r}, not 1")
@@ -73,9 +66,6 @@ class LatticeDist:
         """CDF values at the support points offset, offset+1, ..."""
         return np.cumsum(self.pmf)
 
-    def as_seq(self) -> "SignedSeq":
-        return SignedSeq(self.offset, self.pmf)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LatticeDist):
             return NotImplemented
@@ -89,47 +79,23 @@ class LatticeDist:
     @staticmethod
     def from_json(text: str) -> "LatticeDist":
         obj = json.loads(text)
-        return LatticeDist(int(obj["offset"]), np.asarray(obj["pmf"], dtype=float))
-
-
-@dataclass(frozen=True)
-class SignedSeq:
-    """A finitely supported signed real sequence on the integers."""
-
-    offset: int
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 1:
-            raise InvalidParameter("values must be a 1-d array")
-        off, arr = _trim(int(self.offset), arr)
-        arr = np.array(arr)
-        arr.flags.writeable = False
-        object.__setattr__(self, "offset", off)
-        object.__setattr__(self, "values", arr)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SignedSeq):
-            return NotImplemented
-        if len(self.values) != len(other.values):
-            return False
-        return self.offset == other.offset and bool(np.all(self.values == other.values))
+        if type(obj["offset"]) is not int:  # not a bool, string or fraction
+            raise InvalidDistribution(f"offset must be an integer, not {obj['offset']!r}")
+        return LatticeDist(obj["offset"], np.asarray(obj["pmf"], dtype=float))
 
 
 def dist_from_weights(offset: int, weights) -> LatticeDist:
     """Normalize a nonnegative weight vector into a LatticeDist.
 
     Mass at ``offset + i`` is ``weights[i] / sum(weights)``.  Raises
-    InvalidDistribution for all-zero, negative or non-finite weights.
+    InvalidDistribution for all-zero, negative or non-finite weights;
+    :class:`LatticeDist` makes every check but the positive total.
     """
     arr = np.asarray(weights, dtype=float)
-    if arr.size == 0 or not np.isfinite(arr).all() or (arr < 0).any():
-        raise InvalidDistribution("weights must be finite and nonnegative")
     total = arr.sum()
     if total <= 0:
         raise InvalidDistribution("weights sum to zero")
-    return LatticeDist(*_trim(int(offset), arr / total))
+    return LatticeDist(offset, arr / total)
 
 
 def empirical_dist(values: np.ndarray) -> LatticeDist:
@@ -151,42 +117,48 @@ def smooth_uniform(F: LatticeDist, m: int) -> LatticeDist:
     return LatticeDist(F.offset, np.convolve(F.pmf, kernel))
 
 
-def difference(s: SignedSeq, n: int) -> SignedSeq:
+def difference(s: np.ndarray, n: int) -> np.ndarray:
     """n-th forward difference of a finite sequence (zero-extended).
 
-    The support grows left by n; n = 0 is the identity.
+    The result starts n points left of ``s``; n = 0 is the identity.
     """
     return span_difference(s, n, 1)
 
 
-def span_difference(s: SignedSeq, n: int, m: int) -> SignedSeq:
+def span_difference(s: np.ndarray, n: int, m: int) -> np.ndarray:
     """n-fold span-m difference: one step maps f(j) to f(j+m) - f(j).
 
-    One step is one subtraction over a zero-padded copy; the support grows
-    left by m.
+    ``s`` is a 1-d array, zero outside its ends.  One step is one
+    subtraction over a zero-padded copy, so the result is n*m entries longer
+    and starts n*m points left of ``s``.
     """
+    vals = np.asarray(s, dtype=float)
+    if vals.ndim != 1:
+        raise InvalidParameter("sequence must be a 1-d array")
     if n < 0:
         raise InvalidParameter("n must be nonnegative")
     if m < 1:
         raise InvalidParameter("m must be a positive integer")
-    vals = s.values
     for _ in range(n):
         ext = np.zeros(len(vals) + 2 * m)
         ext[m : m + len(vals)] = vals
         vals = ext[m:] - ext[:-m]
-    return SignedSeq(s.offset - n * m, vals)
+    return vals
 
 
-def seq_norm(s: SignedSeq, p) -> float:
-    """Sequence norm for p in {1, 2, inf}; zero for the empty sequence."""
-    if s.values.size == 0:
+def seq_norm(s: np.ndarray, p) -> float:
+    """Sequence norm of a 1-d array for p in {1, 2, inf}; zero when empty."""
+    vals = np.asarray(s, dtype=float)
+    if vals.ndim != 1:
+        raise InvalidParameter("sequence must be a 1-d array")
+    if vals.size == 0:
         return 0.0
     if p == 1:
-        return float(np.abs(s.values).sum())
+        return float(np.abs(vals).sum())
     if p == 2:
-        return float(math.sqrt(np.add.reduce(np.multiply(s.values, s.values))))
+        return float(math.sqrt(np.add.reduce(np.multiply(vals, vals))))
     if p == math.inf:
-        return float(np.abs(s.values).max())
+        return float(np.abs(vals).max())
     raise InvalidParameter(f"unsupported norm p={p!r}")
 
 

@@ -23,14 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter
-from .lattice import (
-    LatticeDist,
-    SignedSeq,
-    difference,
-    seq_norm,
-    smooth_uniform,
-    span_difference,
-)
+from .lattice import LatticeDist, difference, seq_norm, smooth_uniform, span_difference
 
 
 @dataclass(frozen=True)
@@ -106,7 +99,7 @@ def smoothing_term(F: LatticeDist, n: int, m: int) -> float:
     smoothed = F
     for _ in range(n):
         smoothed = smooth_uniform(smoothed, m)
-    return (m ** n) * seq_norm(difference(smoothed.as_seq(), n), 1)
+    return (m ** n) * seq_norm(difference(smoothed.pmf, n), 1)
 
 
 def cdf_diff_norm(F: LatticeDist, order: int, m: int) -> float:
@@ -118,7 +111,7 @@ def cdf_diff_norm(F: LatticeDist, order: int, m: int) -> float:
     """
     if order < 1 or m < 1:
         raise InvalidParameter("order and m must be positive integers")
-    return seq_norm(difference(smooth_uniform(F, m).as_seq(), order - 1), 1)
+    return seq_norm(difference(smooth_uniform(F, m).pmf, order - 1), 1)
 
 
 def smoothing_term_dual(F: LatticeDist, n: int, m: int) -> float:
@@ -134,15 +127,12 @@ def smoothing_term_dual(F: LatticeDist, n: int, m: int) -> float:
     pmf = F.pmf
     # adjoint of one span-m difference step on mass vectors: p(i-m) - p(i)
     coeffs = pmf
-    lo = F.offset
     for _ in range(n):
         ext = np.zeros(len(coeffs) + m)
         ext[m:] += coeffs
         ext[: len(coeffs)] -= coeffs
         coeffs = ext
-    g = SignedSeq(lo, np.sign(coeffs))
-    dg = span_difference(g, n, m)
-    # E (Delta_m^n g)(W): align dg with the pmf support
-    pos = F.offset + np.arange(len(pmf)) - dg.offset
-    ok = (pos >= 0) & (pos < len(dg.values))
-    return float(np.add.reduce(np.multiply(pmf[ok], dg.values[pos[ok]])))
+    # g starts at the pmf's first point and its difference n*m points left of
+    # it: E (Delta_m^n g)(W) reads dg over the pmf's support
+    dg = span_difference(np.sign(coeffs), n, m)
+    return float(np.add.reduce(np.multiply(pmf, dg[n * m : n * m + len(pmf)])))

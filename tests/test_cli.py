@@ -33,10 +33,33 @@ def write_dists(tmp_path):
 def test_grid_parse():
     assert cli.parse_grid("64:4096:x2") == [64, 128, 256, 512, 1024, 2048, 4096]
     assert cli.parse_grid("50:200:x2", integer=False) == [50.0, 100.0, 200.0]
+    # rounded points that repeat the point before them are dropped
+    assert cli.parse_grid("10:12:x1.05") == [10, 11, 12]
+    assert cli.parse_grid("2:4:x1.2") == [2, 3]
     with pytest.raises(Exception):
         cli.parse_grid("64:32:x2")
     with pytest.raises(Exception):
         cli.parse_grid("64-128")
+
+
+def test_grid_points_increase_strictly_within_the_bounds():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    # integer endpoints serve both grid kinds, float endpoints float grids
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(a=st.integers(1, 10**6) | st.floats(1e-3, 1e6),
+                      ratio=st.floats(1, 1e3), k=st.floats(1.01, 10))
+    @hypothesis.example(a=1, ratio=3.0, k=1.5)  # rounds 1.5 and 2.25 both to 2
+    def check(a, ratio, k):
+        b = a * ratio if isinstance(a, float) else int(a * ratio)
+        for integer in (True, False) if isinstance(a, int) else (False,):
+            grid = cli.parse_grid(f"{a!r}:{b!r}:x{k!r}", integer)
+            assert grid[0] == a
+            assert all(x < y for x, y in zip(grid, grid[1:]))
+            assert grid[-1] <= b * (1 + 1e-12)
+
+    check()
 
 
 @pytest.mark.parametrize(
@@ -187,6 +210,28 @@ SEEDED_GOLDEN_SHA256 = {
     "rgg --b 0.2 --d 2 --lambda-grid 50:100:x2 --reps 500 --seed 1":
         "67c7f8448d46f85eee8cf01f6a9adc0266efd8169f48fad98a3a71feb788a8a6",
 }
+
+
+# The perfbench goldens that the program has moved past; the next change to
+# the benchmark re-pins them and empties this set.
+STALE_BENCHMARK_GOLDENS = {
+    "er tri --n 64 --p 0.125 --reps 6000 --seed 1",
+    "bounds --model cw --n 100000 --beta 0.5 --reps 1400000 --seed 1",
+    "bounds --model er-iso --n 6 --p 0.5 --reps 22000 --seed 1",
+    "bounds --model er-tri --n 12 --p 0.25 --reps 2200 --seed 1",
+}
+
+
+def test_benchmark_goldens_match_the_test_pins():
+    """Every command perfbench/goldens.json pins is pinned here with the same
+    hash, except the stale ones, which must differ."""
+    bench = json.loads((Path(__file__).parents[1] / "perfbench" / "goldens.json").read_text())
+    pins = {**GOLDEN_SHA256, **SEEDED_GOLDEN_SHA256,
+            "verify lk --trials 500 --seed 1": VERIFY_LK_SHA256}
+    assert STALE_BENCHMARK_GOLDENS <= set(bench["sha256"])
+    for command, digest in bench["sha256"].items():
+        assert command in pins, command
+        assert (pins[command] != digest) == (command in STALE_BENCHMARK_GOLDENS), command
 
 
 # SHA-256 of the stdout of table commands that no golden above covers,
@@ -506,11 +551,15 @@ def test_grid_without_a_factor_exits_2(capsys):
     ([], "pmf must be a nonempty 1-d array"),
     ([0.5, -0.5, 1.0], "pmf entries must be finite and nonnegative"),
     ([0.0, 0.0], "pmf has no positive mass"),
+    # a whole document, whose offset is not a JSON integer
+    ({"offset": 1.5, "pmf": [1.0]}, "offset must be an integer, not 1.5"),
+    ({"offset": True, "pmf": [1.0]}, "offset must be an integer, not True"),
+    ({"offset": "1", "pmf": [1.0]}, "offset must be an integer, not '1'"),
 ])
 def test_metrics_rejects_a_bad_pmf_file(pmf, message, tmp_path, capsys):
     _, g = write_dists(tmp_path)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"offset": 0, "pmf": pmf}))
+    bad.write_text(json.dumps(pmf if isinstance(pmf, dict) else {"offset": 0, "pmf": pmf}))
     assert cli.main(["metrics", "--f", str(bad), "--g", str(g)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 

@@ -6,7 +6,6 @@ import pytest
 from lkllt.errors import InvalidDistribution, InvalidParameter
 from lkllt.lattice import (
     LatticeDist,
-    SignedSeq,
     convolve,
     difference,
     dist_from_weights,
@@ -14,8 +13,28 @@ from lkllt.lattice import (
     smooth_uniform,
     span_difference,
 )
+from lkllt.metrics import (
+    KOLMOGOROV,
+    LOCAL,
+    TOTAL_VARIATION,
+    WASSERSTEIN,
+    distance,
+    local_span,
+    smoothing_term,
+    smoothing_term_dual,
+)
 
 from helpers import binomial_dist, brute_convolve, random_dist
+
+
+def direct_difference(values, n, m=1):
+    """(Delta_m^n f)(j) = sum_k C(n, k) (-1)^(n-k) f(j + k m), for j from n*m
+    points left of ``values`` (f is zero outside it) to its last point."""
+    f = lambda i: values[i] if 0 <= i < len(values) else 0.0
+    return np.array([
+        sum(math.comb(n, k) * (-1) ** (n - k) * f(j + k * m) for k in range(n + 1))
+        for j in range(-n * m, len(values))
+    ])
 
 
 def test_dist_from_weights_uniform():
@@ -67,58 +86,67 @@ def test_smooth_uniform_rejects_bad_span():
 
 
 def test_difference_point_mass():
-    d = difference(SignedSeq(0, np.array([1.0])), 1)
-    assert d.offset == -1
-    assert np.allclose(d.values, [1.0, -1.0])
+    s = np.array([1.0])
+    d = difference(s, 1)
+    assert np.array_equal(d, [1.0, -1.0])
+    assert np.array_equal(d, direct_difference(s, 1))  # starts 1 point left
 
 
 def test_difference_identity():
-    s = SignedSeq(3, np.array([0.25, -0.5, 1.5]))
-    assert difference(s, 0) == s
+    s = np.array([0.25, -0.5, 1.5])
+    assert np.array_equal(difference(s, 0), s)
 
 
 def test_difference_uniform5():
-    s = SignedSeq(0, np.full(5, 0.2))
+    s = np.full(5, 0.2)
     d = difference(s, 1)
-    assert d.offset == -1
-    assert np.allclose(d.values, [0.2, 0, 0, 0, 0, -0.2])
+    assert np.allclose(d, [0.2, 0, 0, 0, 0, -0.2])
+    assert np.array_equal(d, direct_difference(s, 1))  # starts 1 point left
 
 
 def test_span_difference_reduces_to_difference():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        s = SignedSeq(int(rng.integers(-5, 5)), rng.normal(size=int(rng.integers(1, 12))))
+        s = rng.normal(size=int(rng.integers(1, 12)))
         for n in (0, 1, 2, 3):
-            assert span_difference(s, n, 1) == difference(s, n)
+            d = span_difference(s, n, 1)
+            assert np.array_equal(d, difference(s, n))
+            assert np.allclose(d, direct_difference(s, n), rtol=1e-12, atol=1e-12)
 
 
 def test_span_difference_point_mass():
-    d = span_difference(SignedSeq(0, np.array([1.0])), 1, 2)
-    assert d.offset == -2
-    assert np.allclose(d.values, [1.0, 0.0, -1.0])
+    s = np.array([1.0])
+    d = span_difference(s, 1, 2)
+    assert np.array_equal(d, [1.0, 0.0, -1.0])
+    assert np.array_equal(d, direct_difference(s, 1, 2))  # starts 2 points left
+    for n in (2, 3):  # an n-fold span-2 difference starts 2n points left
+        assert np.array_equal(span_difference(s, n, 2), direct_difference(s, n, 2))
 
 
 def test_span_difference_identity_and_validation():
-    s = SignedSeq(1, np.array([2.0, 3.0]))
-    assert span_difference(s, 0, 3) == s
+    s = np.array([2.0, 3.0])
+    assert np.array_equal(span_difference(s, 0, 3), s)
     with pytest.raises(InvalidParameter):
         span_difference(s, 1, 0)
 
 
-def test_signed_seq_and_span_difference_reject_bad_shape_and_order():
-    with pytest.raises(InvalidParameter, match="values must be a 1-d array"):
-        SignedSeq(0, np.zeros((2, 2)))
+def test_span_difference_and_seq_norm_reject_bad_shape_and_order():
+    for bad in (np.zeros((2, 2)), np.float64(1.0)):
+        with pytest.raises(InvalidParameter, match="sequence must be a 1-d array"):
+            span_difference(bad, 1, 1)
+        with pytest.raises(InvalidParameter, match="sequence must be a 1-d array"):
+            seq_norm(bad, 1)
     with pytest.raises(InvalidParameter, match="n must be nonnegative"):
-        span_difference(SignedSeq(0, np.array([1.0])), -1, 1)
+        span_difference(np.array([1.0]), -1, 1)
 
 
 def test_seq_norms():
-    s = SignedSeq(-1, np.array([1.0, -1.0]))
+    s = np.array([1.0, -1.0])
     assert seq_norm(s, 1) == 2.0
     assert seq_norm(s, math.inf) == 1.0
     assert seq_norm(s, 2) == pytest.approx(math.sqrt(2))
-    assert seq_norm(dist_from_weights(0, [1, 1]).as_seq(), 1) == pytest.approx(1.0)
-    assert seq_norm(SignedSeq(0, np.zeros(0)), 1) == 0.0
+    assert seq_norm(dist_from_weights(0, [1, 1]).pmf, 1) == pytest.approx(1.0)
+    assert seq_norm(np.zeros(0), 1) == 0.0
     with pytest.raises(InvalidParameter):
         seq_norm(s, 3)
 
@@ -146,7 +174,7 @@ def test_difference_sums_to_zero():
     for _ in range(50):
         F = random_dist(rng)
         for n in (1, 2, 3):
-            assert abs(difference(F.as_seq(), n).values.sum()) < 1e-12
+            assert abs(difference(F.pmf, n).sum()) < 1e-12
 
 
 def test_smooth_uniform_mean_shift():
@@ -162,11 +190,11 @@ def test_smooth_uniform_mean_shift():
 def test_difference_composes():
     rng = np.random.default_rng(3)
     for _ in range(30):
-        s = SignedSeq(int(rng.integers(-5, 5)), rng.normal(size=int(rng.integers(1, 10))))
+        s = rng.normal(size=int(rng.integers(1, 10)))
         for a in (0, 1, 2):
             for b in (1, 2, 3):
                 if a + b <= 5:
-                    assert difference(s, a + b) == difference(difference(s, a), b)
+                    assert np.array_equal(difference(s, a + b), difference(difference(s, a), b))
 
 
 def test_convolve_commutative_associative():
@@ -197,27 +225,65 @@ def _signed_inputs():
 
 @pytest.mark.parametrize("values", _signed_inputs())
 def test_diff_once_is_the_zero_padded_np_diff(values):
-    # one span-m step is the zero-padded np.diff of every residue class mod m
-    s = SignedSeq(3, values)
+    # one span-m step is the zero-padded np.diff of every residue class mod m;
+    # want[i] is the difference at the point i - m, so equal bytes also say
+    # that the result starts m points left of its input
     for m in (1, 2, 3):
-        want = np.zeros(len(s.values) + m)
+        want = np.zeros(len(values) + m)
         for r in range(m):
-            want[r::m] = np.diff(s.values[r::m], prepend=0.0, append=0.0)
-        want = SignedSeq(s.offset - m, want)
-        got = span_difference(s, 1, m)
-        assert got.offset == want.offset
-        assert got.values.dtype == want.values.dtype
-        assert got.values.tobytes() == want.values.tobytes()
+            want[r::m] = np.diff(values[r::m], prepend=0.0, append=0.0)
+        got = span_difference(values, 1, m)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("values", _signed_inputs())
 def test_difference_is_repeated_np_diff(values):
-    s = SignedSeq(3, values)
+    # want[i] is the n-th difference at the point i - n
     for n in range(5):
-        want = s.values
+        want = values
         for _ in range(n):
             want = np.diff(want, prepend=0.0, append=0.0)
-        want = SignedSeq(s.offset - n, want)
-        got = difference(s, n)
-        assert got.offset == want.offset
-        assert got.values.tobytes() == want.values.tobytes()
+        got = difference(values, n)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_differences_of_a_law_keep_nonzero_ends_and_metrics_agree():
+    """A law's pmf has nonzero ends, and one span-m step maps the first entry
+    v to v and the last entry v to -v, so no difference of a pmf has a zero
+    end to trim.  The primal and dual smoothing terms agree, and each metric
+    is symmetric, zero on (F, F) and obeys the triangle inequality."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    mass = st.floats(1e-300, 1e3)
+    weights = st.one_of(
+        st.lists(mass, min_size=1, max_size=1),  # point mass
+        st.tuples(mass, st.integers(0, 8), mass).map(  # two points, any gap
+            lambda t: [t[0]] + [0.0] * t[1] + [t[2]]
+        ),
+        st.lists(mass, min_size=1, max_size=15).map(  # one parity class
+            lambda w: np.ravel(np.column_stack([w, np.zeros(len(w))]))
+        ),
+        st.lists(mass | st.just(0.0), min_size=1, max_size=30).filter(any),
+    )
+    laws = st.builds(dist_from_weights, st.integers(-20, 20), weights)
+    metrics = (KOLMOGOROV, WASSERSTEIN, TOTAL_VARIATION, LOCAL, local_span(2), local_span(3))
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(F=laws, G=laws, H=laws)
+    def check(F, G, H):
+        for n in range(5):
+            for m in (1, 2, 3):
+                d = span_difference(F.pmf, n, m)
+                assert len(d) == len(F.pmf) + n * m
+                assert d[0] != 0.0 and d[-1] != 0.0
+                if n >= 1:
+                    assert math.isclose(
+                        smoothing_term(F, n, m), smoothing_term_dual(F, n, m), rel_tol=1e-12
+                    )
+        for kind in metrics:
+            assert distance(F, G, kind) == distance(G, F, kind)
+            assert distance(F, F, kind) == 0.0
+            assert distance(F, H, kind) <= distance(F, G, kind) + distance(G, H, kind) + 1e-12
+
+    check()
