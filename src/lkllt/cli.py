@@ -19,6 +19,8 @@ from pathlib import Path
 from . import __version__
 from .errors import LklltError, NumericalFailure
 
+_MAX_GRID_POINTS = 10_000  # longest grid parse_grid builds
+
 
 def parse_grid(spec: str, integer: bool = True) -> list:
     """Geometric grid 'a:b:xk': from a to b inclusive, multiplying by k.
@@ -36,6 +38,10 @@ def parse_grid(spec: str, integer: bool = True) -> list:
         raise argparse.ArgumentTypeError(f"grid {spec!r} has a non-finite entry")
     if a <= 0 or b < a or k <= 1:
         raise argparse.ArgumentTypeError(f"grid {spec!r} is empty or non-increasing")
+    if math.floor((math.log(b) - math.log(a)) / math.log(k)) + 1 > _MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"grid {spec!r} has more than {_MAX_GRID_POINTS} points"
+        )
     out = []
     x = a
     while x <= b * (1 + 1e-12):

@@ -186,17 +186,9 @@ def _iso_counts(adj: np.ndarray):
     return w, np.count_nonzero(one, axis=1), e2
 
 
-@dataclass(frozen=True)
-class IsoBounds:
-    d1_bound: float
-    d2_bound: float
-    d12_bound: float
-    d22_bound: float
-
-
-def iso_smoothing_bounds(n: int, p: float) -> IsoBounds:
-    """Pair-chain smoothness bounds for the isolated-vertex count, assembled
-    purely from closed-form moments (no simulation).
+def iso_smoothing_bounds(n: int, p: float) -> tuple[float, float, float, float]:
+    """Pair-chain smoothness bounds (d1, d2, d12, d22) for the isolated-vertex
+    count, assembled purely from closed-form moments (no simulation).
 
     d1/d2 bound the order-1/order-2 span-1 smoothing terms, d12/d22 the
     span-2 analogues.  The variance ratios follow the moment identities for
@@ -229,7 +221,7 @@ def iso_smoothing_bounds(n: int, p: float) -> IsoBounds:
     ediffn2n2 = (2 * mom.e_w3 - 5 * mom.e_w2 + 3 * mom.e_w) * p * p / (2 * c2 ** 2)
     d12 = (math.sqrt(max(var_q2, 0.0)) + math.sqrt(max(var_qn2, 0.0))) / q2
     d22 = (2 * var_q2 + ediff22 + 2 * var_qn2 + ediffn2n2) / q2 ** 2
-    return IsoBounds(d1, d2, d12, d22)
+    return d1, d2, d12, d22
 
 
 # ---------------------------------------------------------------------------
@@ -744,8 +736,7 @@ def er_rate_experiment(statistic: str, rows, replicates: int, seed: int) -> Rate
         if statistic == "isolated":
             mom = iso_moments(n, p)
             mu, s2 = mom.e_w, mom.sigma2
-            b = iso_smoothing_bounds(n, p)
-            bound_cols = (b.d1_bound, b.d2_bound, b.d12_bound, b.d22_bound)
+            bound_cols = iso_smoothing_bounds(n, p)
 
             def block(start, count, rng):
                 return _isolated_count_block(n, p, rng, count)

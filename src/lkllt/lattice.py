@@ -2,8 +2,8 @@
 
 A :class:`LatticeDist` stores a finitely supported probability mass function
 as ``(offset, pmf)``: mass ``pmf[i]`` sits at the integer ``offset + i``.
-It is immutable; every operation returns a new value.  The difference
-operators and sequence norms work on plain 1-d float arrays.  Cumulative
+It is immutable; every operation returns a new value.  The one difference
+operator, :func:`span_difference`, works on plain 1-d float arrays.  Cumulative
 distribution functions are never materialized: the identity "first
 difference of the CDF at j equals the mass at j+1" lets all CDF-difference
 functionals be computed from pmf differences.
@@ -12,7 +12,6 @@ functionals be computed from pmf differences.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,9 +78,17 @@ class LatticeDist:
     @staticmethod
     def from_json(text: str) -> "LatticeDist":
         obj = json.loads(text)
+        if not isinstance(obj, dict) or not {"offset", "pmf"} <= obj.keys():
+            raise InvalidDistribution(
+                "a distribution must be a JSON object with 'offset' and 'pmf'"
+            )
         if type(obj["offset"]) is not int:  # not a bool, string or fraction
             raise InvalidDistribution(f"offset must be an integer, not {obj['offset']!r}")
-        return LatticeDist(obj["offset"], np.asarray(obj["pmf"], dtype=float))
+        try:
+            pmf = np.asarray(obj["pmf"], dtype=float)
+        except (TypeError, ValueError):  # an object, a string or a ragged list
+            raise InvalidDistribution("pmf must be a list of numbers") from None
+        return LatticeDist(obj["offset"], pmf)
 
 
 def dist_from_weights(offset: int, weights) -> LatticeDist:
@@ -117,14 +124,6 @@ def smooth_uniform(F: LatticeDist, m: int) -> LatticeDist:
     return LatticeDist(F.offset, np.convolve(F.pmf, kernel))
 
 
-def difference(s: np.ndarray, n: int) -> np.ndarray:
-    """n-th forward difference of a finite sequence (zero-extended).
-
-    The result starts n points left of ``s``; n = 0 is the identity.
-    """
-    return span_difference(s, n, 1)
-
-
 def span_difference(s: np.ndarray, n: int, m: int) -> np.ndarray:
     """n-fold span-m difference: one step maps f(j) to f(j+m) - f(j).
 
@@ -144,22 +143,6 @@ def span_difference(s: np.ndarray, n: int, m: int) -> np.ndarray:
         ext[m : m + len(vals)] = vals
         vals = ext[m:] - ext[:-m]
     return vals
-
-
-def seq_norm(s: np.ndarray, p) -> float:
-    """Sequence norm of a 1-d array for p in {1, 2, inf}; zero when empty."""
-    vals = np.asarray(s, dtype=float)
-    if vals.ndim != 1:
-        raise InvalidParameter("sequence must be a 1-d array")
-    if vals.size == 0:
-        return 0.0
-    if p == 1:
-        return float(np.abs(vals).sum())
-    if p == 2:
-        return float(math.sqrt(np.add.reduce(np.multiply(vals, vals))))
-    if p == math.inf:
-        return float(np.abs(vals).max())
-    raise InvalidParameter(f"unsupported norm p={p!r}")
 
 
 def convolve(F: LatticeDist, G: LatticeDist) -> LatticeDist:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter
-from .lattice import LatticeDist, dist_from_weights, smooth_uniform
+from .lattice import LatticeDist, dist_from_weights
 from .metrics import (
     KOLMOGOROV,
     LOCAL,
@@ -70,18 +70,17 @@ class LKCombo:
     """One row of the metric interpolation table.
 
     d1 is the stronger metric being bounded, d2 the weaker metric on the
-    right-hand side, l the difference order of the smoothness norms, m the
-    block span; beta is derived from the table.
+    right-hand side, l the difference order of the smoothness norms; beta is
+    derived from the table.
     """
 
     d1: Metric
     d2: Metric
     l: int
-    m: int = 1
 
     def __post_init__(self):
-        if self.l < 1 or self.m < 1:
-            raise InvalidParameter("l and m must be positive integers")
+        if self.l < 1:
+            raise InvalidParameter("l must be a positive integer")
         key = (self.d1.name, self.d2.name)
         if self.d1.span != 1 or self.d2.span != 1 or key not in _COMBO_BETA:
             raise InvalidParameter(f"unsupported metric combination {key}")
@@ -96,8 +95,6 @@ class LKReport:
     """Both sides of one interpolation inequality, without any constant."""
 
     lhs: float
-    d2_value: float
-    smooth_sum: float
     rhs_core: float
     ratio: float
 
@@ -105,30 +102,25 @@ class LKReport:
 def lk_sides(F: LatticeDist, G: LatticeDist, combo: LKCombo) -> LKReport:
     """Evaluate both sides of the inequality for a pair of lattice laws.
 
-    lhs is d1 between the m-block-averaged laws; rhs_core is
-    d2(F, G)^(1-beta) * (sum of the two order-(l+1) smoothed CDF-difference
-    norms)^beta.  No constant is applied; ratio = lhs / rhs_core (zero when
-    both sides vanish).
+    lhs is d1(F, G); rhs_core is d2(F, G)^(1-beta) * (sum of the two
+    order-(l+1) CDF-difference norms)^beta.  No constant is applied;
+    ratio = lhs / rhs_core (zero when both sides vanish).
     """
-    Fs = smooth_uniform(F, combo.m)
-    Gs = smooth_uniform(G, combo.m)
-    lhs = distance(Fs, Gs, combo.d1)
-    d2_value = distance(F, G, combo.d2)
-    smooth_sum = cdf_diff_norm(F, combo.l + 1, combo.m) + cdf_diff_norm(
-        G, combo.l + 1, combo.m
-    )
+    lhs = distance(F, G, combo.d1)
+    d2 = distance(F, G, combo.d2)
+    norms = cdf_diff_norm(F, combo.l + 1) + cdf_diff_norm(G, combo.l + 1)
     beta = combo.beta
-    rhs_core = d2_value ** (1.0 - beta) * smooth_sum ** beta
+    rhs_core = d2 ** (1.0 - beta) * norms ** beta
     ratio = lhs / rhs_core if rhs_core > 0 else 0.0
-    return LKReport(lhs, d2_value, smooth_sum, rhs_core, ratio)
+    return LKReport(lhs, rhs_core, ratio)
 
 
 # the two known-constant cases: case name -> (combo builder, underlying (n,p,q,r))
 KNOWN_CASES = {
     # n=2, p=q=r=1: total variation vs Wasserstein with first-order smoothness
-    "n2_p1q1r1": LKCombo(TOTAL_VARIATION, WASSERSTEIN, l=1, m=1),
+    "n2_p1q1r1": LKCombo(TOTAL_VARIATION, WASSERSTEIN, l=1),
     # n=3, p=q=inf, r=1: local vs Kolmogorov with second-order smoothness
-    "n3_pinf_qinf_r1": LKCombo(LOCAL, KOLMOGOROV, l=2, m=1),
+    "n3_pinf_qinf_r1": LKCombo(LOCAL, KOLMOGOROV, l=2),
 }
 
 

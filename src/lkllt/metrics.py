@@ -9,21 +9,19 @@ Metrics between two lattice laws F, G (in CDF terms):
 * local with span m: the local metric between the laws smoothed by
   uniform{0..m-1}; equals (1/m) sup_k |P[X in (k, k+m]] - P[Y in (k, k+m]]|.
 
-The smoothing functional D(F; n, m) = m * l1-norm of the (n+1)-th difference
-of the CDF of F smoothed by uniform{0..m-1}.  Small values mean the point
-masses of F vary slowly, which is what upgrades weak-metric bounds into
-local ones.
+The smoothing functional D(F; n, m) = l1-norm of the n-fold span-m difference
+of the pmf of F.  Small values mean the point masses of F vary slowly, which
+is what upgrades weak-metric bounds into local ones.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameter
-from .lattice import LatticeDist, difference, seq_norm, smooth_uniform, span_difference
+from .lattice import LatticeDist, smooth_uniform, span_difference
 
 
 @dataclass(frozen=True)
@@ -84,34 +82,29 @@ def smoothing_term(F: LatticeDist, n: int, m: int) -> float:
     """Order-n, span-m smoothness of a lattice law.
 
     Defined as the supremum over |g| <= 1 of E[n-fold span-m difference of g
-    at W], which equals m^n times the l1-norm of the n-th unit difference of
-    the pmf of F averaged over n independent uniform{0..m-1} blocks.  For
-    m = 1 this is the l1-norm of the n-th pmf difference (equivalently of the
-    (n+1)-th CDF difference); for n = 1 it is m times the l1-norm of the
-    second CDF difference of the m-block-averaged law.  Always in (0, 2^(n+1)].
+    at W].  The adjoint of one span-m step maps p(j) to p(j-m) - p(j), the
+    negated span-m difference of p shifted m points, so the supremum is the
+    l1-norm of the n-fold span-m difference of the pmf.  For m = 1 this is
+    also the l1-norm of the (n+1)-th CDF difference.  Always in (0, 2^n].
 
-    Computed here by the n-fold averaging route; :func:`smoothing_term_dual`
-    evaluates the same supremum through its extremal test function and exists
-    as an independent cross-check.
+    :func:`smoothing_term_dual` evaluates the same supremum through its
+    extremal test function and exists as an independent cross-check.
     """
     if n < 1 or m < 1:
         raise InvalidParameter("n and m must be positive integers")
-    smoothed = F
-    for _ in range(n):
-        smoothed = smooth_uniform(smoothed, m)
-    return (m ** n) * seq_norm(difference(smoothed.pmf, n), 1)
+    return float(np.abs(span_difference(F.pmf, n, m)).sum())
 
 
-def cdf_diff_norm(F: LatticeDist, order: int, m: int) -> float:
-    """l1-norm of the order-th unit difference of the CDF of the m-smoothed law.
+def cdf_diff_norm(F: LatticeDist, order: int) -> float:
+    """l1-norm of the order-th unit difference of the CDF of F.
 
     This is the norm appearing on the right-hand side of the interpolation
     inequalities; the first CDF difference at j equals the mass at j+1, so it
-    is computed as the (order-1)-th difference of the smoothed pmf.
+    is computed as the (order-1)-th difference of the pmf.
     """
-    if order < 1 or m < 1:
-        raise InvalidParameter("order and m must be positive integers")
-    return seq_norm(difference(smooth_uniform(F, m).pmf, order - 1), 1)
+    if order < 1:
+        raise InvalidParameter("order must be a positive integer")
+    return float(np.abs(span_difference(F.pmf, order - 1, 1)).sum())
 
 
 def smoothing_term_dual(F: LatticeDist, n: int, m: int) -> float:

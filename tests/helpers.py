@@ -24,7 +24,7 @@ from lkllt.er import (
     _enumerated_triangles,
     _iso_q_from_counts,
 )
-from lkllt.lattice import LatticeDist, dist_from_weights
+from lkllt.lattice import LatticeDist, dist_from_weights, smooth_uniform, span_difference
 from lkllt.rngutil import map_blocks
 from lkllt.errors import DegenerateChain
 from lkllt.smoothing import PairChainStats, PairModel
@@ -50,6 +50,16 @@ def interval_mass(F: LatticeDist, k: int, m: int) -> float:
         if 0 <= i < len(F.pmf):
             total += F.pmf[i]
     return total
+
+
+def smoothing_term_by_averaging(F: LatticeDist, n: int, m: int) -> float:
+    """The order-n, span-m smoothing term by the n-fold averaging route: m^n
+    times the l1-norm of the n-th unit difference of the pmf of F averaged
+    over n independent uniform{0..m-1} blocks."""
+    smoothed = F
+    for _ in range(n):
+        smoothed = smooth_uniform(smoothed, m)
+    return (m ** n) * float(np.abs(span_difference(smoothed.pmf, n, 1)).sum())
 
 
 def random_dist(rng: np.random.Generator, max_width: int = 30) -> LatticeDist:

@@ -540,6 +540,31 @@ def test_validation_messages(command, message, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", [
+    "tp --sigma2-grid 1:2:x1.0000000000000002",
+    "cw rate --beta 0.5 --n-grid 64:128:x1.0000000000000002",
+    "rgg --lambda-grid 1e-300:1e300:x1.001 --reps 10",
+])
+def test_grid_with_too_many_points_exits_2(command):
+    # a factor just above 1 once looped about 3e15 times, growing its list:
+    # a child process with a time and an address-space bound keeps that out
+    resource = pytest.importorskip("resource")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cap = 1 << 29
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from lkllt.cli import main; sys.exit(main(sys.argv[1:]))",
+         *command.split()],
+        env=env, capture_output=True, text=True, timeout=10,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert run.returncode == 2, run.stderr
+    assert f"has more than {cli._MAX_GRID_POINTS} points" in run.stderr
+    assert "Traceback" not in run.stderr
+
+
 def test_grid_without_a_factor_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main("tp --sigma2-grid 1:2:3".split())
@@ -555,11 +580,18 @@ def test_grid_without_a_factor_exits_2(capsys):
     ({"offset": 1.5, "pmf": [1.0]}, "offset must be an integer, not 1.5"),
     ({"offset": True, "pmf": [1.0]}, "offset must be an integer, not True"),
     ({"offset": "1", "pmf": [1.0]}, "offset must be an integer, not '1'"),
+    # valid JSON of the wrong shape: a TypeError or KeyError traceback before
+    ("[0, [1.0]]", "a distribution must be a JSON object with 'offset' and 'pmf'"),
+    ({"pmf": [1.0]}, "a distribution must be a JSON object with 'offset' and 'pmf'"),
+    ({"offset": 0}, "a distribution must be a JSON object with 'offset' and 'pmf'"),
+    ({"offset": 0, "pmf": {"0": 1.0}}, "pmf must be a list of numbers"),
 ])
 def test_metrics_rejects_a_bad_pmf_file(pmf, message, tmp_path, capsys):
     _, g = write_dists(tmp_path)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(pmf if isinstance(pmf, dict) else {"offset": 0, "pmf": pmf}))
+    if isinstance(pmf, list):
+        pmf = {"offset": 0, "pmf": pmf}
+    bad.write_text(pmf if isinstance(pmf, str) else json.dumps(pmf))
     assert cli.main(["metrics", "--f", str(bad), "--g", str(g)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 

@@ -471,10 +471,10 @@ def test_iso_smoothing_bounds_scaling_dense_regime():
     scaled1, scaled2 = [], []
     for n in (2**7, 2**8, 2**9, 2**10, 2**11, 2**12):
         p = 1.0 / n
-        b = iso_smoothing_bounds(n, p)
+        d1, d2, _, _ = iso_smoothing_bounds(n, p)
         sigma = math.sqrt(iso_moments(n, p).sigma2)
-        scaled1.append(b.d1_bound * sigma)
-        scaled2.append(b.d2_bound * sigma**2)
+        scaled1.append(d1 * sigma)
+        scaled2.append(d2 * sigma**2)
     assert max(scaled1) <= 3.0
     assert max(scaled2) <= 12.0
     assert scaled1[-1] <= scaled1[0] * 1.5
@@ -485,9 +485,9 @@ def test_iso_smoothing_bounds_sparse_regime_span2():
     scaled = []
     for n in (2**7, 2**9, 2**11):
         p = n**-1.5
-        b = iso_smoothing_bounds(n, p)
+        _, _, d12, _ = iso_smoothing_bounds(n, p)
         sigma = math.sqrt(iso_moments(n, p).sigma2)
-        scaled.append(b.d12_bound * sigma)
+        scaled.append(d12 * sigma)
     assert max(scaled) <= 6.0
     assert scaled[-1] <= scaled[0] * 1.5
 

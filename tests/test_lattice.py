@@ -7,9 +7,7 @@ from lkllt.errors import InvalidDistribution, InvalidParameter
 from lkllt.lattice import (
     LatticeDist,
     convolve,
-    difference,
     dist_from_weights,
-    seq_norm,
     smooth_uniform,
     span_difference,
 )
@@ -87,19 +85,19 @@ def test_smooth_uniform_rejects_bad_span():
 
 def test_difference_point_mass():
     s = np.array([1.0])
-    d = difference(s, 1)
+    d = span_difference(s, 1, 1)
     assert np.array_equal(d, [1.0, -1.0])
     assert np.array_equal(d, direct_difference(s, 1))  # starts 1 point left
 
 
 def test_difference_identity():
     s = np.array([0.25, -0.5, 1.5])
-    assert np.array_equal(difference(s, 0), s)
+    assert np.array_equal(span_difference(s, 0, 1), s)
 
 
 def test_difference_uniform5():
     s = np.full(5, 0.2)
-    d = difference(s, 1)
+    d = span_difference(s, 1, 1)
     assert np.allclose(d, [0.2, 0, 0, 0, 0, -0.2])
     assert np.array_equal(d, direct_difference(s, 1))  # starts 1 point left
 
@@ -110,7 +108,6 @@ def test_span_difference_reduces_to_difference():
         s = rng.normal(size=int(rng.integers(1, 12)))
         for n in (0, 1, 2, 3):
             d = span_difference(s, n, 1)
-            assert np.array_equal(d, difference(s, n))
             assert np.allclose(d, direct_difference(s, n), rtol=1e-12, atol=1e-12)
 
 
@@ -130,25 +127,12 @@ def test_span_difference_identity_and_validation():
         span_difference(s, 1, 0)
 
 
-def test_span_difference_and_seq_norm_reject_bad_shape_and_order():
+def test_span_difference_rejects_bad_shape_and_order():
     for bad in (np.zeros((2, 2)), np.float64(1.0)):
         with pytest.raises(InvalidParameter, match="sequence must be a 1-d array"):
             span_difference(bad, 1, 1)
-        with pytest.raises(InvalidParameter, match="sequence must be a 1-d array"):
-            seq_norm(bad, 1)
     with pytest.raises(InvalidParameter, match="n must be nonnegative"):
         span_difference(np.array([1.0]), -1, 1)
-
-
-def test_seq_norms():
-    s = np.array([1.0, -1.0])
-    assert seq_norm(s, 1) == 2.0
-    assert seq_norm(s, math.inf) == 1.0
-    assert seq_norm(s, 2) == pytest.approx(math.sqrt(2))
-    assert seq_norm(dist_from_weights(0, [1, 1]).pmf, 1) == pytest.approx(1.0)
-    assert seq_norm(np.zeros(0), 1) == 0.0
-    with pytest.raises(InvalidParameter):
-        seq_norm(s, 3)
 
 
 def test_convolve_point_masses():
@@ -174,7 +158,7 @@ def test_difference_sums_to_zero():
     for _ in range(50):
         F = random_dist(rng)
         for n in (1, 2, 3):
-            assert abs(difference(F.pmf, n).sum()) < 1e-12
+            assert abs(span_difference(F.pmf, n, 1).sum()) < 1e-12
 
 
 def test_smooth_uniform_mean_shift():
@@ -194,7 +178,10 @@ def test_difference_composes():
         for a in (0, 1, 2):
             for b in (1, 2, 3):
                 if a + b <= 5:
-                    assert np.array_equal(difference(s, a + b), difference(difference(s, a), b))
+                    assert np.array_equal(
+                        span_difference(s, a + b, 1),
+                        span_difference(span_difference(s, a, 1), b, 1),
+                    )
 
 
 def test_convolve_commutative_associative():
@@ -244,7 +231,7 @@ def test_difference_is_repeated_np_diff(values):
         want = values
         for _ in range(n):
             want = np.diff(want, prepend=0.0, append=0.0)
-        got = difference(values, n)
+        got = span_difference(values, n, 1)
         assert got.tobytes() == want.tobytes()
 
 

@@ -77,9 +77,9 @@ def test_lk_sides_equal_inputs():
 def test_lk_sides_binomial_vs_tp():
     F = binomial_dist(20, 0.5)
     G = tp_dist(tp_params(10.0, 5.0))
-    rep2 = lk_sides(F, G, LKCombo(LOCAL, KOLMOGOROV, l=2, m=1))
+    rep2 = lk_sides(F, G, LKCombo(LOCAL, KOLMOGOROV, l=2))
     assert rep2.ratio <= SQRT2 + 1e-12
-    rep4 = lk_sides(F, G, LKCombo(TOTAL_VARIATION, WASSERSTEIN, l=1, m=1))
+    rep4 = lk_sides(F, G, LKCombo(TOTAL_VARIATION, WASSERSTEIN, l=1))
     assert rep4.ratio <= SQRT2 + 1e-12
 
 

@@ -18,7 +18,7 @@ from lkllt.metrics import (
     smoothing_term_dual,
 )
 
-from helpers import binomial_dist, interval_mass, random_dist
+from helpers import binomial_dist, interval_mass, random_dist, smoothing_term_by_averaging
 
 ALL_METRICS = (KOLMOGOROV, WASSERSTEIN, TOTAL_VARIATION, LOCAL)
 
@@ -69,8 +69,8 @@ def test_metric_validation():
 def test_span_and_order_validation():
     with pytest.raises(InvalidParameter, match="span must be a positive integer"):
         Metric("local", 0)
-    with pytest.raises(InvalidParameter, match="order and m must be positive integers"):
-        cdf_diff_norm(dist_from_weights(0, [1, 1]), 0, 1)
+    with pytest.raises(InvalidParameter, match="order must be a positive integer"):
+        cdf_diff_norm(dist_from_weights(0, [1, 1]), 0)
 
 
 def test_smoothing_term_point_mass():
@@ -104,6 +104,27 @@ def test_dual_matches_primal_on_binomials():
         assert smoothing_term_dual(b, n, m) == pytest.approx(
             smoothing_term(b, n, m), abs=1e-10
         )
+
+
+def test_smoothing_term_equals_the_averaging_route():
+    """The span-m difference of the pmf and the n-fold averaging route agree
+    to rounding, bit for bit at m = 1, and both agree with the dual."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    weights = st.lists(st.floats(1e-300, 1e3) | st.just(0.0), min_size=1, max_size=30)
+    laws = st.builds(dist_from_weights, st.integers(-20, 20), weights.filter(any))
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(F=laws, n=st.integers(1, 4), m=st.integers(1, 4))
+    def check(F, n, m):
+        got = smoothing_term(F, n, m)
+        want = smoothing_term_by_averaging(F, n, m)
+        assert math.isclose(got, want, rel_tol=1e-12)
+        if m == 1:
+            assert got.hex() == want.hex()
+        assert math.isclose(got, smoothing_term_dual(F, n, m), rel_tol=1e-12)
+
+    check()
 
 
 def test_dual_identity_fuzz():
