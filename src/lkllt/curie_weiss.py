@@ -48,6 +48,7 @@ def parity_shift(n: int) -> int:
 _BLOCK = 1024  # spin-down counts per block of the support search
 # exp(x) == 0.0 for x < -745.14; the margin covers rounding in the bounds
 _UNDERFLOW = 750.0
+_PAIRWISE_LEAF = 128  # numpy's pairwise summation: longest run summed in one loop
 
 
 def _log_binom(n: int, k: np.ndarray) -> np.ndarray:
@@ -103,6 +104,32 @@ def _support_weights(params: CWParams) -> tuple[int, np.ndarray]:
     return j0, weights
 
 
+def _zero_padded_sum(values: np.ndarray, start: int, a: int, n: int):
+    """``np.sum`` of entries a to a + n - 1 of a zero vector that holds
+    ``values`` from entry ``start`` on.
+
+    The zero vector is never built.  numpy sums a contiguous float vector
+    pairwise: at most _PAIRWISE_LEAF entries in one unrolled loop, longer
+    ones split at half the length, rounded down to a multiple of 8.  A part
+    of that tree that holds only zeros sums to 0.0 and one that lies inside
+    ``values`` is summed by numpy over a slice of the same length, so the
+    total rounds as the whole vector's sum does.
+    """
+    end = start + len(values)
+    if a >= end or a + n <= start:
+        return 0.0
+    if start <= a and a + n <= end:
+        return np.add.reduce(values[a - start : a - start + n])
+    if n <= _PAIRWISE_LEAF:
+        leaf = np.zeros(n)
+        lo, hi = max(a, start), min(a + n, end)
+        leaf[lo - a : hi - a] = values[lo - start : hi - start]
+        return np.add.reduce(leaf)
+    half = n // 2 - n // 2 % 8
+    return (_zero_padded_sum(values, start, a, half)
+            + _zero_padded_sum(values, start, a + half, n - half))
+
+
 def cw_exact_pmf(params: CWParams, half_lattice: bool = False) -> LatticeDist:
     """Exact law of the magnetization W (or of (W + parity)/2).
 
@@ -110,19 +137,19 @@ def cw_exact_pmf(params: CWParams, half_lattice: bool = False) -> LatticeDist:
     count k (w = n - 2k), accumulated in log space with max subtraction.
     The full-lattice law has span 2 (interior zeros); the half-lattice law is
     the unit-span law of (W + parity_shift(n)) / 2.  Weights that underflow
-    are never computed, but the normalizing total is summed over a zero-filled
-    vector of the whole lattice (untouched pages cost no memory), since the
-    rounding of a pairwise sum depends on where each entry sits.
+    are never computed, but the normalizing total rounds as a pairwise sum
+    over a zero-filled vector of the whole lattice, since that rounding
+    depends on where each entry sits (see _zero_padded_sum).
     """
     n = params.n
     j0, weights = _support_weights(params)
     step = 1 if half_lattice else 2
-    lattice = np.zeros(step * n + 1)
     start = step * j0
-    window = lattice[start:start + step * (len(weights) - 1) + 1]
+    window = np.zeros(step * (len(weights) - 1) + 1)
     window[::step] = weights
+    window /= _zero_padded_sum(window, start, 0, step * n + 1)
     offset = (-n + parity_shift(n)) // 2 if half_lattice else -n
-    return LatticeDist(offset + start, window / lattice.sum())
+    return LatticeDist(offset + start, window)
 
 
 def cw_m0(beta: float, h: float) -> float:
@@ -167,21 +194,44 @@ def _q_arrays(w: np.ndarray, params: CWParams):
 
     All spin-down sites see the leave-one-out magnetization (w+1)/n and all
     spin-up sites see (w-1)/n, so every quantity is a function of w alone.
-    Returns (q2, q_neg2, q22, q_neg2_neg2).
+    Returns (q2, q_neg2, q22, q_neg2_neg2).  Each value is rounded as in
+
+        down, up = (n - w) / 2.0, (n + w) / 2.0
+        q2 = down / n * flip(w + 1, +)
+        q22 = q2 * (down - 1) / n * flip(w + 3, +)
+        qn2 = up / n * flip(w - 1, -)
+        qn2n2 = qn2 * (up - 1) / n * flip(w - 3, -)
+
+    with flip(x, +-) = 0.5 * (1.0 +- tanh(beta * x / n + h)); the second
+    step starts from w +- 2 with one fewer site to flip.  The operations run
+    in place, so at most six arrays of the size of w are live.
     """
     n, beta, h = params.n, params.beta, params.h
     w = np.asarray(w, dtype=float)
-    down = (n - w) / 2.0
-    up = (n + w) / 2.0
-    p_up_after_down = 0.5 * (1.0 + np.tanh(beta * (w + 1) / n + h))
-    p_dn_after_up = 0.5 * (1.0 - np.tanh(beta * (w - 1) / n + h))
-    q2 = down / n * p_up_after_down
-    qn2 = up / n * p_dn_after_up
-    # second +2 step starts from w+2 with one fewer down spin
-    p_up_2 = 0.5 * (1.0 + np.tanh(beta * (w + 3) / n + h))
-    q22 = q2 * (down - 1) / n * p_up_2
-    p_dn_2 = 0.5 * (1.0 - np.tanh(beta * (w - 3) / n + h))
-    qn2n2 = qn2 * (up - 1) / n * p_dn_2
+    flip = np.empty_like(w)
+
+    def flip_probability(shift: int, sign: np.ufunc) -> np.ndarray:
+        np.add(w, shift, out=flip)
+        np.multiply(beta, flip, out=flip)
+        np.divide(flip, n, out=flip)
+        np.add(flip, h, out=flip)
+        np.tanh(flip, out=flip)
+        sign(1.0, flip, out=flip)
+        return np.multiply(0.5, flip, out=flip)
+
+    def two_steps(sites: np.ndarray, shift: int, sign: np.ufunc):
+        sites /= 2.0
+        one = np.divide(sites, n, out=np.empty_like(w))
+        one *= flip_probability(shift, sign)
+        sites -= 1
+        two = np.multiply(one, sites, out=sites)
+        two /= n
+        two *= flip_probability(3 * shift, sign)
+        return one, two
+
+    # out= keeps a 0-d w an array, so that the steps can run in place
+    q2, q22 = two_steps(np.subtract(n, w, out=np.empty_like(w)), 1, np.add)
+    qn2, qn2n2 = two_steps(np.add(n, w, out=np.empty_like(w)), -1, np.subtract)
     return q2, qn2, q22, qn2n2
 
 
@@ -230,10 +280,10 @@ class CWPairModel(PairModel):
     def __init__(self, params: CWParams):
         self.params = params
         law = cw_exact_pmf(params)
-        support = np.arange(law.offset, law.support_end)
-        keep = law.pmf > 0
-        self.values = support[keep]
-        self.probs = law.pmf[keep] / law.pmf[keep].sum()
+        keep = np.flatnonzero(law.pmf)
+        self.values = law.offset + keep
+        self.probs = law.pmf[keep]
+        self.probs /= self.probs.sum()
         self.q_table = _q_arrays(self.values, params)
         # (cdf, guide), built by the first q_block call: exact_stats needs no
         # sampler, and `cw rate` builds a model per grid point

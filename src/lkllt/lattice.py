@@ -34,11 +34,15 @@ class LatticeDist:
             raise InvalidDistribution("pmf must be a nonempty 1-d array")
         if not np.isfinite(arr).all() or (arr < 0).any():
             raise InvalidDistribution("pmf entries must be finite and nonnegative")
-        nz = arr.nonzero()[0]  # exact zeros are trimmed from both ends
-        if nz.size == 0:
+        # exact zeros are trimmed from both ends; argmax finds the first True
+        # without the index array that nonzero() builds over the whole pmf
+        positive = arr > 0
+        first = int(positive.argmax())
+        if not positive[first]:
             raise InvalidDistribution("pmf has no positive mass")
-        off = int(self.offset) + int(nz[0])
-        arr = arr[nz[0] : nz[-1] + 1]
+        stop = len(arr) - int(positive[::-1].argmax())
+        off = int(self.offset) + first
+        arr = arr[first:stop]
         total = float(arr.sum())
         if abs(total - 1.0) > _NORM_TOL:
             raise InvalidDistribution(f"pmf sums to {total!r}, not 1")

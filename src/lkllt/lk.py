@@ -151,33 +151,38 @@ def random_dist(rng: np.random.Generator) -> LatticeDist:
 def lk_fuzz(
     trials: int,
     seed: int,
-    case: str,
+    cases: tuple[str, ...],
     collect_rows: list | None = None,
-) -> float:
-    """Worst lhs/rhs_core ratio over random pairs for a known-constant case.
+) -> dict[str, float]:
+    """Worst lhs/rhs_core ratio over random pairs for each known-constant case.
 
     The asserted inequality carries C = sqrt(2); the returned worst ratio is
     the largest observed lhs / rhs_core, so the inequality holds on the
     sample iff the result is <= sqrt(2).  Deterministic per seed: trial t is
     drawn from a dedicated Philox substream keyed (seed, t-block), so any
-    execution order yields the same worst ratio.
+    execution order yields the same worst ratio.  Each pair is drawn once and
+    evaluated for every case; ``collect_rows`` receives every trial of the
+    first case, then every trial of the next.
     """
     if trials < 1:
         raise InvalidParameter("trials must be >= 1")
-    if case not in KNOWN_CASES:
-        raise InvalidParameter(f"unknown case {case!r}; pick from {sorted(KNOWN_CASES)}")
-    combo = KNOWN_CASES[case]
+    for case in cases:
+        if case not in KNOWN_CASES:
+            raise InvalidParameter(f"unknown case {case!r}; pick from {sorted(KNOWN_CASES)}")
     from .rngutil import blocks
 
-    worst = 0.0
+    worst = dict.fromkeys(cases, 0.0)
+    rows = {case: [] for case in cases}
     for start, count, rng in blocks(seed, trials):
         for t in range(count):
             F = random_dist(rng)
             G = random_dist(rng)
-            rep = lk_sides(F, G, combo)
-            worst = max(worst, rep.ratio)
-            if collect_rows is not None:
-                collect_rows.append(
-                    (start + t, case, rep.lhs, rep.rhs_core, rep.ratio)
-                )
+            for case in cases:
+                rep = lk_sides(F, G, KNOWN_CASES[case])
+                worst[case] = max(worst[case], rep.ratio)
+                if collect_rows is not None:
+                    rows[case].append((start + t, case, rep.lhs, rep.rhs_core, rep.ratio))
+    if collect_rows is not None:
+        for case in cases:
+            collect_rows.extend(rows[case])
     return worst

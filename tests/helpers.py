@@ -453,3 +453,60 @@ def poisson_block_indexed_recursion(lam: float, eps: float) -> tuple[int, np.nda
         if left + right < eps * total:
             return lo, pm
         half = int(half * 1.5) + 10
+
+
+def tp_normal_gaps_whole_window(params) -> tuple[float, float, float]:
+    """``tp.tp_normal_gaps`` as it was before it walked its window in pieces:
+    every array spans the whole window, and the CDF is one ``np.cumsum``.
+    The law comes from ``poisson_block_indexed_recursion``."""
+    from statistics import NormalDist
+
+    from lkllt.tp import _EPS
+
+    def std_cdf(z):
+        return 0.5 * (1.0 + np.fromiter(map(math.erf, (z / math.sqrt(2.0)).tolist()), float, len(z)))
+
+    def phi_(z):
+        return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+    lo, pm = poisson_block_indexed_recursion(params.lam, _EPS)
+    F = LatticeDist(params.shift + lo, pm / pm.sum())
+    mu, sigma = params.mu, math.sqrt(params.sigma2)
+    # every lattice point of the support and the end point one past it
+    k = np.arange(F.offset, F.support_end + 1)
+    z = (k - mu) / sigma
+    Phi = std_cdf(z)
+    phi = phi_(z)
+    antideriv = z * Phi + phi  # of the standard normal CDF
+    k = k[:-1]
+
+    local_gap = float(np.abs(F.pmf - phi[:-1] / sigma).max())
+
+    c = F.cdf()
+    # both one-sided limits at every jump point
+    phi_at_k, phi_at_next = Phi[:-1], Phi[1:]
+    dk = float(
+        max(np.abs(c - phi_at_k).max(), np.abs(c - phi_at_next).max())
+    )
+
+    # Wasserstein: per-interval exact integration of |c - Phi| on [k, k+1)
+    a0, a1 = antideriv[:-1], antideriv[1:]
+    area = sigma * (a1 - a0)  # integral of Phi
+    below = phi_at_next <= c  # Phi stays under the step value
+    above = phi_at_k >= c
+    dw = float(np.sum(np.where(below, c - area, 0.0) + np.where(above, area - c, 0.0)))
+    crossing = ~(below | above)
+    ci, kc = c[crossing], k[crossing]
+    inv_cdf = NormalDist().inv_cdf
+    x_star = mu + sigma * np.array([inv_cdf(p) for p in ci.tolist()])
+    zs = (x_star - mu) / sigma
+    a_star = zs * std_cdf(zs) + phi_(zs)
+    left = ci * (x_star - kc) - sigma * (a_star - a0[crossing])
+    right = sigma * (a1[crossing] - a_star) - ci * (kc + 1 - x_star)
+    # sequential, in index order: np.sum's pairwise summation would reorder
+    for term in (left + right).tolist():
+        dw += term
+    # tails: integral of Phi below the support, of 1 - Phi above it
+    dw += sigma * float(antideriv[0])
+    dw += sigma * float(phi[-1] - z[-1] * (1.0 - Phi[-1]))
+    return local_gap, dk, float(dw)

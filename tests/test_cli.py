@@ -512,6 +512,8 @@ def test_validation_exit_codes(tmp_path, capsys):
         ("tp --mu 1e300 --sigma2 1", "mu"),
         ("tp --mu nan --sigma2 1", "mu"),
         ("tp --mu=-inf --sigma2 1", "mu"),
+        # the TP window would hold 2.4e11 points: refused before it is sized
+        ("tp --sigma2 1e20", "sigma2"),
         ("bounds --model er-iso --n 6 --m 0 --reps 100", "m"),
         ("bounds --model cw --n 10 --m 0 --reps 100", "m"),
         # n is checked by the closed forms before any replicate is drawn

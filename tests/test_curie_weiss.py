@@ -11,6 +11,7 @@ from lkllt.curie_weiss import (
     CWParams,
     _q_arrays,
     _support_weights,
+    _zero_padded_sum,
     cw_exact_pmf,
     cw_m0,
     cw_rate_experiment,
@@ -224,6 +225,19 @@ def test_support_weights_are_read_only_and_shared():
     cw_exact_pmf(params, half_lattice=True)
     assert _support_weights(CWParams(1000, 0.5, 0.1))[1] is weights
     assert np.array_equal(CWPairModel(params).values, -1000 + 2 * (j0 + np.flatnonzero(weights)))
+
+
+def test_zero_padded_sum_equals_the_sum_of_the_built_vector():
+    rng = np.random.default_rng(3)
+    for length in (1, 7, 8, 9, 127, 128, 129, 136, 1000, 4099, 2 ** 16 + 1, 2 ** 21 + 1):
+        for _ in range(20):
+            start = int(rng.integers(0, length))
+            values = rng.random(int(rng.integers(1, length - start + 1))) ** 16
+            values[rng.random(len(values)) < 0.3] = 0.0
+            full = np.zeros(length)
+            full[start : start + len(values)] = values
+            got = _zero_padded_sum(values, start, 0, length)
+            assert got == full.sum(), (length, start, len(values))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 64, 1001, 2 ** 16 + 1])

@@ -56,6 +56,16 @@ def test_dist_from_weights_rejects_degenerate():
         dist_from_weights(0, [1, math.nan])
 
 
+def test_lattice_dist_trims_end_zeros_and_keeps_interior_ones():
+    d = LatticeDist(5, np.array([0.0, 0.0, 0.25, 0.0, 0.0, 0.75, 0.0]))
+    assert d.offset == 7
+    assert d.pmf.tolist() == [0.25, 0.0, 0.0, 0.75]
+    assert LatticeDist(-1, np.array([1.0])).pmf.tolist() == [1.0]
+    for pmf in ([0.0], [0.0, 0.0, 0.0], [-0.0, 0.0]):
+        with pytest.raises(InvalidDistribution, match="no positive mass"):
+            LatticeDist(0, np.array(pmf))
+
+
 def test_lattice_dist_normalization_tolerance():
     d = LatticeDist(0, np.array([0.5, 0.5 + 2e-10]))
     assert abs(d.pmf.sum() - 1.0) < 1e-15

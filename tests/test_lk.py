@@ -101,15 +101,15 @@ def test_fuzz_trivial_equal_pair():
 
 @pytest.mark.parametrize("case", sorted(KNOWN_CASES))
 def test_fuzz_known_constant_small(case):
-    worst = lk_fuzz(500, seed=1, case=case)
+    worst = lk_fuzz(500, seed=1, cases=(case,))[case]
     assert worst <= SQRT2 + 1e-12
 
 
 def test_fuzz_deterministic_and_complete():
     rows_a: list = []
     rows_b: list = []
-    wa = lk_fuzz(300, seed=7, case="n2_p1q1r1", collect_rows=rows_a)
-    wb = lk_fuzz(300, seed=7, case="n2_p1q1r1", collect_rows=rows_b)
+    wa = lk_fuzz(300, seed=7, cases=("n2_p1q1r1",), collect_rows=rows_a)["n2_p1q1r1"]
+    wb = lk_fuzz(300, seed=7, cases=("n2_p1q1r1",), collect_rows=rows_b)["n2_p1q1r1"]
     assert wa == wb
     assert rows_a == rows_b
     assert [r[0] for r in rows_a] == list(range(300))
@@ -117,11 +117,23 @@ def test_fuzz_deterministic_and_complete():
     assert wa == max(r[4] for r in rows_a)
 
 
+def test_fuzz_of_all_cases_draws_each_pair_once():
+    cases = tuple(sorted(KNOWN_CASES))
+    rows: list = []
+    worsts = lk_fuzz(200, seed=3, cases=cases, collect_rows=rows)
+    want_rows: list = []
+    for case in cases:  # one pass per case: every trial of a case, then the next
+        assert worsts[case] == lk_fuzz(200, seed=3, cases=(case,), collect_rows=want_rows)[case]
+    assert rows == want_rows
+
+
 def test_fuzz_validation():
     with pytest.raises(InvalidParameter):
-        lk_fuzz(0, 1, "n2_p1q1r1")
+        lk_fuzz(0, 1, ("n2_p1q1r1",))
     with pytest.raises(InvalidParameter):
-        lk_fuzz(10, 1, "bogus")
+        lk_fuzz(10, 1, ("bogus",))
+    with pytest.raises(InvalidParameter):
+        lk_fuzz(10, 1, ("n2_p1q1r1", "bogus"))
 
 
 def test_all_table_rows_on_random_pairs():

@@ -1,14 +1,17 @@
 import math
+import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 
-from lkllt.errors import InvalidParameter
+import lkllt.tp
+from lkllt.errors import InvalidParameter, TooLarge
+from lkllt.lattice import LatticeDist
 from lkllt.metrics import smoothing_term
 from lkllt.tp import _poisson_block, tp_dist, tp_normal_gaps, tp_params
 
-from helpers import poisson_block_indexed_recursion
+from helpers import poisson_block_indexed_recursion, tp_normal_gaps_whole_window
 
 
 def test_params_fractional():
@@ -158,3 +161,69 @@ def test_normal_gaps_match_per_interval_integration(mu, sigma2):
     got = tp_normal_gaps(tp_params(mu, sigma2))
     for a, b in zip(got, (local, dk, dw)):
         assert abs(a - b) <= 1e-12
+
+
+def test_streamed_gaps_equal_the_whole_window_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None)
+    @hypothesis.given(mu=st.floats(-1e6, 1e6), sigma2=st.floats(0.5, 1e6))
+    @hypothesis.example(mu=0.0, sigma2=1e6)  # a window of 24,061 points: three pieces
+    @hypothesis.example(mu=-7.25, sigma2=0.5)
+    def check(mu, sigma2):
+        params = tp_params(mu, sigma2)
+        assert tp_normal_gaps(params) == tp_normal_gaps_whole_window(params)
+
+    check()
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, "window - 1", "window", "window + 1"])
+@pytest.mark.parametrize("mu, sigma2", [(0.3, 0.5), (-17.625, 7.5), (1234.7, 333.3)])
+def test_gaps_do_not_depend_on_the_piece_size(chunk, mu, sigma2, monkeypatch):
+    params = tp_params(mu, sigma2)
+    window = len(tp_dist(params).pmf)
+    sizes = {"window - 1": window - 1, "window": window, "window + 1": window + 1}
+    monkeypatch.setattr(lkllt.tp, "_CHUNK", sizes.get(chunk, chunk))
+    assert tp_normal_gaps(params) == tp_normal_gaps_whole_window(params)
+
+
+def test_tp_dist_equals_the_normalized_indexed_recursion():
+    for mu, sigma2 in ((0.3, 0.5), (-17.625, 7.5), (0.0, 1e8)):
+        params = tp_params(mu, sigma2)
+        lo, pm = poisson_block_indexed_recursion(params.lam, 1e-12)
+        assert tp_dist(params) == LatticeDist(params.shift + lo, pm / pm.sum())
+
+
+def test_gaps_memory_is_bounded_by_the_pmf_and_one_term_array():
+    # whole-window arrays and Python lists held about 90 bytes per point:
+    # 20.9 MB over the 240,061 points at sigma2 = 1e8
+    tracemalloc.start()
+    try:
+        tp_normal_gaps(tp_params(0.0, 1e8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_window_cap_raises_before_any_allocation():
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="sigma2 must keep the TP window within 16777216"):
+            tp_dist(tp_params(0.0, 1e20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peak {peak / 2**20:.1f} MB"
+    # sigma2 = 4.8e11 still fits: 12 sigma on either side of the mode
+    assert 2 * int(12 * math.sqrt(4.8e11) + 30) + 1 <= lkllt.tp._MAX_WINDOW
+
+
+def test_window_cap_holds_for_the_growth_step(monkeypatch):
+    # eps = 0 is never met, so the window grows by 1.5x until the cap stops it
+    monkeypatch.setattr(lkllt.tp, "_MAX_WINDOW", 1000)
+    with pytest.raises(TooLarge):
+        _poisson_block(100.0, 0.0)
+    lo, pm = _poisson_block(100.0, 1e-12)  # a first window of 251 points
+    assert (lo, len(pm)) == (0, 251)
