@@ -121,11 +121,12 @@ def _cmd_verify_lk(args) -> int:
     from .report import RateTable, fmt
 
     cases = tuple(sorted(KNOWN_CASES)) if args.case == "all" else (args.case,)
+    worsts, rows = lk_fuzz(args.trials, args.seed, cases)
     table = RateTable(
         ["trial", "combo", "lhs", "rhs_core", "ratio"],
+        rows,
         metadata={"command": "verify_lk", "trials": args.trials, "seed": args.seed},
     )
-    worsts = lk_fuzz(args.trials, args.seed, cases, collect_rows=table.rows)
     ok = True
     for case, worst in worsts.items():
         holds = worst <= math.sqrt(2.0) + 1e-12
@@ -323,8 +324,9 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (LklltError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (LklltError, MemoryError, OSError, ValueError) as exc:
+        # a MemoryError raised by the interpreter itself carries no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     print(f"[{args.command}] done in {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     return status

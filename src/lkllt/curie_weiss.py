@@ -31,6 +31,12 @@ class CWParams:
         if self.n < 1:
             raise InvalidParameter("n must be a positive integer")
         _check_field(self.beta, self.h)
+        # the log weights hold beta*(w^2 - n) and h*w for |w| <= n, and their
+        # differences; past this they overflow float64
+        if self.beta * self.n ** 2 > _MAX_LOG_TERM:
+            raise InvalidParameter(f"beta must not exceed {_MAX_LOG_TERM:g} / n^2")
+        if abs(self.h) * self.n > _MAX_LOG_TERM:
+            raise InvalidParameter(f"h must not exceed {_MAX_LOG_TERM:g} / n in absolute value")
 
 
 def _check_field(beta: float, h: float) -> None:
@@ -40,11 +46,7 @@ def _check_field(beta: float, h: float) -> None:
         raise InvalidParameter("h must be finite")
 
 
-def parity_shift(n: int) -> int:
-    """0 for even n, 1 for odd n: (W + shift)/2 lives on the unit lattice."""
-    return (1 - (-1) ** n) // 2
-
-
+_MAX_LOG_TERM = 1e300  # largest beta*n^2 and |h|*n, well inside float64
 _BLOCK = 1024  # spin-down counts per block of the support search
 # exp(x) == 0.0 for x < -745.14; the margin covers rounding in the bounds
 _UNDERFLOW = 750.0
@@ -136,7 +138,7 @@ def cw_exact_pmf(params: CWParams, half_lattice: bool = False) -> LatticeDist:
     Weights binom(n, k) * exp(beta*(w^2 - n)/(2n) + h*w) over the spin-down
     count k (w = n - 2k), accumulated in log space with max subtraction.
     The full-lattice law has span 2 (interior zeros); the half-lattice law is
-    the unit-span law of (W + parity_shift(n)) / 2.  Weights that underflow
+    the unit-span law of (W + n % 2) / 2.  Weights that underflow
     are never computed, but the normalizing total rounds as a pairwise sum
     over a zero-filled vector of the whole lattice, since that rounding
     depends on where each entry sits (see _zero_padded_sum).
@@ -148,7 +150,7 @@ def cw_exact_pmf(params: CWParams, half_lattice: bool = False) -> LatticeDist:
     window = np.zeros(step * (len(weights) - 1) + 1)
     window[::step] = weights
     window /= _zero_padded_sum(window, start, 0, step * n + 1)
-    offset = (-n + parity_shift(n)) // 2 if half_lattice else -n
+    offset = (-n + n % 2) // 2 if half_lattice else -n
     return LatticeDist(offset + start, window)
 
 

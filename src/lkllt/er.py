@@ -117,11 +117,7 @@ class IsoMoments:
     sigma2: float
 
     def as_dict(self) -> dict:
-        return {
-            "e_w": self.e_w, "e_w2": self.e_w2, "e_w3": self.e_w3,
-            "e_w4": self.e_w4, "e_w1": self.e_w1, "e_e2": self.e_e2,
-            "e_w1sq": self.e_w1sq, "e_e2sq": self.e_e2sq, "e_w1e2": self.e_w1e2,
-        }
+        return {name: getattr(self, name) for name in _ISO_MOMENTS}
 
 
 def iso_moments(n: int, p: float) -> IsoMoments:
@@ -284,18 +280,14 @@ def tri_closed_forms(n: int, p: float) -> TriForms:
     u3 = 4 * comb(n - 2, 2) / c2 * p ** 5 * (1 - p) ** 2 * (
         (1 - p) * (1 - 2 * p * p + p ** 3) ** (n - 4) - p * qq ** (2 * n - 6)
     )
-    u4 = 4 * comb(n - 2, 2) / c2 * p ** 5 * (1 - p) ** 2 * qq ** (2 * n - 8) * (
-        1 - p - p * qq ** 2
-    )
     u5 = 12 * comb(n - 2, 3) / c2 * p ** 6 * (1 - p) ** 2 * (
         (1 - p) ** 3 * (1 - 2 * p * p + p ** 3) ** (n - 5) - qq ** (2 * n - 6)
     )
     u6 = 12 * comb(n - 2, 3) / c2 * p ** 6 * (1 - p) ** 2 * qq ** (2 * n - 9) * (
         (1 - p) ** 2 - qq ** 3
     )
-    u7 = 3 * comb(n - 2, 3) / c2 * p ** 6 * (1 - p) ** 2 * qq ** (2 * n - 10) * poly_tail
-    u8 = 12 * comb(n - 2, 4) / c2 * p ** 6 * (1 - p) ** 2 * qq ** (2 * n - 10) * poly_tail
-    var_qn1 = u1 + u2 + u3 + u4 + u5 + u6 + u7 + u8
+    # its 4th, 7th and 8th terms are v27, v30 and v31
+    var_qn1 = u1 + u2 + u3 + v27 + u5 + u6 + v30 + v31
 
     ediff_plus = p * q1 / c2
     ediff_minus = (1 - p) * q1 / c2
@@ -673,10 +665,7 @@ ER_ISO_COLUMNS = [
     "n", "p", "sigma", "dloc", "dloc2", "dtv", "dk", "pmf_se_max",
     "d1_bound", "d2_bound", "d12_bound", "d22_bound",
 ]
-ER_TRI_COLUMNS = [
-    "n", "p", "sigma", "dloc", "dloc2", "dtv", "dk", "pmf_se_max",
-    "d1_bound", "d2_bound",
-]
+ER_TRI_COLUMNS = ER_ISO_COLUMNS[:-2]
 
 
 def _tri_bound_columns(forms: TriForms) -> tuple[float, float]:

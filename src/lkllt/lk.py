@@ -90,29 +90,20 @@ class LKCombo:
         return _COMBO_BETA[(self.d1.name, self.d2.name)](self.l)
 
 
-@dataclass(frozen=True)
-class LKReport:
-    """Both sides of one interpolation inequality, without any constant."""
-
-    lhs: float
-    rhs_core: float
-    ratio: float
-
-
-def lk_sides(F: LatticeDist, G: LatticeDist, combo: LKCombo) -> LKReport:
-    """Evaluate both sides of the inequality for a pair of lattice laws.
+def lk_sides(F: LatticeDist, G: LatticeDist, combo: LKCombo) -> tuple[float, float, float]:
+    """Both sides of the inequality for a pair of lattice laws, without any
+    constant: (lhs, rhs_core, ratio).
 
     lhs is d1(F, G); rhs_core is d2(F, G)^(1-beta) * (sum of the two
-    order-(l+1) CDF-difference norms)^beta.  No constant is applied;
-    ratio = lhs / rhs_core (zero when both sides vanish).
+    order-(l+1) CDF-difference norms)^beta; ratio = lhs / rhs_core (zero
+    when both sides vanish).
     """
     lhs = distance(F, G, combo.d1)
     d2 = distance(F, G, combo.d2)
     norms = cdf_diff_norm(F, combo.l + 1) + cdf_diff_norm(G, combo.l + 1)
     beta = combo.beta
     rhs_core = d2 ** (1.0 - beta) * norms ** beta
-    ratio = lhs / rhs_core if rhs_core > 0 else 0.0
-    return LKReport(lhs, rhs_core, ratio)
+    return lhs, rhs_core, lhs / rhs_core if rhs_core > 0 else 0.0
 
 
 # the two known-constant cases: case name -> (combo builder, underlying (n,p,q,r))
@@ -148,21 +139,17 @@ def random_dist(rng: np.random.Generator) -> LatticeDist:
     return dist_from_weights(offset, rng.exponential(size=width))
 
 
-def lk_fuzz(
-    trials: int,
-    seed: int,
-    cases: tuple[str, ...],
-    collect_rows: list | None = None,
-) -> dict[str, float]:
-    """Worst lhs/rhs_core ratio over random pairs for each known-constant case.
+def lk_fuzz(trials: int, seed: int, cases: tuple[str, ...]) -> tuple[dict[str, float], list]:
+    """Worst lhs/rhs_core ratio over random pairs for each known-constant
+    case, and the rows (trial, case, lhs, rhs_core, ratio) of every trial of
+    the first case, then of every trial of the next.
 
-    The asserted inequality carries C = sqrt(2); the returned worst ratio is
-    the largest observed lhs / rhs_core, so the inequality holds on the
-    sample iff the result is <= sqrt(2).  Deterministic per seed: trial t is
-    drawn from a dedicated Philox substream keyed (seed, t-block), so any
-    execution order yields the same worst ratio.  Each pair is drawn once and
-    evaluated for every case; ``collect_rows`` receives every trial of the
-    first case, then every trial of the next.
+    The asserted inequality carries C = sqrt(2); the worst ratio is the
+    largest observed lhs / rhs_core, so the inequality holds on the sample
+    iff it is <= sqrt(2).  Deterministic per seed: trial t is drawn from a
+    dedicated Philox substream keyed (seed, t-block), so any execution order
+    yields the same worst ratio.  Each pair is drawn once and evaluated for
+    every case.
     """
     if trials < 1:
         raise InvalidParameter("trials must be >= 1")
@@ -171,18 +158,12 @@ def lk_fuzz(
             raise InvalidParameter(f"unknown case {case!r}; pick from {sorted(KNOWN_CASES)}")
     from .rngutil import blocks
 
-    worst = dict.fromkeys(cases, 0.0)
     rows = {case: [] for case in cases}
     for start, count, rng in blocks(seed, trials):
         for t in range(count):
             F = random_dist(rng)
             G = random_dist(rng)
             for case in cases:
-                rep = lk_sides(F, G, KNOWN_CASES[case])
-                worst[case] = max(worst[case], rep.ratio)
-                if collect_rows is not None:
-                    rows[case].append((start + t, case, rep.lhs, rep.rhs_core, rep.ratio))
-    if collect_rows is not None:
-        for case in cases:
-            collect_rows.extend(rows[case])
-    return worst
+                rows[case].append((start + t, case, *lk_sides(F, G, KNOWN_CASES[case])))
+    worst = {case: max(0.0, *(row[4] for row in rows[case])) for case in cases}
+    return worst, [row for case in cases for row in rows[case]]

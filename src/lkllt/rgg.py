@@ -92,29 +92,25 @@ def _line_block(sets: list[np.ndarray], r: float) -> tuple[np.ndarray, np.ndarra
 
 
 def _conflict_masks(points: np.ndarray, r: float) -> list[int]:
+    """Neighbour bit masks of the geometric graph, its vertices relabelled
+    in degree order: highest first, ties in point order."""
     diff = points[:, None, :] - points[None, :, :]
     adj = (diff ** 2).sum(axis=2) <= r * r
     np.fill_diagonal(adj, False)
+    order = np.argsort(-adj.sum(axis=1), kind="stable")
+    adj = adj[np.ix_(order, order)]
     return [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in adj]
 
 
 def _bnb_mis(masks: list[int], budget: int) -> int:
-    """Exact maximum independent set by take/skip branch and bound.
+    """Exact maximum independent set by take/skip branch and bound, on
+    masks in the degree order of ``_conflict_masks``.
 
     Depth first on an explicit stack, so a path as long as the point count
     cannot overflow the interpreter's recursion limit; the take branch is
     visited first and every visited node counts against ``budget``.
     """
     best = nodes = 0
-    order = sorted(range(len(masks)), key=lambda i: masks[i].bit_count(), reverse=True)
-    rank = {v: k for k, v in enumerate(order)}
-    ranked = []  # the masks relabelled into degree order
-    for v in order:
-        m, r = masks[v], 0
-        while m:
-            r |= 1 << rank[(m & -m).bit_length() - 1]
-            m &= m - 1
-        ranked.append(r)
     stack = [((1 << len(masks)) - 1, 0)]
     while stack:
         avail, size = stack.pop()
@@ -129,7 +125,7 @@ def _bnb_mis(masks: list[int], budget: int) -> int:
         # branch on the highest-degree available vertex: the lowest set bit
         low = avail & -avail
         stack.append((avail & ~low, size))
-        stack.append((avail & ~(low | ranked[low.bit_length() - 1]), size + 1))
+        stack.append((avail & ~(low | masks[low.bit_length() - 1]), size + 1))
     return best
 
 

@@ -24,10 +24,9 @@ BLOCK = 4096
 
 
 def block_rng(master_seed: int, block_index: int) -> np.random.Generator:
-    """Generator for one replicate block."""
-    return np.random.Generator(
-        np.random.Philox(key=[master_seed & 0xFFFFFFFFFFFFFFFF, block_index])
-    )
+    """Generator for one replicate block; the seed is taken modulo 2^64."""
+    key = np.array([master_seed & 0xFFFFFFFFFFFFFFFF, block_index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def blocks(

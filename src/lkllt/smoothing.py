@@ -106,12 +106,6 @@ def embedded_sum_bound(k: int, u: float, beta: float, sigma2: float, tail_prob: 
     return (2.0 ** k) * tail_prob + 2.0 * core ** (k / 2.0)
 
 
-def _se_of_var(var: float, m4: float, n: float) -> float:
-    # standard error of an unbiased variance from the fourth central moment
-    inner = m4 - (n - 3) / (n - 1) * var * var
-    return math.sqrt(max(inner, 0.0) / n)
-
-
 def _centred_sums(w: np.ndarray, x: np.ndarray, squarings) -> tuple:
     # total weight, mean and each sum w (x - mean)^(2^k), k in squarings, of
     # the values x[i] each repeated w[i] times, in one temporary array; unit
@@ -134,9 +128,11 @@ def _weighted_mean_se(w: np.ndarray, x: np.ndarray) -> tuple[float, float]:
 
 
 def _weighted_var_se(w: np.ndarray, x: np.ndarray) -> tuple[float, float]:
+    # the unbiased variance, and its standard error from the fourth central moment
     n, _, (ss, s4) = _centred_sums(w, x, (1, 2))
     var = float(ss / (n - 1))
-    return var, _se_of_var(var, float(s4 / n), n)
+    inner = float(s4 / n) - (n - 3) / (n - 1) * var * var
+    return var, math.sqrt(max(inner, 0.0) / n)
 
 
 def _replicate_values(model: PairModel, m: int, replicates: int, seed: int) -> tuple:

@@ -16,7 +16,7 @@ from math import comb
 import numpy as np
 
 import lkllt.er
-from lkllt.curie_weiss import CWPairModel, CWParams, _q_arrays, parity_shift
+from lkllt.curie_weiss import CWPairModel, CWParams, _q_arrays
 from lkllt.er import (
     _ISO_MOMENTS,
     _TRI_MOMENTS,
@@ -339,7 +339,7 @@ def cw_exact_pmf_full_lattice(params: CWParams, half_lattice: bool = False) -> L
     )
     weights = np.exp(logw - logw.max())[::-1]  # index by w increasing
     if half_lattice:
-        return dist_from_weights((-n + parity_shift(n)) // 2, weights)
+        return dist_from_weights((-n + n % 2) // 2, weights)
     full = np.zeros(2 * n + 1)
     full[::2] = weights
     return dist_from_weights(-n, full)

@@ -507,6 +507,9 @@ def test_validation_exit_codes(tmp_path, capsys):
         ("bounds --model cw --n 10 --beta inf --reps 10", "beta"),
         ("bounds --model cw --n 10 --h nan --reps 10", "h"),
         ("cw rate --beta 0.5 --h nan --n-grid 64:128:x2", "h"),
+        # past these the log weights overflow float64
+        ("cw rate --beta 0.5 --h 1e308 --n-grid 4:8:x2", "h"),
+        ("bounds --model cw --n 10 --beta 1e308 --reps 10", "beta"),
         ("tp --sigma2 inf", "sigma2"),
         ("tp --mu 0 --sigma2 nan", "sigma2"),
         ("tp --mu 1e300 --sigma2 1", "mu"),
@@ -542,6 +545,22 @@ def test_validation_messages(command, message, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def _run_capped(command: str, cap: int) -> subprocess.CompletedProcess:
+    """Run the CLI in a child process with a 10 s time bound and an
+    address-space bound of ``cap`` bytes."""
+    resource = pytest.importorskip("resource")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from lkllt.cli import main; sys.exit(main(sys.argv[1:]))",
+         *command.split()],
+        env=env, capture_output=True, text=True, timeout=10,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+
+
 @pytest.mark.parametrize("command", [
     "tp --sigma2-grid 1:2:x1.0000000000000002",
     "cw rate --beta 0.5 --n-grid 64:128:x1.0000000000000002",
@@ -550,20 +569,24 @@ def test_validation_messages(command, message, capsys):
 def test_grid_with_too_many_points_exits_2(command):
     # a factor just above 1 once looped about 3e15 times, growing its list:
     # a child process with a time and an address-space bound keeps that out
-    resource = pytest.importorskip("resource")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    cap = 1 << 29
-    run = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from lkllt.cli import main; sys.exit(main(sys.argv[1:]))",
-         *command.split()],
-        env=env, capture_output=True, text=True, timeout=10,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
-    )
+    run = _run_capped(command, 1 << 29)
     assert run.returncode == 2, run.stderr
     assert f"has more than {cli._MAX_GRID_POINTS} points" in run.stderr
+    assert "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize("command", [
+    "bounds --model er-iso --n 100000 --reps 2",
+    "er tri --n 100000 --p 1e-9 --reps 2",
+    "rgg --d 2 --lambda-grid 100000:100000:x2 --reps 2",
+    "rgg --d 1 --lambda-grid 1e9:1e9:x2 --reps 2",
+])
+def test_out_of_memory_exits_2(command):
+    # each asks numpy for gigabytes at once: under the cap that allocation
+    # raises MemoryError, without it the host itself may run out of memory
+    run = _run_capped(command, 1 << 31)
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith("error: "), run.stderr
     assert "Traceback" not in run.stderr
 
 

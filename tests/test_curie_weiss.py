@@ -15,7 +15,6 @@ from lkllt.curie_weiss import (
     cw_exact_pmf,
     cw_m0,
     cw_rate_experiment,
-    parity_shift,
 )
 from lkllt.errors import InvalidParameter
 from lkllt.rngutil import block_rng
@@ -65,7 +64,7 @@ def test_half_lattice_parity():
     for n in (5, 6, 9):
         full = cw_exact_pmf(CWParams(n, 0.4, 0.1))
         half = cw_exact_pmf(CWParams(n, 0.4, 0.1), half_lattice=True)
-        delta = parity_shift(n)
+        delta = n % 2
         assert len(half.pmf) == n + 1
         assert half.mean() == pytest.approx((full.mean() + delta) / 2, abs=1e-10)
         assert half.variance() == pytest.approx(full.variance() / 4, abs=1e-10)

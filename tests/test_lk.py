@@ -70,17 +70,15 @@ def test_combo_validation():
 
 def test_lk_sides_equal_inputs():
     F = binomial_dist(12, 0.4)
-    rep = lk_sides(F, F, LKCombo(LOCAL, KOLMOGOROV, 2))
-    assert rep.lhs == 0.0 and rep.ratio == 0.0
+    lhs, _, ratio = lk_sides(F, F, LKCombo(LOCAL, KOLMOGOROV, 2))
+    assert lhs == 0.0 and ratio == 0.0
 
 
 def test_lk_sides_binomial_vs_tp():
     F = binomial_dist(20, 0.5)
     G = tp_dist(tp_params(10.0, 5.0))
-    rep2 = lk_sides(F, G, LKCombo(LOCAL, KOLMOGOROV, l=2))
-    assert rep2.ratio <= SQRT2 + 1e-12
-    rep4 = lk_sides(F, G, LKCombo(TOTAL_VARIATION, WASSERSTEIN, l=1))
-    assert rep4.ratio <= SQRT2 + 1e-12
+    assert lk_sides(F, G, LKCombo(LOCAL, KOLMOGOROV, l=2))[2] <= SQRT2 + 1e-12
+    assert lk_sides(F, G, LKCombo(TOTAL_VARIATION, WASSERSTEIN, l=1))[2] <= SQRT2 + 1e-12
 
 
 def test_smoothing_monotone_under_block_average():
@@ -95,35 +93,31 @@ def test_smoothing_monotone_under_block_average():
 
 def test_fuzz_trivial_equal_pair():
     F = dist_from_weights(0, [1, 2, 1])
-    rep = lk_sides(F, F, KNOWN_CASES["n2_p1q1r1"])
-    assert rep.ratio == 0.0
+    assert lk_sides(F, F, KNOWN_CASES["n2_p1q1r1"])[2] == 0.0
 
 
 @pytest.mark.parametrize("case", sorted(KNOWN_CASES))
 def test_fuzz_known_constant_small(case):
-    worst = lk_fuzz(500, seed=1, cases=(case,))[case]
+    worst = lk_fuzz(500, seed=1, cases=(case,))[0][case]
     assert worst <= SQRT2 + 1e-12
 
 
 def test_fuzz_deterministic_and_complete():
-    rows_a: list = []
-    rows_b: list = []
-    wa = lk_fuzz(300, seed=7, cases=("n2_p1q1r1",), collect_rows=rows_a)["n2_p1q1r1"]
-    wb = lk_fuzz(300, seed=7, cases=("n2_p1q1r1",), collect_rows=rows_b)["n2_p1q1r1"]
-    assert wa == wb
-    assert rows_a == rows_b
-    assert [r[0] for r in rows_a] == list(range(300))
+    worst, rows = lk_fuzz(300, seed=7, cases=("n2_p1q1r1",))
+    assert lk_fuzz(300, seed=7, cases=("n2_p1q1r1",)) == (worst, rows)
+    assert [r[0] for r in rows] == list(range(300))
     # the reduction is a max over per-trial ratios: order independent
-    assert wa == max(r[4] for r in rows_a)
+    assert worst["n2_p1q1r1"] == max(r[4] for r in rows)
 
 
 def test_fuzz_of_all_cases_draws_each_pair_once():
     cases = tuple(sorted(KNOWN_CASES))
-    rows: list = []
-    worsts = lk_fuzz(200, seed=3, cases=cases, collect_rows=rows)
+    worsts, rows = lk_fuzz(200, seed=3, cases=cases)
     want_rows: list = []
     for case in cases:  # one pass per case: every trial of a case, then the next
-        assert worsts[case] == lk_fuzz(200, seed=3, cases=(case,), collect_rows=want_rows)[case]
+        worst, case_rows = lk_fuzz(200, seed=3, cases=(case,))
+        assert worsts[case] == worst[case]
+        want_rows += case_rows
     assert rows == want_rows
 
 
@@ -162,8 +156,7 @@ def test_all_table_rows_on_random_pairs():
     for combo in combos:
         worst = 0.0
         for _ in range(300):
-            rep = lk_sides(random_dist(rng), random_dist(rng), combo)
-            worst = max(worst, rep.ratio)
+            worst = max(worst, lk_sides(random_dist(rng), random_dist(rng), combo)[2])
         key = (combo.d1.name, combo.d2.name, combo.l)
         observed[key] = worst
         assert math.isfinite(worst) and worst >= 0.0

@@ -9,6 +9,7 @@ from lkllt.errors import InvalidParameter, TooLarge
 from lkllt.rgg import (
     _LINE_CELLS,
     _bnb_mis,
+    _conflict_masks,
     _line_block,
     _ppp,
     ppp_sample,
@@ -235,6 +236,9 @@ def test_experiment_d1_memory_is_bounded_by_sub_chunks():
 
 
 def test_bnb_matches_recursive_search_node_for_node():
+    # the reference sorts point-order masks itself; _bnb_mis takes them from
+    # _conflict_masks in degree order, so equal node counts also check that
+    # relabelling
     rng = block_rng(33, 0)
     for _ in range(30):
         n = int(rng.integers(1, 26))
@@ -245,9 +249,10 @@ def test_bnb_matches_recursive_search_node_for_node():
             near[i] = False
             masks.append(sum(1 << int(j) for j in np.flatnonzero(near)))
         best, nodes = _bnb_mis_recursive(masks, 10**6)
-        assert _bnb_mis(masks, nodes) == best
+        ranked = _conflict_masks(pts, 0.3)
+        assert _bnb_mis(ranked, nodes) == best
         with pytest.raises(TooLarge):
-            _bnb_mis(masks, nodes - 1)
+            _bnb_mis(ranked, nodes - 1)
 
 
 def test_bnb_long_branch_does_not_recurse():

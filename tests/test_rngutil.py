@@ -7,6 +7,18 @@ import pytest
 from lkllt.rngutil import BLOCK, block_rng, blocks, map_blocks, thread_count
 
 
+def test_seeds_are_taken_modulo_2_64_and_stay_distinct():
+    # the key holds the seed modulo 2^64 exactly, whatever its size or sign
+    def draws(seed):
+        return block_rng(seed, 3).bit_generator.random_raw(4)
+
+    assert np.array_equal(draws(-1), draws(2**64 - 1))
+    assert np.array_equal(draws(-3), draws(2**64 - 3))
+    assert not np.array_equal(draws(-1), draws(0))
+    assert not np.array_equal(draws(-1), draws(-3))
+    assert not np.array_equal(draws(2**63 + 5), draws(2**63))
+
+
 def _after_plain_draws(seed: int, k: int, draws: int) -> np.random.Generator:
     """Block k's generator after ``draws`` 64-bit draws, taken one chunk at a time."""
     rng = block_rng(seed, k)
