@@ -75,9 +75,7 @@ def _common_output(sub):
 
 def _cmd_metrics(args) -> int:
     from .lattice import LatticeDist
-    from .metrics import (
-        KOLMOGOROV, LOCAL, TOTAL_VARIATION, WASSERSTEIN, distance, local_span, smoothing_term,
-    )
+    from .metrics import distance, distances, local_span, smoothing_term
     from .report import RateTable
 
     F = LatticeDist.from_json(Path(args.f).read_text())
@@ -86,10 +84,9 @@ def _cmd_metrics(args) -> int:
         ["quantity", "value"],
         metadata={"command": "metrics", "m": args.m, "n": args.n},
     )
-    table.add("dk", distance(F, G, KOLMOGOROV))
-    table.add("dw", distance(F, G, WASSERSTEIN))
-    table.add("dtv", distance(F, G, TOTAL_VARIATION))
-    table.add("dloc", distance(F, G, LOCAL))
+    gaps = distances(F, G)
+    for name in ("dk", "dw", "dtv", "dloc"):
+        table.add(name, gaps[name])
     if args.m > 1:
         table.add(f"dloc_m{args.m}", distance(F, G, local_span(args.m)))
     table.add(f"smooth_n{args.n}_m{args.m}_f", smoothing_term(F, args.n, args.m))

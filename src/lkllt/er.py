@@ -691,6 +691,14 @@ def _tri_bound_columns(forms: TriForms) -> tuple[float, float]:
     return tuple(cols)
 
 
+def _p_checked(rows):
+    """The (n, p) rows once every p lies in [0, 1]: a generator, so the check
+    runs after rate_table's replicates check and before any closed form."""
+    if not all(0.0 <= p <= 1.0 for _, p in rows):
+        raise InvalidParameter("p must lie in [0, 1]")
+    yield from rows
+
+
 def er_rate_experiment(statistic: str, rows, replicates: int, seed: int) -> RateTable:
     """Monte Carlo law of a G(n, p) statistic against its translated-Poisson
     target, with the closed-form smoothness bounds alongside.
@@ -701,27 +709,13 @@ def er_rate_experiment(statistic: str, rows, replicates: int, seed: int) -> Rate
     worst per-point Monte Carlo standard error of the empirical pmf.
     """
     from .lattice import empirical_dist
-    from .metrics import KOLMOGOROV, LOCAL, TOTAL_VARIATION, distance, local_span
-    from .report import RateTable
-    from .tp import tp_dist, tp_params
+    from .report import rate_table
 
     if statistic not in ("isolated", "triangles"):
         raise InvalidParameter("statistic must be 'isolated' or 'triangles'")
-    if replicates < 2:
-        raise InvalidParameter("replicates must be >= 2")
-    if not all(0.0 <= p <= 1.0 for _, p in rows):
-        raise InvalidParameter("p must lie in [0, 1]")
-    cols = ER_ISO_COLUMNS if statistic == "isolated" else ER_TRI_COLUMNS
-    table = RateTable(
-        cols,
-        metadata={
-            "experiment": f"er_{statistic}",
-            "replicates": replicates,
-            "seed": seed,
-        },
-    )
-    for n, p in rows:  # closed forms first: they reject n and p before any draw
-        n = int(n)
+
+    def point(row):  # closed forms first: they reject n and p before any draw
+        n, p = int(row[0]), row[1]
         if statistic == "isolated":
             mom = iso_moments(n, p)
             mu, s2 = mom.e_w, mom.sigma2
@@ -739,15 +733,9 @@ def er_rate_experiment(statistic: str, rows, replicates: int, seed: int) -> Rate
 
             block.stride = _gnp_stride(n)  # its graphs come from _slot_bits
         emp = empirical_dist(np.concatenate(map_blocks(block, seed, replicates)))
-        target = tp_dist(tp_params(mu, s2))
-        se_max = float(np.sqrt((emp.pmf * (1 - emp.pmf)).max() / replicates))
-        table.add(
-            n, p, math.sqrt(s2),
-            distance(emp, target, LOCAL),
-            distance(emp, target, local_span(2)),
-            distance(emp, target, TOTAL_VARIATION),
-            distance(emp, target, KOLMOGOROV),
-            se_max,
-            *bound_cols,
-        )
-    return table
+        bounds = dict(zip(ER_ISO_COLUMNS[-4:], bound_cols))
+        return emp, mu, s2, {"n": n, "p": p, "sigma": math.sqrt(s2), **bounds}
+
+    cols = ER_ISO_COLUMNS if statistic == "isolated" else ER_TRI_COLUMNS
+    metadata = {"experiment": f"er_{statistic}", "replicates": replicates, "seed": seed}
+    return rate_table(cols, metadata, _p_checked(rows), point, replicates)

@@ -19,13 +19,7 @@ import numpy as np
 from .errors import InvalidParameter
 from .lattice import LatticeDist, dist_from_weights
 from .metrics import (
-    KOLMOGOROV,
-    LOCAL,
-    Metric,
-    TOTAL_VARIATION,
-    WASSERSTEIN,
-    cdf_diff_norm,
-    distance,
+    KOLMOGOROV, LOCAL, TOTAL_VARIATION, WASSERSTEIN, Metric, cdf_diff_norm, distances,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -98,8 +92,8 @@ def lk_sides(F: LatticeDist, G: LatticeDist, combo: LKCombo) -> tuple[float, flo
     order-(l+1) CDF-difference norms)^beta; ratio = lhs / rhs_core (zero
     when both sides vanish).
     """
-    lhs = distance(F, G, combo.d1)
-    d2 = distance(F, G, combo.d2)
+    gaps = distances(F, G)  # LKCombo admits span-1 metrics only
+    lhs, d2 = gaps[combo.d1.column], gaps[combo.d2.column]
     norms = cdf_diff_norm(F, combo.l + 1) + cdf_diff_norm(G, combo.l + 1)
     beta = combo.beta
     rhs_core = d2 ** (1.0 - beta) * norms ** beta

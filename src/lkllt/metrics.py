@@ -24,6 +24,9 @@ from .errors import InvalidParameter
 from .lattice import LatticeDist, smooth_uniform, span_difference
 
 
+_COLUMN = {"kolmogorov": "dk", "wasserstein": "dw", "tv": "dtv", "local": "dloc"}
+
+
 @dataclass(frozen=True)
 class Metric:
     """A metric selector; ``span`` only matters for the local metric."""
@@ -32,12 +35,17 @@ class Metric:
     span: int = 1
 
     def __post_init__(self):
-        if self.name not in ("kolmogorov", "wasserstein", "tv", "local"):
+        if self.name not in _COLUMN:
             raise InvalidParameter(f"unknown metric {self.name!r}")
         if self.span < 1:
             raise InvalidParameter("span must be a positive integer")
         if self.span > 1 and self.name != "local":
             raise InvalidParameter("span > 1 is only defined for the local metric")
+
+    @property
+    def column(self) -> str:
+        """This metric's key in the dict that :func:`distances` returns."""
+        return _COLUMN[self.name]
 
 
 KOLMOGOROV = Metric("kolmogorov")
@@ -51,31 +59,25 @@ def local_span(m: int) -> Metric:
     return Metric("local", m)
 
 
-def _aligned(F: LatticeDist, G: LatticeDist) -> tuple[np.ndarray, np.ndarray]:
+def distances(F: LatticeDist, G: LatticeDist) -> dict[str, float]:
+    """Local (``dloc``), total variation (``dtv``), Kolmogorov (``dk``) and
+    Wasserstein (``dw``) distances, from one alignment of the two laws."""
     lo = min(F.offset, G.offset)
-    hi = max(F.support_end, G.support_end)
-    pf = np.zeros(hi - lo)
-    pg = np.zeros(hi - lo)
+    pf = np.zeros(max(F.support_end, G.support_end) - lo)
+    pg = np.zeros_like(pf)
     pf[F.offset - lo : F.support_end - lo] = F.pmf
     pg[G.offset - lo : G.support_end - lo] = G.pmf
-    return pf, pg
+    gap = np.abs(pf - pg)
+    cdf_gap = np.abs(pf.cumsum() - pg.cumsum())
+    return {"dloc": float(gap.max()), "dtv": 0.5 * float(gap.sum()),
+            "dk": float(cdf_gap.max()), "dw": float(cdf_gap.sum())}
 
 
 def distance(F: LatticeDist, G: LatticeDist, kind: Metric) -> float:
     """Distance between two lattice laws under the selected metric."""
-    if kind.name == "local":
-        if kind.span > 1:
-            F = smooth_uniform(F, kind.span)
-            G = smooth_uniform(G, kind.span)
-        pf, pg = _aligned(F, G)
-        return float(np.abs(pf - pg).max())
-    pf, pg = _aligned(F, G)
-    if kind.name == "tv":
-        return 0.5 * float(np.abs(pf - pg).sum())
-    cdf_gap = np.abs(pf.cumsum() - pg.cumsum())
-    if kind.name == "kolmogorov":
-        return float(cdf_gap.max())
-    return float(cdf_gap.sum())  # wasserstein
+    if kind.span > 1:
+        F, G = smooth_uniform(F, kind.span), smooth_uniform(G, kind.span)
+    return distances(F, G)[kind.column]
 
 
 def smoothing_term(F: LatticeDist, n: int, m: int) -> float:

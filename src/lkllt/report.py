@@ -1,4 +1,5 @@
-"""Tabular experiment output with byte-reproducible serialization.
+"""Tabular experiment output with byte-reproducible serialization, and the
+one driver of the rate experiments.
 
 Floats are written with 17 significant digits so CSV round-trips exactly.
 Metadata holds only configuration and results, never timings, so identical
@@ -9,6 +10,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+
+import numpy as np
+
+from .errors import InvalidParameter
 
 
 def fmt(x) -> str:
@@ -51,3 +56,29 @@ class RateTable:
             },
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def rate_table(columns, metadata, grid, point, replicates=None) -> RateTable:
+    """One row per grid point: ``point(x)`` returns ``(law, mu, sigma2, row)``,
+    and ``row``, the point's own columns, gains the distances of the law from
+    TP(mu, sigma2): dloc, dtv, dk, dw, dloc2 (span 2) if ``columns`` holds it
+    and, for a law of ``replicates`` draws, ``pmf_se_max``, the largest
+    standard error of one of its masses.  Rows follow the order of ``columns``.
+    """
+    from .metrics import distance, distances, local_span
+    from .tp import tp_dist, tp_params
+
+    if replicates is not None and replicates < 2:
+        raise InvalidParameter("replicates must be >= 2")
+    table = RateTable(columns, metadata=metadata)
+    for x in grid:
+        law, mu, sigma2, row = point(x)
+        target = tp_dist(tp_params(mu, sigma2))
+        row.update(distances(law, target))
+        if "dloc2" in columns:
+            row["dloc2"] = distance(law, target, local_span(2))
+        if replicates is not None:
+            row["pmf_se_max"] = float(np.sqrt((law.pmf * (1 - law.pmf)).max() / replicates))
+        table.add(*(row[c] for c in columns))
+        del law, target  # not alive while the next point builds its law
+    return table

@@ -6,7 +6,7 @@ set of pairwise non-adjacent points) is exact: a sorted greedy sweep in one
 dimension (interval graphs), branch and bound with a node budget above.
 The experiment tracks the law of the independence number at connection
 radius b * lambda^(-1/d) against a translated Poisson matched to the
-empirical mean and variance (no closed forms exist for them).
+empirical mean and variance of the sampled replicates.
 """
 
 from __future__ import annotations
@@ -156,28 +156,17 @@ def rgg_experiment(b: float, d: int, lambda_grid, replicates: int, seed: int) ->
     empty-annulus diagnostic counter backing the block decomposition.
     """
     from .lattice import empirical_dist
-    from .metrics import KOLMOGOROV, LOCAL, TOTAL_VARIATION, distance
-    from .report import RateTable
-    from .tp import tp_dist, tp_params
+    from .report import rate_table
 
     if not b > 0:
         raise InvalidParameter("b must be positive")
     if d < 1:
         raise InvalidParameter("d must be >= 1")
-    if replicates < 2:
-        raise InvalidParameter("replicates must be >= 2")
-    table = RateTable(
-        RGG_COLUMNS,
-        metadata={
-            "experiment": "rgg", "b": b, "d": d,
-            "replicates": replicates, "seed": seed,
-            "note": "regime knob b is a config choice; tp target is empirical",
-        },
-    )
-    for lam in lambda_grid:
+
+    def point(lam):
         r = b * lam ** (-1.0 / d)
 
-        def one_block(start, count, rng, lam=lam, r=r):
+        def one_block(start, count, rng):
             if d != 1:
                 w = [rgg_independence(_ppp(lam, d, rng), r) for _ in range(count)]
                 return np.array(w, dtype=np.int64), np.full(count, math.nan)
@@ -195,7 +184,6 @@ def rgg_experiment(b: float, d: int, lambda_grid, replicates: int, seed: int) ->
         parts = map_blocks(one_block, seed, replicates)
         w = np.concatenate([p[0] for p in parts])
         ann = np.concatenate([p[1] for p in parts])
-        emp = empirical_dist(w)
         mean_w = float(w.mean())
         var_w = float(w.var(ddof=1))
         if not var_w > 0:  # a TP target needs a positive variance
@@ -203,17 +191,17 @@ def rgg_experiment(b: float, d: int, lambda_grid, replicates: int, seed: int) ->
                 f"every replicate at lambda={lam:g} had the same independence "
                 f"number ({int(w[0])}): the law has no spread to compare"
             )
-        target = tp_dist(tp_params(mean_w, var_w))
-        se_max = float(np.sqrt((emp.pmf * (1 - emp.pmf)).max() / replicates))
-        table.add(
-            float(lam), r,
-            distance(emp, target, LOCAL),
-            distance(emp, target, TOTAL_VARIATION),
-            distance(emp, target, KOLMOGOROV),
-            se_max,
-            mean_w, var_w, var_w / lam,
+        return empirical_dist(w), mean_w, var_w, {
+            "lam": float(lam), "r": r,
+            "mean_w": mean_w, "var_w": var_w, "var_w_over_lam": var_w / lam,
             # the diagnostic is nan on every replicate or on none (d != 1 or
             # r > 1/6); nanmean would warn on an all-nan column
-            math.nan if np.isnan(ann).all() else float(np.nanmean(ann)),
-        )
-    return table
+            "empty_annulus_frac": math.nan if np.isnan(ann).all() else float(np.nanmean(ann)),
+        }
+
+    metadata = {
+        "experiment": "rgg", "b": b, "d": d,
+        "replicates": replicates, "seed": seed,
+        "note": "regime knob b is a config choice; tp target is empirical",
+    }
+    return rate_table(RGG_COLUMNS, metadata, lambda_grid, point, replicates)

@@ -67,6 +67,22 @@ def random_dist(rng: np.random.Generator, max_width: int = 30) -> LatticeDist:
     return dist_from_weights(int(rng.integers(-8, 8)), rng.exponential(size=width))
 
 
+def per_metric_distance(F: LatticeDist, G: LatticeDist, name: str) -> float:
+    """One span-1 metric by its own formula, over both pmfs zero-padded to a
+    common window: the numpy operations of that metric taken alone."""
+    lo = min(F.offset, G.offset)
+    pf = np.zeros(max(F.support_end, G.support_end) - lo)
+    pg = pf.copy()
+    pf[F.offset - lo : F.support_end - lo] = F.pmf
+    pg[G.offset - lo : G.support_end - lo] = G.pmf
+    if name == "local":
+        return float(np.abs(pf - pg).max())
+    if name == "tv":
+        return 0.5 * float(np.abs(pf - pg).sum())
+    cdf_gap = np.abs(pf.cumsum() - pg.cumsum())
+    return float(cdf_gap.max() if name == "kolmogorov" else cdf_gap.sum())
+
+
 def adjacency(n: int, edges) -> np.ndarray:
     """Boolean (n, n) adjacency matrix of the simple graph with these edges."""
     adj = np.zeros((n, n), dtype=bool)

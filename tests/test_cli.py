@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lkllt import __version__, cli
+from lkllt import __version__, cli, curie_weiss, er, report, rgg
 from lkllt.errors import NumericalFailure
 from lkllt.lattice import dist_from_weights
 from lkllt.report import RateTable
@@ -283,6 +283,30 @@ def test_every_document_goes_through_one_writer():
     assert not hasattr(cli, "_emit")
 
 
+def test_rate_rows_are_built_only_in_rate_table():
+    """The rate experiments call no TP target or distance function and loop
+    over no argument: each hands its grid and per-point function to
+    report.rate_table, the one place a rate row's target and distance
+    columns are built."""
+    built_there = {"tp_dist", "tp_params", "distance", "distances"}
+
+    def calls(node) -> list[str]:  # called names, without any module prefix
+        return [
+            ast.unparse(n.func).rsplit(".", 1)[-1] for n in ast.walk(node) if isinstance(n, ast.Call)
+        ]
+
+    assert built_there <= set(calls(ast.parse(Path(report.__file__).read_text())))
+    for module, name in (
+        (curie_weiss, "cw_rate_experiment"), (er, "er_rate_experiment"), (rgg, "rgg_experiment"),
+    ):
+        tree = ast.parse(Path(module.__file__).read_text())
+        assert not built_there & set(calls(tree)), module.__name__
+        fn = next(n for n in tree.body if getattr(n, "name", None) == name)
+        args = {a.arg for a in fn.args.args}
+        assert not [n for n in ast.walk(fn) if isinstance(n, ast.For) and ast.unparse(n.iter) in args]
+        assert calls(fn).count("rate_table") == 1, name
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("command", sorted(SEEDED_GOLDEN_SHA256))
 def test_seeded_outputs_match_goldens(command, threads, capsys, monkeypatch):
@@ -529,6 +553,16 @@ def test_validation_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"error: {name} must"), (command, err)
         assert "Traceback" not in err
+    # from |h| = 20 on, tanh rounds the fixed point m0 to +-1: either sign
+    # exits 2 with one message, not 3 with a residual or with sigma2 named
+    errors = set()
+    for h in ("-30", "-20", "20", "30"):
+        assert cli.main(["cw", "rate", "--beta", "0.5", "--h", h, "--n-grid", "4:4:x2"]) == 2, h
+        errors.add(capsys.readouterr().err)
+    assert errors == {
+        "error: h must leave the fixed point m0 inside (-1, 1): at this h it is "
+        "+-1 in float64, so the target has no spread\n"
+    }
 
 
 @pytest.mark.parametrize("command, message", [

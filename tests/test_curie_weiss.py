@@ -80,6 +80,12 @@ def test_m0_residual(beta, h):
     assert abs(math.tanh(beta * m + h) - m) < 1e-14
 
 
+@pytest.mark.parametrize("h", [-30.0, -20.0, 20.0, 30.0])
+def test_m0_is_the_bracket_end_where_tanh_rounds_it_to_a_root(h):
+    # tanh(0.5 * (+-1) + h) is exactly +-1.0, so f is exactly 0 at that end
+    assert cw_m0(0.5, h) == math.copysign(1.0, h)
+
+
 def test_m0_supercritical_nonnegative_branch():
     m = cw_m0(1.5, 0.0)
     assert m > 0.5
@@ -209,9 +215,29 @@ def test_rate_experiment_slopes_small_grid():
     assert np.all(np.diff(scaled) < 0)
 
 
+@pytest.mark.parametrize("h", [0.0, 0.1, -0.2])
+def test_rate_experiment_exponents(h):
+    """Over n = 2^12 to 2^20 the exact rows decay as the paper's rates: dloc
+    and the d2 bound as 1/n (1/sigma^2), dtv, dk and the d1 bound as
+    1/sqrt(n).  So each bound decays as fast as the metric it controls."""
+    grid = [2 ** k for k in range(12, 21)]
+    tab = cw_rate_experiment(0.5, h, grid)
+    log_n = np.log(np.array(grid, dtype=float))
+    for column, exponent in (
+        ("dloc", -1.0), ("d2_pair_bound", -1.0),
+        ("dtv", -0.5), ("dk", -0.5), ("d1_pair_bound", -0.5),
+    ):
+        slope = np.polyfit(log_n, np.log(tab.column(column)), 1)[0]
+        assert abs(slope - exponent) <= 0.02, (column, slope)
+
+
 def test_rate_experiment_validation():
     with pytest.raises(InvalidParameter):
         cw_rate_experiment(1.0, 0.0, [64])
+    # the fixed point is +-1 in float64, so the TP target would have no spread
+    for h in (-20.0, 20.0):
+        with pytest.raises(InvalidParameter, match=r"^h must leave the fixed point"):
+            cw_rate_experiment(0.5, h, [4])
 
 
 def test_support_weights_are_read_only_and_shared():

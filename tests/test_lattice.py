@@ -17,12 +17,13 @@ from lkllt.metrics import (
     TOTAL_VARIATION,
     WASSERSTEIN,
     distance,
+    distances,
     local_span,
     smoothing_term,
     smoothing_term_dual,
 )
 
-from helpers import binomial_dist, brute_convolve, random_dist
+from helpers import binomial_dist, brute_convolve, per_metric_distance, random_dist
 
 
 def direct_difference(values, n, m=1):
@@ -249,7 +250,9 @@ def test_differences_of_a_law_keep_nonzero_ends_and_metrics_agree():
     """A law's pmf has nonzero ends, and one span-m step maps the first entry
     v to v and the last entry v to -v, so no difference of a pmf has a zero
     end to trim.  The primal and dual smoothing terms agree, and each metric
-    is symmetric, zero on (F, F) and obeys the triangle inequality."""
+    is symmetric, zero on (F, F) and obeys the triangle inequality.
+    ``distances`` equals each metric's own formula bit for bit, and the
+    metrics are ordered: dloc <= dtv, dk <= dtv and dk <= dw."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     mass = st.floats(1e-300, 1e3)
@@ -282,5 +285,11 @@ def test_differences_of_a_law_keep_nonzero_ends_and_metrics_agree():
             assert distance(F, G, kind) == distance(G, F, kind)
             assert distance(F, F, kind) == 0.0
             assert distance(F, H, kind) <= distance(F, G, kind) + distance(G, H, kind) + 1e-12
+        gaps = distances(F, G)
+        for kind in metrics[:4]:
+            assert gaps[kind.column] == per_metric_distance(F, G, kind.name)
+        assert gaps["dloc"] <= gaps["dtv"] + 1e-12
+        assert gaps["dk"] <= gaps["dtv"] + 1e-12
+        assert gaps["dk"] <= gaps["dw"]
 
     check()
