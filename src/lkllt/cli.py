@@ -75,7 +75,7 @@ def _common_output(sub):
 
 def _cmd_metrics(args) -> int:
     from .lattice import LatticeDist
-    from .metrics import distance, distances, local_span, smoothing_term
+    from .metrics import distance, distances, smoothing_term
     from .report import RateTable
 
     F = LatticeDist.from_json(Path(args.f).read_text())
@@ -88,7 +88,7 @@ def _cmd_metrics(args) -> int:
     for name in ("dk", "dw", "dtv", "dloc"):
         table.add(name, gaps[name])
     if args.m > 1:
-        table.add(f"dloc_m{args.m}", distance(F, G, local_span(args.m)))
+        table.add(f"dloc_m{args.m}", distance(F, G, args.m))
     table.add(f"smooth_n{args.n}_m{args.m}_f", smoothing_term(F, args.n, args.m))
     table.add(f"smooth_n{args.n}_m{args.m}_g", smoothing_term(G, args.n, args.m))
     _write(table, args)
@@ -99,6 +99,8 @@ def _cmd_tp(args) -> int:
     from .report import RateTable
     from .tp import tp_normal_gaps, tp_params
 
+    if args.sigma2 is not None and args.sigma2_grid:
+        raise LklltError("give --sigma2 or --sigma2-grid, not both")
     sigma2s = args.sigma2_grid or [args.sigma2]
     if sigma2s == [None]:
         raise LklltError("provide --sigma2 or --sigma2-grid")
@@ -114,7 +116,7 @@ def _cmd_tp(args) -> int:
 
 
 def _cmd_verify_lk(args) -> int:
-    from .lk import KNOWN_CASES, lk_fuzz
+    from .lk import KNOWN_CASES, SQRT2, lk_fuzz
     from .report import RateTable, fmt
 
     cases = tuple(sorted(KNOWN_CASES)) if args.case == "all" else (args.case,)
@@ -126,7 +128,7 @@ def _cmd_verify_lk(args) -> int:
     )
     ok = True
     for case, worst in worsts.items():
-        holds = worst <= math.sqrt(2.0) + 1e-12
+        holds = worst <= SQRT2 + 1e-12
         ok = ok and holds
         sys.stdout.write(f"{case}: worst_ratio={fmt(worst)} C=sqrt(2) holds={holds}\n")
     if args.out:
@@ -171,6 +173,10 @@ def _cmd_cw_rate(args) -> int:
 
 
 def _er_rows(args) -> list[tuple[int, float]]:
+    if args.n is not None and args.n_grid:
+        raise LklltError("give --n or --n-grid, not both")
+    if args.p is not None and args.p_mode != "const":
+        raise LklltError(f"--p is read only under --p-mode const, not {args.p_mode}")
     ns = args.n_grid if args.n_grid else [args.n]
     if ns is None or ns == [None]:
         raise LklltError("provide --n or --n-grid")

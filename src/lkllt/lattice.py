@@ -100,12 +100,12 @@ def dist_from_weights(offset: int, weights) -> LatticeDist:
 
     Mass at ``offset + i`` is ``weights[i] / sum(weights)``.  Raises
     InvalidDistribution for all-zero, negative or non-finite weights;
-    :class:`LatticeDist` makes every check but the positive total.
+    :class:`LatticeDist` makes every check but the positive, finite total.
     """
     arr = np.asarray(weights, dtype=float)
     total = arr.sum()
-    if total <= 0:
-        raise InvalidDistribution("weights sum to zero")
+    if not 0 < total < np.inf:  # also no inf / inf in the division below
+        raise InvalidDistribution(f"weights must have a positive, finite sum, not {total!r}")
     return LatticeDist(offset, arr / total)
 
 

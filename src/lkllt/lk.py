@@ -18,9 +18,7 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .lattice import LatticeDist, dist_from_weights
-from .metrics import (
-    KOLMOGOROV, LOCAL, TOTAL_VARIATION, WASSERSTEIN, Metric, cdf_diff_norm, distances,
-)
+from .metrics import distances, smoothing_term
 
 SQRT2 = math.sqrt(2.0)
 _MAX_WIDTH = 50  # widest support window of a random_dist draw
@@ -49,13 +47,13 @@ def beta_exponent(k: int, n: int, p, q, r) -> tuple[bool, float]:
     return admissible, beta
 
 
-# metric-pair rows of the interpolation table: (d1, d2) -> beta as a function of l
+# rows of the interpolation table: (d1, d2), keys of distances -> beta(l)
 _COMBO_BETA = {
-    ("local", "tv"): lambda l: 1.0 / l,
-    ("local", "kolmogorov"): lambda l: 1.0 / l,
-    ("local", "wasserstein"): lambda l: 2.0 / (l + 1),
-    ("tv", "wasserstein"): lambda l: 1.0 / (l + 1),
-    ("kolmogorov", "wasserstein"): lambda l: 1.0 / (l + 1),
+    ("dloc", "dtv"): lambda l: 1.0 / l,
+    ("dloc", "dk"): lambda l: 1.0 / l,
+    ("dloc", "dw"): lambda l: 2.0 / (l + 1),
+    ("dtv", "dw"): lambda l: 1.0 / (l + 1),
+    ("dk", "dw"): lambda l: 1.0 / (l + 1),
 }
 
 
@@ -64,24 +62,23 @@ class LKCombo:
     """One row of the metric interpolation table.
 
     d1 is the stronger metric being bounded, d2 the weaker metric on the
-    right-hand side, l the difference order of the smoothness norms; beta is
-    derived from the table.
+    right-hand side, both keys of :func:`metrics.distances`; l is the
+    difference order of the smoothness norms; beta comes from the table.
     """
 
-    d1: Metric
-    d2: Metric
+    d1: str
+    d2: str
     l: int
 
     def __post_init__(self):
         if self.l < 1:
             raise InvalidParameter("l must be a positive integer")
-        key = (self.d1.name, self.d2.name)
-        if self.d1.span != 1 or self.d2.span != 1 or key not in _COMBO_BETA:
-            raise InvalidParameter(f"unsupported metric combination {key}")
+        if (self.d1, self.d2) not in _COMBO_BETA:
+            raise InvalidParameter(f"unsupported metric combination {(self.d1, self.d2)}")
 
     @property
     def beta(self) -> float:
-        return _COMBO_BETA[(self.d1.name, self.d2.name)](self.l)
+        return _COMBO_BETA[(self.d1, self.d2)](self.l)
 
 
 def lk_sides(F: LatticeDist, G: LatticeDist, combo: LKCombo) -> tuple[float, float, float]:
@@ -90,22 +87,23 @@ def lk_sides(F: LatticeDist, G: LatticeDist, combo: LKCombo) -> tuple[float, flo
 
     lhs is d1(F, G); rhs_core is d2(F, G)^(1-beta) * (sum of the two
     order-(l+1) CDF-difference norms)^beta; ratio = lhs / rhs_core (zero
-    when both sides vanish).
+    when both sides vanish).  The first CDF difference is the pmf shifted one
+    point, so each norm is the order-l, span-1 smoothing term.
     """
-    gaps = distances(F, G)  # LKCombo admits span-1 metrics only
-    lhs, d2 = gaps[combo.d1.column], gaps[combo.d2.column]
-    norms = cdf_diff_norm(F, combo.l + 1) + cdf_diff_norm(G, combo.l + 1)
+    gaps = distances(F, G)
+    lhs, d2 = gaps[combo.d1], gaps[combo.d2]
+    norms = smoothing_term(F, combo.l, 1) + smoothing_term(G, combo.l, 1)
     beta = combo.beta
     rhs_core = d2 ** (1.0 - beta) * norms ** beta
     return lhs, rhs_core, lhs / rhs_core if rhs_core > 0 else 0.0
 
 
-# the two known-constant cases: case name -> (combo builder, underlying (n,p,q,r))
+# the two known-constant cases: case name -> LKCombo, its (n, p, q, r) above it
 KNOWN_CASES = {
     # n=2, p=q=r=1: total variation vs Wasserstein with first-order smoothness
-    "n2_p1q1r1": LKCombo(TOTAL_VARIATION, WASSERSTEIN, l=1),
+    "n2_p1q1r1": LKCombo("dtv", "dw", l=1),
     # n=3, p=q=inf, r=1: local vs Kolmogorov with second-order smoothness
-    "n3_pinf_qinf_r1": LKCombo(LOCAL, KOLMOGOROV, l=2),
+    "n3_pinf_qinf_r1": LKCombo("dloc", "dk", l=2),
 }
 
 

@@ -1,13 +1,15 @@
 """Probability metrics on the integer lattice and the smoothing functional.
 
-Metrics between two lattice laws F, G (in CDF terms):
+:func:`distances` returns the four metrics between two lattice laws F, G
+(capitals for CDFs) under the keys that name them everywhere else:
 
-* Kolmogorov:       sup_j |F(j) - G(j)|
-* Wasserstein:      sum_j |F(j) - G(j)|
-* total variation:  (1/2) sum_j |f(j) - g(j)|        (pmf difference)
-* local:            sup_j |f(j) - g(j)|
-* local with span m: the local metric between the laws smoothed by
-  uniform{0..m-1}; equals (1/m) sup_k |P[X in (k, k+m]] - P[Y in (k, k+m]]|.
+* ``dk``, Kolmogorov:        sup_j |F(j) - G(j)|
+* ``dw``, Wasserstein:       sum_j |F(j) - G(j)|
+* ``dtv``, total variation:  (1/2) sum_j |f(j) - g(j)|        (pmf difference)
+* ``dloc``, local:           sup_j |f(j) - g(j)|
+
+:func:`distance` is the span-m local metric, ``dloc`` between the laws smoothed
+by uniform{0..m-1}: (1/m) sup_k |P[X in (k, k+m]] - P[Y in (k, k+m]]|.
 
 The smoothing functional D(F; n, m) = l1-norm of the n-fold span-m difference
 of the pmf of F.  Small values mean the point masses of F vary slowly, which
@@ -16,47 +18,10 @@ is what upgrades weak-metric bounds into local ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidParameter
 from .lattice import LatticeDist, smooth_uniform, span_difference
-
-
-_COLUMN = {"kolmogorov": "dk", "wasserstein": "dw", "tv": "dtv", "local": "dloc"}
-
-
-@dataclass(frozen=True)
-class Metric:
-    """A metric selector; ``span`` only matters for the local metric."""
-
-    name: str
-    span: int = 1
-
-    def __post_init__(self):
-        if self.name not in _COLUMN:
-            raise InvalidParameter(f"unknown metric {self.name!r}")
-        if self.span < 1:
-            raise InvalidParameter("span must be a positive integer")
-        if self.span > 1 and self.name != "local":
-            raise InvalidParameter("span > 1 is only defined for the local metric")
-
-    @property
-    def column(self) -> str:
-        """This metric's key in the dict that :func:`distances` returns."""
-        return _COLUMN[self.name]
-
-
-KOLMOGOROV = Metric("kolmogorov")
-WASSERSTEIN = Metric("wasserstein")
-TOTAL_VARIATION = Metric("tv")
-LOCAL = Metric("local")
-
-
-def local_span(m: int) -> Metric:
-    """The local metric evaluated on laws averaged over m-blocks."""
-    return Metric("local", m)
 
 
 def distances(F: LatticeDist, G: LatticeDist) -> dict[str, float]:
@@ -73,11 +38,9 @@ def distances(F: LatticeDist, G: LatticeDist) -> dict[str, float]:
             "dk": float(cdf_gap.max()), "dw": float(cdf_gap.sum())}
 
 
-def distance(F: LatticeDist, G: LatticeDist, kind: Metric) -> float:
-    """Distance between two lattice laws under the selected metric."""
-    if kind.span > 1:
-        F, G = smooth_uniform(F, kind.span), smooth_uniform(G, kind.span)
-    return distances(F, G)[kind.column]
+def distance(F: LatticeDist, G: LatticeDist, m: int) -> float:
+    """The span-m local metric: ``dloc`` between the laws averaged over m-blocks."""
+    return distances(smooth_uniform(F, m), smooth_uniform(G, m))["dloc"]
 
 
 def smoothing_term(F: LatticeDist, n: int, m: int) -> float:
@@ -95,18 +58,6 @@ def smoothing_term(F: LatticeDist, n: int, m: int) -> float:
     if n < 1 or m < 1:
         raise InvalidParameter("n and m must be positive integers")
     return float(np.abs(span_difference(F.pmf, n, m)).sum())
-
-
-def cdf_diff_norm(F: LatticeDist, order: int) -> float:
-    """l1-norm of the order-th unit difference of the CDF of F.
-
-    This is the norm appearing on the right-hand side of the interpolation
-    inequalities; the first CDF difference at j equals the mass at j+1, so it
-    is computed as the (order-1)-th difference of the pmf.
-    """
-    if order < 1:
-        raise InvalidParameter("order must be a positive integer")
-    return float(np.abs(span_difference(F.pmf, order - 1, 1)).sum())
 
 
 def smoothing_term_dual(F: LatticeDist, n: int, m: int) -> float:

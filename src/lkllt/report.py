@@ -65,7 +65,7 @@ def rate_table(columns, metadata, grid, point, replicates=None) -> RateTable:
     and, for a law of ``replicates`` draws, ``pmf_se_max``, the largest
     standard error of one of its masses.  Rows follow the order of ``columns``.
     """
-    from .metrics import distance, distances, local_span
+    from .metrics import distance, distances
     from .tp import tp_dist, tp_params
 
     if replicates is not None and replicates < 2:
@@ -76,7 +76,7 @@ def rate_table(columns, metadata, grid, point, replicates=None) -> RateTable:
         target = tp_dist(tp_params(mu, sigma2))
         row.update(distances(law, target))
         if "dloc2" in columns:
-            row["dloc2"] = distance(law, target, local_span(2))
+            row["dloc2"] = distance(law, target, 2)
         if replicates is not None:
             row["pmf_se_max"] = float(np.sqrt((law.pmf * (1 - law.pmf)).max() / replicates))
         table.add(*(row[c] for c in columns))

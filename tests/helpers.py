@@ -67,20 +67,21 @@ def random_dist(rng: np.random.Generator, max_width: int = 30) -> LatticeDist:
     return dist_from_weights(int(rng.integers(-8, 8)), rng.exponential(size=width))
 
 
-def per_metric_distance(F: LatticeDist, G: LatticeDist, name: str) -> float:
-    """One span-1 metric by its own formula, over both pmfs zero-padded to a
-    common window: the numpy operations of that metric taken alone."""
+def per_metric_distance(F: LatticeDist, G: LatticeDist, key: str) -> float:
+    """The span-1 metric under ``key`` of ``metrics.distances`` by its own
+    formula, over both pmfs zero-padded to a common window: the numpy
+    operations of that metric taken alone."""
     lo = min(F.offset, G.offset)
     pf = np.zeros(max(F.support_end, G.support_end) - lo)
     pg = pf.copy()
     pf[F.offset - lo : F.support_end - lo] = F.pmf
     pg[G.offset - lo : G.support_end - lo] = G.pmf
-    if name == "local":
+    if key == "dloc":
         return float(np.abs(pf - pg).max())
-    if name == "tv":
+    if key == "dtv":
         return 0.5 * float(np.abs(pf - pg).sum())
     cdf_gap = np.abs(pf.cumsum() - pg.cumsum())
-    return float(cdf_gap.max() if name == "kolmogorov" else cdf_gap.sum())
+    return float(cdf_gap.max() if key == "dk" else cdf_gap.sum())
 
 
 def adjacency(n: int, edges) -> np.ndarray:

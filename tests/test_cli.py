@@ -1,8 +1,10 @@
 import ast
 import hashlib
+import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -83,6 +85,16 @@ def test_pyproject_version_is_the_package_version():
     tomllib = pytest.importorskip("tomllib")
     with (Path(cli.__file__).resolve().parents[2] / "pyproject.toml").open("rb") as f:
         assert tomllib.load(f)["project"]["version"] == __version__
+
+
+def test_readme_imports_resolve():
+    # a stale API example in the README fails here
+    readme = (Path(cli.__file__).resolve().parents[2] / "README.md").read_text()
+    found = re.findall(r"from (lkllt[\w.]*) import ([\w, ]+)", readme)
+    assert found
+    for module, names in found:
+        for name in names.split(","):
+            assert hasattr(importlib.import_module(module), name.strip()), (module, name)
 
 
 def test_metrics_subcommand(tmp_path, capsys):
@@ -553,6 +565,17 @@ def test_validation_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"error: {name} must"), (command, err)
         assert "Traceback" not in err
+    # a pair of flags where one would be dropped exits 2 and names both
+    for command, flags in (
+        ("tp --sigma2 5 --sigma2-grid 100:1000:x10", ("--sigma2 ", "--sigma2-grid")),
+        ("er iso --n 50 --n-grid 100:200:x2 --p 0.1 --reps 10", ("--n ", "--n-grid")),
+        ("er tri --n 50 --n-grid 100:200:x2 --p-mode power --reps 10", ("--n ", "--n-grid")),
+        ("er iso --n 100 --p 0.3 --p-mode c-over-n --reps 10", ("--p ", "--p-mode")),
+        ("er tri --n 100 --p 0.3 --p-mode power --reps 10", ("--p ", "--p-mode")),
+    ):
+        assert cli.main(command.split()) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and all(f in err for f in flags), (command, err)
     # from |h| = 20 on, tanh rounds the fixed point m0 to +-1: either sign
     # exits 2 with one message, not 3 with a residual or with sigma2 named
     errors = set()

@@ -11,17 +11,7 @@ from lkllt.lattice import (
     smooth_uniform,
     span_difference,
 )
-from lkllt.metrics import (
-    KOLMOGOROV,
-    LOCAL,
-    TOTAL_VARIATION,
-    WASSERSTEIN,
-    distance,
-    distances,
-    local_span,
-    smoothing_term,
-    smoothing_term_dual,
-)
+from lkllt.metrics import distance, distances, smoothing_term, smoothing_term_dual
 
 from helpers import binomial_dist, brute_convolve, per_metric_distance, random_dist
 
@@ -213,6 +203,45 @@ def test_json_round_trip():
     assert back == d
 
 
+def test_lattice_dist_properties():
+    """End zeros are trimmed and interior zeros kept, with the offset moved
+    past the leading ones; the pmf sums to 1; a JSON round trip gives the
+    same law; an all-zero, negative or non-finite mass raises."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    mass = st.floats(1e-300, 1e3)
+    body = st.tuples(mass, st.lists(mass | st.just(0.0), max_size=20), mass).map(
+        lambda t: [t[0], *t[1], t[2]]
+    ) | mass.map(lambda w: [w])
+    bad = st.sampled_from([-1.0, -1e-300, -math.inf, math.inf, math.nan])
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(offset=st.integers(-50, 50), lead=st.integers(0, 5),
+                      trail=st.integers(0, 5), body=body, bad=bad, at=st.integers(0, 30))
+    def check(offset, lead, trail, body, bad, at):
+        weights = np.array([0.0] * lead + body + [0.0] * trail)
+        for F in (dist_from_weights(offset, weights),
+                  LatticeDist(offset, weights / weights.sum())):
+            assert F.offset == offset + lead
+            assert (F.pmf == 0.0).tolist() == [w == 0.0 for w in body]
+            assert abs(F.pmf.sum() - 1.0) <= 1e-12
+            # the loaded pmf is divided by its sum once more, so the round
+            # trip is bit for bit only where that float64 sum is exactly 1
+            back = LatticeDist.from_json(F.to_json())
+            assert back.offset == F.offset
+            assert np.allclose(back.pmf, F.pmf, rtol=1e-14, atol=0.0)
+            if F.pmf.sum() == 1.0:
+                assert back == F and back.pmf.tobytes() == F.pmf.tobytes()
+        broken = np.insert(weights, at % (len(weights) + 1), bad)
+        for build in (dist_from_weights, LatticeDist):
+            with pytest.raises(InvalidDistribution):
+                build(offset, broken)
+            with pytest.raises(InvalidDistribution):
+                build(offset, np.zeros(len(weights)))
+
+    check()
+
+
 def _signed_inputs():
     rng = np.random.default_rng(12)
     fixed = [[], [2.5], [-0.0], [1.0, -3.0, 0.5, -0.0, 4.0], [0.0, 1e-300, -1e300, 0.0]]
@@ -267,7 +296,6 @@ def test_differences_of_a_law_keep_nonzero_ends_and_metrics_agree():
         st.lists(mass | st.just(0.0), min_size=1, max_size=30).filter(any),
     )
     laws = st.builds(dist_from_weights, st.integers(-20, 20), weights)
-    metrics = (KOLMOGOROV, WASSERSTEIN, TOTAL_VARIATION, LOCAL, local_span(2), local_span(3))
 
     @hypothesis.settings(max_examples=200, deadline=None, database=None)
     @hypothesis.given(F=laws, G=laws, H=laws)
@@ -281,13 +309,16 @@ def test_differences_of_a_law_keep_nonzero_ends_and_metrics_agree():
                     assert math.isclose(
                         smoothing_term(F, n, m), smoothing_term_dual(F, n, m), rel_tol=1e-12
                     )
-        for kind in metrics:
-            assert distance(F, G, kind) == distance(G, F, kind)
-            assert distance(F, F, kind) == 0.0
-            assert distance(F, H, kind) <= distance(F, G, kind) + distance(G, H, kind) + 1e-12
-        gaps = distances(F, G)
-        for kind in metrics[:4]:
-            assert gaps[kind.column] == per_metric_distance(F, G, kind.name)
+        gaps, gh, fh = distances(F, G), distances(G, H), distances(F, H)
+        assert gaps == distances(G, F)
+        assert distances(F, F) == dict.fromkeys(("dloc", "dtv", "dk", "dw"), 0.0)
+        for key in gaps:
+            assert fh[key] <= gaps[key] + gh[key] + 1e-12
+            assert gaps[key] == per_metric_distance(F, G, key)
+        for m in (2, 3):
+            assert distance(F, G, m) == distance(G, F, m)
+            assert distance(F, F, m) == 0.0
+            assert distance(F, H, m) <= distance(F, G, m) + distance(G, H, m) + 1e-12
         assert gaps["dloc"] <= gaps["dtv"] + 1e-12
         assert gaps["dk"] <= gaps["dtv"] + 1e-12
         assert gaps["dk"] <= gaps["dw"]

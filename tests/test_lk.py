@@ -6,6 +6,7 @@ import pytest
 from lkllt.errors import InvalidParameter
 from lkllt.lattice import dist_from_weights, smooth_uniform
 from lkllt.lk import (
+    _COMBO_BETA,
     KNOWN_CASES,
     LKCombo,
     SQRT2,
@@ -14,13 +15,7 @@ from lkllt.lk import (
     lk_sides,
     random_dist,
 )
-from lkllt.metrics import (
-    KOLMOGOROV,
-    LOCAL,
-    TOTAL_VARIATION,
-    WASSERSTEIN,
-    distance,
-)
+from lkllt.metrics import distances, smoothing_term
 from lkllt.tp import tp_dist, tp_params
 
 from helpers import binomial_dist
@@ -54,31 +49,52 @@ def test_table_betas_from_exponent_formula(l):
     assert beta_exponent(1, n, 1, INF, 1)[1] == pytest.approx(2 / (l + 1))
     # (tv, wasserstein): q = p = 1
     assert beta_exponent(1, n, 1, 1, 1)[1] == pytest.approx(1 / (l + 1))
-    assert LKCombo(LOCAL, TOTAL_VARIATION, l).beta == pytest.approx(1 / l)
-    assert LKCombo(LOCAL, KOLMOGOROV, l).beta == pytest.approx(1 / l)
-    assert LKCombo(LOCAL, WASSERSTEIN, l).beta == pytest.approx(2 / (l + 1))
-    assert LKCombo(TOTAL_VARIATION, WASSERSTEIN, l).beta == pytest.approx(1 / (l + 1))
-    assert LKCombo(KOLMOGOROV, WASSERSTEIN, l).beta == pytest.approx(1 / (l + 1))
+    assert LKCombo("dloc", "dtv", l).beta == pytest.approx(1 / l)
+    assert LKCombo("dloc", "dk", l).beta == pytest.approx(1 / l)
+    assert LKCombo("dloc", "dw", l).beta == pytest.approx(2 / (l + 1))
+    assert LKCombo("dtv", "dw", l).beta == pytest.approx(1 / (l + 1))
+    assert LKCombo("dk", "dw", l).beta == pytest.approx(1 / (l + 1))
 
 
 def test_combo_validation():
     with pytest.raises(InvalidParameter):
-        LKCombo(WASSERSTEIN, LOCAL, 1)
+        LKCombo("dw", "dloc", 1)
     with pytest.raises(InvalidParameter):
-        LKCombo(LOCAL, KOLMOGOROV, 0)
+        LKCombo("dloc", "dk", 0)
+    with pytest.raises(InvalidParameter):
+        LKCombo("local", "kolmogorov", 2)
+
+
+def test_combo_table_is_keyed_by_the_keys_of_distances():
+    keys = distances(dist_from_weights(0, [1]), dist_from_weights(1, [1])).keys()
+    for d1, d2 in _COMBO_BETA:
+        assert d1 in keys and d2 in keys, (d1, d2)
+
+
+def test_smoothness_norms_are_cdf_difference_norms():
+    """The order-(l+1) CDF-difference norm of lk_sides, taken from the CDF
+    itself (0 left of the support, 1 right of it), is the order-l smoothing
+    term."""
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        F = random_dist(rng)
+        for l in (1, 2, 3):
+            cdf = np.concatenate([np.zeros(l + 1), F.cdf(), np.ones(l + 1)])
+            norm = float(np.abs(np.diff(cdf, n=l + 1)).sum())
+            assert math.isclose(smoothing_term(F, l, 1), norm, rel_tol=1e-12, abs_tol=1e-14)
 
 
 def test_lk_sides_equal_inputs():
     F = binomial_dist(12, 0.4)
-    lhs, _, ratio = lk_sides(F, F, LKCombo(LOCAL, KOLMOGOROV, 2))
+    lhs, _, ratio = lk_sides(F, F, LKCombo("dloc", "dk", 2))
     assert lhs == 0.0 and ratio == 0.0
 
 
 def test_lk_sides_binomial_vs_tp():
     F = binomial_dist(20, 0.5)
     G = tp_dist(tp_params(10.0, 5.0))
-    assert lk_sides(F, G, LKCombo(LOCAL, KOLMOGOROV, l=2))[2] <= SQRT2 + 1e-12
-    assert lk_sides(F, G, LKCombo(TOTAL_VARIATION, WASSERSTEIN, l=1))[2] <= SQRT2 + 1e-12
+    assert lk_sides(F, G, LKCombo("dloc", "dk", l=2))[2] <= SQRT2 + 1e-12
+    assert lk_sides(F, G, LKCombo("dtv", "dw", l=1))[2] <= SQRT2 + 1e-12
 
 
 def test_smoothing_monotone_under_block_average():
@@ -86,9 +102,10 @@ def test_smoothing_monotone_under_block_average():
     for _ in range(50):
         F, G = random_dist(rng), random_dist(rng)
         for m in (2, 3):
-            Fs, Gs = smooth_uniform(F, m), smooth_uniform(G, m)
-            for kind in (KOLMOGOROV, TOTAL_VARIATION, WASSERSTEIN):
-                assert distance(Fs, Gs, kind) <= distance(F, G, kind) + 1e-12
+            smoothed = distances(smooth_uniform(F, m), smooth_uniform(G, m))
+            raw = distances(F, G)
+            for key in ("dk", "dtv", "dw"):
+                assert smoothed[key] <= raw[key] + 1e-12
 
 
 def test_fuzz_trivial_equal_pair():
@@ -135,19 +152,19 @@ def test_all_table_rows_on_random_pairs():
     # kolmogorov <= total-variation reduction) are asserted; the others have
     # no known constant and are only reported
     asserted = {
-        ("local", "kolmogorov", 2),
-        ("local", "tv", 2),
-        ("tv", "wasserstein", 1),
-        ("kolmogorov", "wasserstein", 1),
+        ("dloc", "dk", 2),
+        ("dloc", "dtv", 2),
+        ("dtv", "dw", 1),
+        ("dk", "dw", 1),
     }
     combos = [
         LKCombo(d1, d2, l)
         for (d1, d2) in (
-            (LOCAL, TOTAL_VARIATION),
-            (LOCAL, KOLMOGOROV),
-            (LOCAL, WASSERSTEIN),
-            (TOTAL_VARIATION, WASSERSTEIN),
-            (KOLMOGOROV, WASSERSTEIN),
+            ("dloc", "dtv"),
+            ("dloc", "dk"),
+            ("dloc", "dw"),
+            ("dtv", "dw"),
+            ("dk", "dw"),
         )
         for l in (1, 2)
     ]
@@ -157,7 +174,7 @@ def test_all_table_rows_on_random_pairs():
         worst = 0.0
         for _ in range(300):
             worst = max(worst, lk_sides(random_dist(rng), random_dist(rng), combo)[2])
-        key = (combo.d1.name, combo.d2.name, combo.l)
+        key = (combo.d1, combo.d2, combo.l)
         observed[key] = worst
         assert math.isfinite(worst) and worst >= 0.0
         if key in asserted:

@@ -5,44 +5,31 @@ import pytest
 
 from lkllt.errors import InvalidParameter
 from lkllt.lattice import dist_from_weights
-from lkllt.metrics import (
-    KOLMOGOROV,
-    LOCAL,
-    Metric,
-    TOTAL_VARIATION,
-    WASSERSTEIN,
-    cdf_diff_norm,
-    distance,
-    local_span,
-    smoothing_term,
-    smoothing_term_dual,
-)
+from lkllt.metrics import distance, distances, smoothing_term, smoothing_term_dual
 
 from helpers import binomial_dist, interval_mass, random_dist, smoothing_term_by_averaging
 
-ALL_METRICS = (KOLMOGOROV, WASSERSTEIN, TOTAL_VARIATION, LOCAL)
+KEYS = ("dk", "dw", "dtv", "dloc")
 
 
 def test_point_mass_distances():
     d0 = dist_from_weights(0, [1])
     d1 = dist_from_weights(1, [1])
-    for kind in ALL_METRICS:
-        assert distance(d0, d1, kind) == pytest.approx(1.0)
+    assert distances(d0, d1) == pytest.approx(dict.fromkeys(KEYS, 1.0))
 
 
 def test_two_point_distances():
     be = dist_from_weights(0, [1, 1])
     d0 = dist_from_weights(0, [1])
-    for kind in ALL_METRICS:
-        assert distance(be, d0, kind) == pytest.approx(0.5)
+    assert distances(be, d0) == pytest.approx(dict.fromkeys(KEYS, 0.5))
 
 
 def test_distance_to_self_is_zero():
     rng = np.random.default_rng(0)
     for _ in range(10):
         F = random_dist(rng)
-        for kind in ALL_METRICS + (local_span(3),):
-            assert distance(F, F, kind) == 0.0
+        assert distances(F, F) == dict.fromkeys(KEYS, 0.0)
+        assert distance(F, F, 3) == 0.0
 
 
 def test_local_span_equals_interval_scan():
@@ -56,21 +43,21 @@ def test_local_span_equals_interval_scan():
                 abs(interval_mass(F, k, m) - interval_mass(G, k, m))
                 for k in range(lo, hi)
             ) / m
-            assert distance(F, G, local_span(m)) == pytest.approx(brute, abs=1e-12)
+            assert distance(F, G, m) == pytest.approx(brute, abs=1e-12)
+        assert distance(F, G, 1) == distances(F, G)["dloc"]
 
 
 def test_metric_validation():
-    with pytest.raises(InvalidParameter):
-        Metric("hellinger")
-    with pytest.raises(InvalidParameter):
-        Metric("tv", span=2)
+    F = dist_from_weights(0, [1, 1])
+    for m in (0, -1):
+        with pytest.raises(InvalidParameter, match="m must be a positive integer"):
+            distance(F, F, m)
 
 
 def test_span_and_order_validation():
-    with pytest.raises(InvalidParameter, match="span must be a positive integer"):
-        Metric("local", 0)
-    with pytest.raises(InvalidParameter, match="order must be a positive integer"):
-        cdf_diff_norm(dist_from_weights(0, [1, 1]), 0)
+    # the order-(l+1) CDF-difference norm of lk_sides is the order-l smoothing term
+    with pytest.raises(InvalidParameter, match="n and m must be positive integers"):
+        smoothing_term(dist_from_weights(0, [1, 1]), 0, 1)
 
 
 def test_smoothing_term_point_mass():
@@ -143,10 +130,8 @@ def test_metric_inequalities():
     rng = np.random.default_rng(3)
     for _ in range(60):
         F, G = random_dist(rng), random_dist(rng)
-        dk = distance(F, G, KOLMOGOROV)
-        dtv = distance(F, G, TOTAL_VARIATION)
-        dw = distance(F, G, WASSERSTEIN)
-        dl = distance(F, G, LOCAL)
+        gaps = distances(F, G)
+        dk, dw, dtv, dl = (gaps[key] for key in KEYS)
         assert dk <= dtv + 1e-12
         assert dl <= 2 * dtv + 1e-12
         assert dk <= dw + 1e-12
@@ -156,11 +141,10 @@ def test_metrics_symmetric_triangle():
     rng = np.random.default_rng(4)
     for _ in range(30):
         F, G, H = (random_dist(rng) for _ in range(3))
-        for kind in ALL_METRICS:
-            assert distance(F, G, kind) == pytest.approx(distance(G, F, kind), abs=1e-12)
-            assert distance(F, H, kind) <= (
-                distance(F, G, kind) + distance(G, H, kind) + 1e-12
-            )
+        fg, gh, fh = distances(F, G), distances(G, H), distances(F, H)
+        assert fg == pytest.approx(distances(G, F), abs=1e-12)
+        for key in KEYS:
+            assert fh[key] <= fg[key] + gh[key] + 1e-12
 
 
 def test_smoothing_span_vs_unit_factor():

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from lkllt.curie_weiss import CWPairModel, CWParams, cw_exact_pmf
-from lkllt.er import ERPairModel, iso_moments
+from lkllt.er import (
+    ERPairModel,
+    enumerate_graphs_oracle,
+    iso_exact_pair_stats,
+    iso_moments,
+    iso_smoothing_bounds,
+)
 from lkllt.errors import DegenerateChain, InvalidParameter
 from lkllt.lattice import convolve, dist_from_weights
 from lkllt.metrics import smoothing_term
@@ -164,6 +170,43 @@ def test_bounds_dominate_exact_smoothing_cw():
     mc = pair_stats(CWPairModel(params), 2, 30000, seed=9)
     assert pair_bound_d1(mc) >= smoothing_term(law, 1, 2) - 3 * mc.se_q_m
     assert pair_bound_d2(mc) >= smoothing_term(law, 2, 2) - 3 * mc.se_q_m
+
+
+def _bound_or_none(bound, *args):
+    """The bound, or None where the chain degenerates and it is undefined."""
+    try:
+        return bound(*args)
+    except DegenerateChain:
+        return None
+
+
+def test_isolated_vertex_bounds_dominate_the_exact_smoothing_terms():
+    # no Monte Carlo: the law and both sets of bounds are exact, so the
+    # bounds must lie above the smoothing terms with no slack (the smallest
+    # bound/truth ratio is about 1.57)
+    for n in range(3, 8):
+        for p in (0.1, 0.25, 0.5, 0.75, 0.9):
+            law, _ = enumerate_graphs_oracle(n, p, "isolated")
+            truth = [smoothing_term(law, k, m) for m in (1, 2) for k in (1, 2)]
+            closed = _bound_or_none(iso_smoothing_bounds, n, p) or (None,) * 4
+            stats = [iso_exact_pair_stats(n, p, m) for m in (1, 2)]
+            exact = [_bound_or_none(b, st) for st in stats for b in (pair_bound_d1, pair_bound_d2)]
+            for bounds in (closed, exact):
+                for bound, term in zip(bounds, truth):
+                    assert bound is None or bound >= term, (n, p, bounds, truth)
+
+
+def test_curie_weiss_bounds_dominate_the_exact_smoothing_terms():
+    # the smallest bound/truth ratios are about 1.25 (d1) and 2.07 (d2)
+    for beta in (0.2, 0.5, 0.8):
+        for h in (0.0, 0.1, -0.3):
+            for n in (10, 64, 1000, 100_000):
+                params = CWParams(n, beta, h)
+                stats = CWPairModel(params).exact_stats()
+                law = cw_exact_pmf(params, half_lattice=True)
+                for k, bound in ((1, pair_bound_d1), (2, pair_bound_d2)):
+                    value = _bound_or_none(bound, stats)
+                    assert value is None or value >= smoothing_term(law, k, 1), (params, k)
 
 
 def test_exact_pair_stats_matches_hand_weights():
