@@ -177,6 +177,12 @@ def _er_rows(args) -> list[tuple[int, float]]:
         raise LklltError("give --n or --n-grid, not both")
     if args.p is not None and args.p_mode != "const":
         raise LklltError(f"--p is read only under --p-mode const, not {args.p_mode}")
+    if args.p_coeff is not None and args.p_mode == "const":
+        raise LklltError("--p-coeff is read only under --p-mode c-over-n or power, not const")
+    if args.p_alpha is not None and args.p_mode != "power":
+        raise LklltError(f"--p-alpha is read only under --p-mode power, not {args.p_mode}")
+    coeff = 1.0 if args.p_coeff is None else args.p_coeff
+    alpha = 1.5 if args.p_alpha is None else args.p_alpha
     ns = args.n_grid if args.n_grid else [args.n]
     if ns is None or ns == [None]:
         raise LklltError("provide --n or --n-grid")
@@ -185,9 +191,9 @@ def _er_rows(args) -> list[tuple[int, float]]:
         if args.p_mode == "const":
             p = args.p
         elif args.p_mode == "c-over-n":
-            p = args.p_coeff / n
+            p = coeff / n
         else:  # power
-            p = args.p_coeff * n ** (-args.p_alpha)
+            p = coeff * n ** (-alpha)
         if p is None:
             raise LklltError("provide --p for p-mode const")
         rows.append((int(n), float(p)))
@@ -229,7 +235,10 @@ def _cmd_rgg(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """Every subcommand with its help; arguments only for the one argv names, or all for None."""
+    first = next((a for a in argv if not a.startswith("-")), None) if argv else None
+    want = lambda name: argv is None or name == first
     parser = argparse.ArgumentParser(
         prog="lkllt",
         description="lattice metrics, smoothing bounds and local-limit rate experiments",
@@ -238,89 +247,96 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("metrics", help="metrics between two stored distributions")
-    s.add_argument("--f", required=True, help="JSON file {'offset': int, 'pmf': [...]}")
-    s.add_argument("--g", required=True)
-    s.add_argument("--m", type=int, default=1, help="block span for the local metric")
-    s.add_argument("--n", type=int, default=1, help="order of the smoothing terms")
-    _common_output(s)
-    s.set_defaults(fn=_cmd_metrics)
+    if want("metrics"):
+        s.add_argument("--f", required=True, help="JSON file {'offset': int, 'pmf': [...]}")
+        s.add_argument("--g", required=True)
+        s.add_argument("--m", type=int, default=1, help="block span for the local metric")
+        s.add_argument("--n", type=int, default=1, help="order of the smoothing terms")
+        _common_output(s)
+        s.set_defaults(fn=_cmd_metrics)
 
     s = subs.add_parser("tp", help="translated-Poisson vs normal comparison gaps")
-    s.add_argument("--mu", type=float, default=0.0)
-    s.add_argument("--sigma2", type=float, default=None)
-    s.add_argument(
-        "--sigma2-grid", type=lambda s_: parse_grid(s_, False), default=None,
-        help="geometric grid a:b:xk",
-    )
-    _common_output(s)
-    s.set_defaults(fn=_cmd_tp)
+    if want("tp"):
+        s.add_argument("--mu", type=float, default=0.0)
+        s.add_argument("--sigma2", type=float, default=None)
+        s.add_argument(
+            "--sigma2-grid", type=lambda s_: parse_grid(s_, False), default=None,
+            help="geometric grid a:b:xk",
+        )
+        _common_output(s)
+        s.set_defaults(fn=_cmd_tp)
 
     s = subs.add_parser("verify", help="verification suites")
-    vsubs = s.add_subparsers(dest="verify_cmd", required=True)
-    v = vsubs.add_parser("lk", help="fuzz the known-constant interpolation inequalities")
-    v.add_argument("--trials", type=int, default=10000)
-    v.add_argument("--seed", type=int, default=1)
-    v.add_argument("--case", default="all", choices=("all", "n2_p1q1r1", "n3_pinf_qinf_r1"))
-    _common_output(v)
-    v.set_defaults(fn=_cmd_verify_lk)
+    if want("verify"):
+        vsubs = s.add_subparsers(dest="verify_cmd", required=True)
+        v = vsubs.add_parser("lk", help="fuzz the known-constant interpolation inequalities")
+        v.add_argument("--trials", type=int, default=10000)
+        v.add_argument("--seed", type=int, default=1)
+        v.add_argument("--case", default="all", choices=("all", "n2_p1q1r1", "n3_pinf_qinf_r1"))
+        _common_output(v)
+        v.set_defaults(fn=_cmd_verify_lk)
 
     s = subs.add_parser("bounds", help="pair-chain statistics and smoothness bounds")
-    s.add_argument("--model", required=True, choices=("cw", "er-iso", "er-tri"))
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--beta", type=float, default=0.5)
-    s.add_argument("--h", type=float, default=0.0)
-    s.add_argument("--p", type=float, default=0.5)
-    s.add_argument("--m", type=int, default=None)
-    s.add_argument("--reps", type=int, default=10000)
-    s.add_argument("--seed", type=int, default=1)
-    s.add_argument("--out", default=None)
-    s.set_defaults(fn=_cmd_bounds)
+    if want("bounds"):
+        s.add_argument("--model", required=True, choices=("cw", "er-iso", "er-tri"))
+        s.add_argument("--n", type=int, required=True)
+        s.add_argument("--beta", type=float, default=0.5)
+        s.add_argument("--h", type=float, default=0.0)
+        s.add_argument("--p", type=float, default=0.5)
+        s.add_argument("--m", type=int, default=None)
+        s.add_argument("--reps", type=int, default=10000)
+        s.add_argument("--seed", type=int, default=1)
+        s.add_argument("--out", default=None)
+        s.set_defaults(fn=_cmd_bounds)
 
     s = subs.add_parser("cw", help="mean-field magnetization experiments")
-    csubs = s.add_subparsers(dest="cw_cmd", required=True)
-    c = csubs.add_parser("rate", help="exact-law rates against the TP target")
-    c.add_argument("--beta", type=float, required=True)
-    c.add_argument("--h", type=float, default=0.0)
-    c.add_argument("--n-grid", type=lambda s_: parse_grid(s_, True), required=True)
-    _common_output(c)
-    c.set_defaults(fn=_cmd_cw_rate)
+    if want("cw"):
+        csubs = s.add_subparsers(dest="cw_cmd", required=True)
+        c = csubs.add_parser("rate", help="exact-law rates against the TP target")
+        c.add_argument("--beta", type=float, required=True)
+        c.add_argument("--h", type=float, default=0.0)
+        c.add_argument("--n-grid", type=lambda s_: parse_grid(s_, True), required=True)
+        _common_output(c)
+        c.set_defaults(fn=_cmd_cw_rate)
 
     s = subs.add_parser("er", help="random graph experiments")
-    esubs = s.add_subparsers(dest="er_cmd", required=True)
-    for name, help_ in (("iso", "isolated-vertex counts"), ("tri", "triangle counts")):
-        e = esubs.add_parser(name, help=help_)
-        e.add_argument("--n", type=int, default=None)
-        e.add_argument("--n-grid", type=lambda s_: parse_grid(s_, True), default=None)
-        e.add_argument("--p", type=float, default=None)
-        e.add_argument("--p-mode", choices=("const", "c-over-n", "power"), default="const")
-        e.add_argument("--p-coeff", type=float, default=1.0)
-        e.add_argument("--p-alpha", type=float, default=1.5)
-        e.add_argument("--reps", type=int, required=True)
-        e.add_argument("--seed", type=int, default=1)
-        _common_output(e)
-        e.set_defaults(fn=_cmd_er)
-    e = esubs.add_parser("oracle", help="exhaustive small-graph enumeration")
-    e.add_argument("--n", type=int, required=True)
-    e.add_argument("--p", type=float, required=True)
-    e.add_argument("--stat", choices=("isolated", "triangles"), required=True)
-    e.add_argument("--out", default=None)
-    e.set_defaults(fn=_cmd_er_oracle)
+    if want("er"):
+        esubs = s.add_subparsers(dest="er_cmd", required=True)
+        for name, help_ in (("iso", "isolated-vertex counts"), ("tri", "triangle counts")):
+            e = esubs.add_parser(name, help=help_)
+            e.add_argument("--n", type=int, default=None)
+            e.add_argument("--n-grid", type=lambda s_: parse_grid(s_, True), default=None)
+            e.add_argument("--p", type=float, default=None)
+            e.add_argument("--p-mode", choices=("const", "c-over-n", "power"), default="const")
+            e.add_argument("--p-coeff", type=float, default=None)
+            e.add_argument("--p-alpha", type=float, default=None)
+            e.add_argument("--reps", type=int, required=True)
+            e.add_argument("--seed", type=int, default=1)
+            _common_output(e)
+            e.set_defaults(fn=_cmd_er)
+        e = esubs.add_parser("oracle", help="exhaustive small-graph enumeration")
+        e.add_argument("--n", type=int, required=True)
+        e.add_argument("--p", type=float, required=True)
+        e.add_argument("--stat", choices=("isolated", "triangles"), required=True)
+        e.add_argument("--out", default=None)
+        e.set_defaults(fn=_cmd_er_oracle)
 
     s = subs.add_parser("rgg", help="geometric-graph independence number experiment")
-    s.add_argument("--b", type=float, default=0.2)
-    s.add_argument("--d", type=int, default=1)
-    s.add_argument("--lambda-grid", type=lambda s_: parse_grid(s_, False), required=True)
-    s.add_argument("--reps", type=int, required=True)
-    s.add_argument("--seed", type=int, default=1)
-    _common_output(s)
-    s.set_defaults(fn=_cmd_rgg)
+    if want("rgg"):
+        s.add_argument("--b", type=float, default=0.2)
+        s.add_argument("--d", type=int, default=1)
+        s.add_argument("--lambda-grid", type=lambda s_: parse_grid(s_, False), required=True)
+        s.add_argument("--reps", type=int, required=True)
+        s.add_argument("--seed", type=int, default=1)
+        _common_output(s)
+        s.set_defaults(fn=_cmd_rgg)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     t0 = time.perf_counter()
     try:
         status = args.fn(args)

@@ -54,13 +54,12 @@ def _triu_index_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=16)
-def _cell_slots(n: int, row: int) -> np.ndarray:
-    """Pair slot of every cell of a flattened (n, row) adjacency layout,
-    row >= n, with C(n, 2), one slot past the last pair, on the diagonal and
-    in the padding columns n .. row-1: n * row intp entries, the same order
-    of memory as ``_triu_index_arrays``."""
+def _cell_slots(n: int) -> np.ndarray:
+    """Pair slot of every cell of a flattened (n, n) adjacency matrix, with
+    C(n, 2), one slot past the last pair, on the diagonal: n * n intp
+    entries, the same order of memory as ``_triu_index_arrays``."""
     ii, jj = _triu_index_arrays(n)
-    cells = np.full((n, row), len(ii), dtype=np.intp)
+    cells = np.full((n, n), len(ii), dtype=np.intp)
     cells[ii, jj] = cells[jj, ii] = np.arange(len(ii))
     cells = cells.reshape(-1)
     cells.flags.writeable = False
@@ -68,7 +67,7 @@ def _cell_slots(n: int, row: int) -> np.ndarray:
 
 
 def _gnp_stride(n: int) -> int:
-    """64-bit draws ``_slot_bits`` takes per n-vertex graph: one uniform per
+    """64-bit draws ``_slot_bits`` takes per n-vertex graph: one raw word per
     pair slot, C(n, 2).  Samplers that draw through it declare this as the
     ``stride`` that lets ``map_blocks`` cut their blocks."""
     return comb(n, 2)
@@ -77,15 +76,21 @@ def _gnp_stride(n: int) -> int:
 def _slot_bits(n: int, p: float, rng: np.random.Generator, count: int) -> np.ndarray:
     """Pair-slot bits of ``count`` independent G(n, p) draws: a (count,
     C(n,2) + 1) boolean buffer whose last column, one slot past the last
-    pair, is False.
+    pair, is False; the one place G(n, p) bits are drawn.
 
-    Graph t takes uniforms t*C(n,2) .. (t+1)*C(n,2)-1 of ``rng`` in pair-slot
-    order, exactly what ``count`` successive one-graph draws consume, so
-    splitting a block does not change its graphs.
+    Graph t takes raw words t*C(n,2) .. (t+1)*C(n,2)-1 of ``rng`` in
+    pair-slot order, as ``count`` one-graph draws would, so splitting a
+    block does not change its graphs.  Word w gives the bit of
+    ``rng.random() < p``, (w >> 11) 2^-53 < p, exactly when w < ceil(p 2^53)
+    << 11; from p = 1 on every bit is set, the words drawn all the same.
     """
     N = _gnp_stride(n)
     bits = np.zeros((count, N + 1), dtype=bool)
-    np.less(rng.random((count, N)), p, out=bits[:, :N])
+    raw = rng.bit_generator.random_raw((count, N))
+    if p >= 1.0:
+        bits[:, :N] = True
+    else:
+        np.less(raw, np.uint64(math.ceil(p * 2.0 ** 53) << 11), out=bits[:, :N])
     return bits
 
 
@@ -93,7 +98,7 @@ def _gnp_adjacency(n: int, p: float, rng: np.random.Generator, count: int) -> np
     """Boolean adjacency stack (count, n, n) of independent G(n, p) draws
     from ``_slot_bits``: one gather of the bits through ``_cell_slots``,
     whose diagonal reads the False column past the last slot."""
-    return _slot_bits(n, p, rng, count).take(_cell_slots(n, n), axis=1).reshape(count, n, n)
+    return _slot_bits(n, p, rng, count).take(_cell_slots(n), axis=1).reshape(count, n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -634,30 +639,47 @@ def _isolated_count_block(n: int, p: float, rng: np.random.Generator, count: int
     return out
 
 
+@lru_cache(maxsize=16)
+def _upper_row_words(n: int):
+    """(words, q, shift, mask) that read the upper rows of an n-vertex graph
+    from its slot bits, packed little-order into ``words`` uint64 words.  Row
+    i's pairs (i, j), j > i, are the slots from (i, i + 1) on: column j is bit
+    b_i + j - 1, b_i = slot(i, i + 1) - i >= 0, its word w (columns 64w + 1 ..
+    64w + 64) starts at bit 64q + shift, and ``mask`` keeps i < j < n."""
+    i = np.arange(n)[:, None]
+    start = i * n - i * (i + 1) // 2 - i + 64 * np.arange((n + 62) // 64)
+    col = start[:1, :, None] + np.arange(1, 65)  # j of each bit: row 0's word w is at 64w
+    mask = np.packbits((col > i[:, :, None]) & (col < n), axis=2, bitorder="little")
+    tables = start >> 6, (start & 63).astype(np.uint64), mask.view(np.uint64)[..., 0]
+    for table in tables:
+        table.flags.writeable = False
+    return comb(n, 2) // 64 + 2, *tables
+
+
 def _triangle_count_block(n: int, p: float, rng: np.random.Generator, count: int) -> np.ndarray:
     """Triangle counts for `count` independent G(n, p) draws.
 
-    Sub-chunks of graphs are drawn by ``_slot_bits``; one gather through
-    ``_cell_slots`` lays out every adjacency row padded to whole words,
-    and one ``packbits`` packs them into uint64 words.  Every present edge
-    (i, j) adds popcount(row i & row j), its number of common neighbours, to
-    its graph's total, which sees each triangle once per edge.
+    Sub-chunks of graphs are drawn by ``_slot_bits`` and packed by one
+    ``packbits``; ``_upper_row_words`` reads every upper row U_i (the
+    neighbours j > i) from the packed words.  Every present edge (i, j),
+    i < j, adds popcount(U_i & U_j), its common neighbours k > j, to its
+    graph's total, which sees each triangle once, at its two lowest vertices.
     """
     out = np.empty(count, dtype=np.int64)
     ii, jj = _triu_index_arrays(n)
-    width = -(-n // 64)  # words per row
-    cells = _cell_slots(n, 64 * width)
+    n_words, q, shift, mask = _upper_row_words(n)
     step = max(1, _SAMPLE_CELLS // max(1, n * n))
     for start in range(0, count, step):
         k = min(step, count - start)
         bits = _slot_bits(n, p, rng, k)
         g, e = np.divmod(np.flatnonzero(bits), bits.shape[1])
-        rows = np.packbits(bits.take(cells, axis=1), axis=1, bitorder="little")
-        words = rows.view(np.uint64).reshape(k * n, width)
+        words = np.zeros((k, n_words), dtype=np.uint64)
+        packed = np.packbits(bits, axis=1, bitorder="little")
+        words.view(np.uint8)[:, :packed.shape[1]] = packed
+        upper = ((words[:, q] >> shift | words[:, q + 1] << (64 - shift)) & mask).reshape(k * n, -1)
         row = g * n
-        common = np.bitwise_count(words[row + ii[e]] & words[row + jj[e]]).sum(axis=1)
-        tri = np.bincount(g, weights=common, minlength=k).astype(np.int64) // 3
-        out[start:start + k] = tri
+        common = np.bitwise_count(upper[row + ii[e]] & upper[row + jj[e]]).sum(axis=1)
+        out[start:start + k] = np.bincount(g, weights=common, minlength=k)
     return out
 
 

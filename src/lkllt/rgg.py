@@ -44,8 +44,9 @@ def _line_block(sets: list[np.ndarray], r: float) -> tuple[np.ndarray, np.ndarra
     row.  The greedy sweep keeps a point x when x > last + r for the last kept
     point, so it keeps every head: a row's first point and every x with
     x > prev + r for its predecessor (last <= prev, and rounding is
-    monotone).  From the heads the sweep is walked for all rows at once, one
-    point per step, so the steps number the longest run between two heads.
+    monotone).  From the heads that an inner point follows the sweep is walked
+    for all rows at once, one point per step, so the steps number the
+    longest run between two heads.
 
     The annulus diagnostic is the fraction of a packed grid of radius-3r
     balls whose annulus (radius in (r, 2r]) contains no point; it backs the
@@ -65,29 +66,30 @@ def _line_block(sets: list[np.ndarray], r: float) -> tuple[np.ndarray, np.ndarra
     kept[:, 1:] &= x[:, 1:] > lim[:, :-1]
     inner = (point ^ kept).ravel()  # points after the head of their run
     flat, flat_lim, flat_kept = x.ravel(), lim.ravel(), kept.ravel()
-    last = np.flatnonzero(flat_kept)
+    last = np.flatnonzero(flat_kept[:-1] & inner[1:])  # heads with a run behind them
     nxt = last + 1
     while last.size:
-        go = inner[nxt]
-        last, nxt = last[go], nxt[go]
         take = flat[nxt] > flat_lim[last]
         flat_kept[nxt[take]] = True
         last = np.where(take, nxt, last)
         nxt += 1
+        go = inner[nxt]
+        last, nxt = last[go], nxt[go]
     w = np.count_nonzero(kept, axis=1)
 
     ann = np.full(count, math.nan)
     n_balls = int(1.0 / (6.0 * r)) if r > 0 else 0
     if n_balls:
         centers = 3.0 * r + 6.0 * r * np.arange(n_balls)
-        # ball b is nearest on [6rb, 6r(b + 1)); inf (padding) goes to the last
-        ball = np.minimum(x / (6.0 * r), n_balls - 1).astype(np.int64)
-        dist = np.abs(x - centers[ball])
-        row, col = np.nonzero((dist > r) & (dist <= 2 * r))
-        # sorted rows give non-decreasing balls, so repeated hits are adjacent
-        key = row * n_balls + ball[row, col]
+        xs = x[point]  # the points, row by row
+        # ball b is nearest on [6rb, 6r(b + 1)); points past the last cell go to it
+        ball = np.minimum(xs / (6.0 * r), n_balls - 1).astype(np.int64)
+        dist = np.abs(xs - centers[ball])
+        ball += np.repeat(np.arange(0, count * n_balls, n_balls), lens)  # now row * n_balls + ball
+        # sorted rows give non-decreasing keys, so repeated hits are adjacent
+        key = ball[(dist > r) & (dist <= 2 * r)]
         first = np.diff(key, prepend=-1) != 0
-        ann = (n_balls - np.bincount(row[first], minlength=count)) / n_balls
+        ann = (n_balls - np.bincount(key[first] // n_balls, minlength=count)) / n_balls
     return w, ann
 
 

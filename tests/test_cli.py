@@ -513,6 +513,21 @@ def test_er_const_p_mode_without_p_exits_2(capsys):
     assert "provide --p for p-mode const" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path", [
+    "", "metrics", "tp", "verify", "verify lk", "bounds", "cw", "cw rate",
+    "er", "er iso", "er tri", "er oracle", "rgg",
+])
+def test_lazy_parser_help_matches_the_full_parser(path, capsys):
+    argv = path.split()
+    help_ = []
+    for parser in (cli.build_parser(), cli.build_parser([*argv, "--help"])):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([*argv, "--help"])
+        assert exc.value.code == 0
+        help_.append(capsys.readouterr().out)
+    assert help_[0] == help_[1] and help_[0].startswith("usage: lkllt")
+
+
 def test_json_format(tmp_path):
     out = tmp_path / "t.json"
     assert cli.main(
@@ -572,6 +587,9 @@ def test_validation_exit_codes(tmp_path, capsys):
         ("er tri --n 50 --n-grid 100:200:x2 --p-mode power --reps 10", ("--n ", "--n-grid")),
         ("er iso --n 100 --p 0.3 --p-mode c-over-n --reps 10", ("--p ", "--p-mode")),
         ("er tri --n 100 --p 0.3 --p-mode power --reps 10", ("--p ", "--p-mode")),
+        ("er iso --n 100 --p 0.3 --p-coeff 2 --reps 10", ("--p-coeff", "not const")),
+        ("er tri --n 100 --p 0.3 --p-alpha 2 --reps 10", ("--p-alpha", "not const")),
+        ("er iso --n 100 --p-mode c-over-n --p-alpha 2 --reps 10", ("--p-alpha", "not c-over-n")),
     ):
         assert cli.main(command.split()) == 2, command
         err = capsys.readouterr().err
@@ -741,7 +759,7 @@ def test_numerical_failure_exit_code(monkeypatch, capsys):
         args.fn = boom
         return args
 
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    monkeypatch.setattr(cli, "build_parser", lambda argv=None: parser)
     monkeypatch.setattr(parser, "parse_args", parse)
     assert cli.main(["tp", "--mu", "0", "--sigma2", "4"]) == 3
     capsys.readouterr()

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import itertools
 import math
@@ -7,6 +8,7 @@ import sys
 import tracemalloc
 import warnings
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +85,57 @@ def test_gnp_slots_bits_and_adjacency_agree(n, p):
     singles = [_gnp_adjacency(n, p, one_rng, 1) for _ in range(count)]
     assert np.array_equal(adj, np.concatenate(singles))
     assert rng.random() == bits_rng.random() == one_rng.random()
+
+
+_ULP = 2.0 ** -53
+
+
+def test_slot_bits_threshold_matches_the_uniform_comparison():
+    """The raw-word threshold gives the bits of ``random() < p`` and leaves
+    the stream where ``random`` leaves it.  ("word", i, side) puts p at the
+    i-th drawn word's uniform m 2^-53, or at a float neighbour of it, so the
+    threshold falls on a drawn value."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    fixed = [0.0, 5e-324, _ULP, 1 / 3, 0.125, 1 - _ULP, 1.0]
+    side = st.sampled_from([-1, 0, 1])
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(
+        n=st.sampled_from([2, 3, 64, 65]), count=st.integers(1, 3), seed=st.integers(0, 2**64),
+        p=st.sampled_from(fixed)
+        | st.tuples(st.just("m"), st.integers(1, 2**53 - 1), side)
+        | st.tuples(st.just("word"), st.integers(0, 10**6), side),
+    )
+    def check(n, count, seed, p):
+        if isinstance(p, tuple):
+            kind, m, step = p
+            if kind == "word":
+                words = block_rng(seed, n).bit_generator.random_raw(count * comb(n, 2))
+                m = int(words[m % len(words)]) >> 11
+            p = float(np.nextafter(m * _ULP, 2 if step > 0 else 0)) if step else m * _ULP
+        bits_rng, uniform_rng = block_rng(seed, n), block_rng(seed, n)
+        bits = _slot_bits(n, p, bits_rng, count)
+        want = uniform_rng.random((count, comb(n, 2))) < p
+        assert np.array_equal(bits[:, :-1], want) and not bits[:, -1].any()
+        assert bits_rng.random() == uniform_rng.random()
+
+    for n, p in itertools.product([2, 3, 64, 65], fixed):  # every fixed p at every n
+        check = hypothesis.example(n=n, count=2, seed=7, p=p)(check)
+    check()
+
+
+def test_graph_bits_are_drawn_only_in_slot_bits():
+    """In er.py only ``_slot_bits`` calls ``random_raw`` or ``.random``: the
+    stride that lets map_blocks cut a block counts its draws alone."""
+    callers = [
+        getattr(top, "name", None)
+        for top in ast.parse(Path(lkllt.er.__file__).read_text()).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("random_raw", "random")
+    ]
+    assert callers == ["_slot_bits"]
 
 
 def test_gnp_extremes():
