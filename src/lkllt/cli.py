@@ -70,7 +70,7 @@ def _write(doc, args) -> None:
 
 def _common_output(sub):
     sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
+    sub.add_argument("--format", choices=("csv", "json"), default=None)
 
 
 def _cmd_metrics(args) -> int:
@@ -99,16 +99,11 @@ def _cmd_tp(args) -> int:
     from .report import RateTable
     from .tp import tp_normal_gaps, tp_params
 
-    if args.sigma2 is not None and args.sigma2_grid:
-        raise LklltError("give --sigma2 or --sigma2-grid, not both")
-    sigma2s = args.sigma2_grid or [args.sigma2]
-    if sigma2s == [None]:
-        raise LklltError("provide --sigma2 or --sigma2-grid")
     table = RateTable(
         ["mu", "sigma2", "local_gap", "dk", "dw"],
         metadata={"command": "tp", "mu": args.mu},
     )
-    for s2 in sigma2s:
+    for s2 in args.sigma2_grid or [args.sigma2]:
         gaps = tp_normal_gaps(tp_params(args.mu, s2))
         table.add(args.mu, float(s2), *gaps)
     _write(table, args)
@@ -119,6 +114,8 @@ def _cmd_verify_lk(args) -> int:
     from .lk import KNOWN_CASES, SQRT2, lk_fuzz
     from .report import RateTable, fmt
 
+    if args.format and not args.out:
+        raise LklltError("--format is read only with --out, where verify lk writes its table")
     cases = tuple(sorted(KNOWN_CASES)) if args.case == "all" else (args.case,)
     worsts, rows = lk_fuzz(args.trials, args.seed, cases)
     table = RateTable(
@@ -139,16 +136,20 @@ def _cmd_verify_lk(args) -> int:
 def _cmd_bounds(args) -> int:
     from .smoothing import pair_bound_d1, pair_bound_d2, pair_stats
 
+    for flag, models in (("beta", "cw"), ("h", "cw"), ("p", "er-iso or er-tri")):
+        if getattr(args, flag) is not None and args.model not in models.split(" or "):
+            raise LklltError(f"--{flag} is read only under --model {models}, not {args.model}")
     if args.model == "cw":
         from .curie_weiss import CWPairModel, CWParams
 
-        model = CWPairModel(CWParams(args.n, args.beta, args.h))
+        beta = 0.5 if args.beta is None else args.beta
+        model = CWPairModel(CWParams(args.n, beta, 0.0 if args.h is None else args.h))
         m = 2 if args.m is None else args.m
     else:
         from .er import ERPairModel
 
         statistic = "isolated" if args.model == "er-iso" else "triangles"
-        model = ERPairModel(args.n, args.p, statistic)
+        model = ERPairModel(args.n, 0.5 if args.p is None else args.p, statistic)
         m = 1 if args.m is None else args.m
     stats = pair_stats(model, m, args.reps, args.seed)
     _write({
@@ -173,8 +174,6 @@ def _cmd_cw_rate(args) -> int:
 
 
 def _er_rows(args) -> list[tuple[int, float]]:
-    if args.n is not None and args.n_grid:
-        raise LklltError("give --n or --n-grid, not both")
     if args.p is not None and args.p_mode != "const":
         raise LklltError(f"--p is read only under --p-mode const, not {args.p_mode}")
     if args.p_coeff is not None and args.p_mode == "const":
@@ -183,11 +182,8 @@ def _er_rows(args) -> list[tuple[int, float]]:
         raise LklltError(f"--p-alpha is read only under --p-mode power, not {args.p_mode}")
     coeff = 1.0 if args.p_coeff is None else args.p_coeff
     alpha = 1.5 if args.p_alpha is None else args.p_alpha
-    ns = args.n_grid if args.n_grid else [args.n]
-    if ns is None or ns == [None]:
-        raise LklltError("provide --n or --n-grid")
     rows = []
-    for n in ns:
+    for n in args.n_grid or [args.n]:
         if args.p_mode == "const":
             p = args.p
         elif args.p_mode == "c-over-n":
@@ -258,8 +254,9 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     s = subs.add_parser("tp", help="translated-Poisson vs normal comparison gaps")
     if want("tp"):
         s.add_argument("--mu", type=float, default=0.0)
-        s.add_argument("--sigma2", type=float, default=None)
-        s.add_argument(
+        sigma2 = s.add_mutually_exclusive_group(required=True)
+        sigma2.add_argument("--sigma2", type=float, default=None)
+        sigma2.add_argument(
             "--sigma2-grid", type=lambda s_: parse_grid(s_, False), default=None,
             help="geometric grid a:b:xk",
         )
@@ -280,9 +277,9 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     if want("bounds"):
         s.add_argument("--model", required=True, choices=("cw", "er-iso", "er-tri"))
         s.add_argument("--n", type=int, required=True)
-        s.add_argument("--beta", type=float, default=0.5)
-        s.add_argument("--h", type=float, default=0.0)
-        s.add_argument("--p", type=float, default=0.5)
+        s.add_argument("--beta", type=float, default=None)
+        s.add_argument("--h", type=float, default=None)
+        s.add_argument("--p", type=float, default=None)
         s.add_argument("--m", type=int, default=None)
         s.add_argument("--reps", type=int, default=10000)
         s.add_argument("--seed", type=int, default=1)
@@ -304,8 +301,9 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         esubs = s.add_subparsers(dest="er_cmd", required=True)
         for name, help_ in (("iso", "isolated-vertex counts"), ("tri", "triangle counts")):
             e = esubs.add_parser(name, help=help_)
-            e.add_argument("--n", type=int, default=None)
-            e.add_argument("--n-grid", type=lambda s_: parse_grid(s_, True), default=None)
+            ns = e.add_mutually_exclusive_group(required=True)
+            ns.add_argument("--n", type=int, default=None)
+            ns.add_argument("--n-grid", type=lambda s_: parse_grid(s_, True), default=None)
             e.add_argument("--p", type=float, default=None)
             e.add_argument("--p-mode", choices=("const", "c-over-n", "power"), default="const")
             e.add_argument("--p-coeff", type=float, default=None)

@@ -149,8 +149,13 @@ def test_out_file_holds_the_stdout_bytes(command, tmp_path, capsys):
     assert path.read_bytes() == out.encode()
 
 
+# SHA-256 of the ``--out`` CSV of ``verify lk --trials 500 --seed 1``: every trial's lhs,
+# rhs_core and ratio, the lattice layer's differences, trims and normalizations to the last bit.
+VERIFY_LK_CSV_SHA256 = "839aa5dde59bfa1345d8cd2058ae3fc4a50c3c99a57b2413a064ecbc3cc387f6"
+
+
 def test_verify_lk_out_writes_the_table_and_keeps_the_summary(tmp_path, capsys):
-    command = ["verify", "lk", "--trials", "40", "--seed", "1"]
+    command = ["verify", "lk", "--trials", "500", "--seed", "1"]
     status, out = run_cli(command, capsys)
     assert status == 0
     path = tmp_path / "lk.csv"
@@ -158,95 +163,52 @@ def test_verify_lk_out_writes_the_table_and_keeps_the_summary(tmp_path, capsys):
     assert status == 0
     assert rest == out
     assert out.count("holds=True") == 2
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == VERIFY_LK_CSV_SHA256
     lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
     assert lines[0] == "trial,combo,lhs,rhs_core,ratio"
     assert {l.split(",")[1] for l in lines[1:]} == {"n2_p1q1r1", "n3_pinf_qinf_r1"}
 
 
-# SHA-256 of the stdout of ``verify lk --trials 500 --seed 1`` and of its
-# ``--out`` CSV, which holds every trial's lhs, rhs_core and ratio: the
-# lattice layer's differences, trims and normalizations to the last bit.
-VERIFY_LK_SHA256 = "80e43ccb3ae13ff24b9f30d1f1d662c7d4a0b860753446181a3cdfb1b6499a8d"
-VERIFY_LK_CSV_SHA256 = "839aa5dde59bfa1345d8cd2058ae3fc4a50c3c99a57b2413a064ecbc3cc387f6"
+# The one table of the benchmark commands' stdout hashes; only perfbench/run.py --pin writes it.
+BENCHMARK_SHA256 = json.loads(
+    (Path(__file__).parents[1] / "perfbench" / "goldens.json").read_text())["sha256"]
 
-
-def test_verify_lk_output_and_table_match_goldens(tmp_path, capsys):
-    command = ["verify", "lk", "--trials", "500", "--seed", "1"]
-    status, out = run_cli(command, capsys)
-    assert status == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_LK_SHA256
-    path = tmp_path / "lk.csv"
-    status, _ = run_cli(command + ["--out", str(path)], capsys)
-    assert status == 0
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == VERIFY_LK_CSV_SHA256
-
-
-# SHA-256 of the stdout of the seedless exact-law commands, as pinned in
-# perfbench/goldens.json: any change to these bytes is a change of results.
-GOLDEN_SHA256 = {
-    "tp --mu 0 --sigma2-grid 100:100000000:x10":
-        "238ab46b67f16f1cd676b249df198a51c0d20bb097ab3c6b9deaeb8f15a83e1c",
-    "cw rate --beta 0.5 --h 0.1 --n-grid 64:1048576:x2":
-        "148dbf3a614c3f0710d55033ac1073ff466f36430c27238d4d116766611c72c1",
-    "er oracle --n 7 --p 0.5 --stat isolated":
-        "8ae0e3f6274b5d1791c0df469d6cf8fe71b51db784c9e30acbfb42da64c11c57",
-}
-
-
-@pytest.mark.parametrize("command", sorted(GOLDEN_SHA256))
-def test_exact_law_outputs_match_goldens(command, capsys):
-    status, out = run_cli(command.split(), capsys)
-    assert status == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[command]
-
-
-# SHA-256 of the stdout of the seeded Monte Carlo commands of the benchmark
-# at seed 1, pinned from the per-replicate samplers and reductions that the
-# block samplers and the finite-state pair model replaced (the three
-# `bounds` commands from the one weighted reduction of pair_stats, er-tri's
-# two-step values from exact integer move counts); every thread count must
-# reproduce them.
-SEEDED_GOLDEN_SHA256 = {
+# Commands the program has moved past (`bounds`: one weighted pair_stats reduction; `er tri`:
+# exact two-step move counts). The next change to the benchmark re-pins them and drops this map.
+MOVED_PAST_BENCHMARK = {
     "bounds --model cw --n 100000 --beta 0.5 --reps 1400000 --seed 1":
         "7f4e0c841dd3b09fb1ddc219612cf852be76f275de1911d231b435e6c8627a7b",
     "bounds --model er-iso --n 6 --p 0.5 --reps 22000 --seed 1":
         "75a0058100f3f7b4a9a33e2a6cfeda341892fda46cf0870d3227eb474b0e563c",
     "bounds --model er-tri --n 12 --p 0.25 --reps 2200 --seed 1":
         "1253db575ca0d5edba951ed71b63e48e6ae9092effa457dcb92a2004f345ffe6",
-    "er iso --n 2000 --p 0.0005 --reps 7000 --seed 1":
-        "2ccb0620de19c91a42da2572db95ef7ca45cf4310f4acf90f8b95b3f1b0041d0",
     "er tri --n 64 --p 0.125 --reps 6000 --seed 1":
         "5e48452e715ac55970f98d025a5c993c2e241319e631c9eeb3c4e5dccc9172b4",
-    "rgg --b 0.2 --d 1 --lambda-grid 50:200:x2 --reps 3000 --seed 1":
-        "b1d607cf27f363d9c04b75a6a40a9369442c02b08f15fca1d0a460fd013167dc",
-    "rgg --b 0.2 --d 2 --lambda-grid 50:100:x2 --reps 500 --seed 1":
-        "67c7f8448d46f85eee8cf01f6a9adc0266efd8169f48fad98a3a71feb788a8a6",
 }
+PINNED_SHA256 = {**BENCHMARK_SHA256, **MOVED_PAST_BENCHMARK}
 
 
-# The perfbench goldens that the program has moved past; the next change to
-# the benchmark re-pins them and empties this set.
-STALE_BENCHMARK_GOLDENS = {
-    "er tri --n 64 --p 0.125 --reps 6000 --seed 1",
-    "bounds --model cw --n 100000 --beta 0.5 --reps 1400000 --seed 1",
-    "bounds --model er-iso --n 6 --p 0.5 --reps 22000 --seed 1",
-    "bounds --model er-tri --n 12 --p 0.25 --reps 2200 --seed 1",
-}
+def test_each_pin_has_one_copy():
+    assert all(BENCHMARK_SHA256[c] != h for c, h in MOVED_PAST_BENCHMARK.items())
+    # a second copy of a pin in the tests would drift from the table as outputs move
+    pins = set(BENCHMARK_SHA256.values())
+    for path in sorted(Path(__file__).parent.rglob("*.py")):
+        assert not pins & set(re.findall(r"\b[0-9a-f]{64}\b", path.read_text())), path.name
 
 
-def test_benchmark_goldens_match_the_test_pins():
-    """Every command perfbench/goldens.json pins is pinned here with the same
-    hash, except the stale ones, which must differ."""
-    bench = json.loads((Path(__file__).parents[1] / "perfbench" / "goldens.json").read_text())
-    pins = {**GOLDEN_SHA256, **SEEDED_GOLDEN_SHA256,
-            "verify lk --trials 500 --seed 1": VERIFY_LK_SHA256}
-    assert STALE_BENCHMARK_GOLDENS <= set(bench["sha256"])
-    for command, digest in bench["sha256"].items():
-        assert command in pins, command
-        assert (pins[command] != digest) == (command in STALE_BENCHMARK_GOLDENS), command
+# every thread count must reproduce a seeded command's bytes
+@pytest.mark.parametrize("command, threads", [
+    (c, t) for c in sorted(PINNED_SHA256) for t in (("1", "2") if "--seed" in c else (None,))
+])
+def test_benchmark_outputs_match_pins(command, threads, capsys, monkeypatch):
+    if threads:
+        monkeypatch.setenv("LKLLT_THREADS", threads)
+    status, out = run_cli(command.split(), capsys)
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SHA256[command]
 
 
-# SHA-256 of the stdout of table commands that no golden above covers,
+# SHA-256 of the stdout of table commands that no benchmark pin covers,
 # pinned before ``cli._write`` became the only writer; ``metrics`` reads the
 # two laws of ``write_dists``.
 TABLE_SHA256 = {
@@ -317,15 +279,6 @@ def test_rate_rows_are_built_only_in_rate_table():
         args = {a.arg for a in fn.args.args}
         assert not [n for n in ast.walk(fn) if isinstance(n, ast.For) and ast.unparse(n.iter) in args]
         assert calls(fn).count("rate_table") == 1, name
-
-
-@pytest.mark.parametrize("threads", ["1", "2"])
-@pytest.mark.parametrize("command", sorted(SEEDED_GOLDEN_SHA256))
-def test_seeded_outputs_match_goldens(command, threads, capsys, monkeypatch):
-    monkeypatch.setenv("LKLLT_THREADS", threads)
-    status, out = run_cli(command.split(), capsys)
-    assert status == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == SEEDED_GOLDEN_SHA256[command]
 
 
 @pytest.mark.parametrize(
@@ -582,9 +535,6 @@ def test_validation_exit_codes(tmp_path, capsys):
         assert "Traceback" not in err
     # a pair of flags where one would be dropped exits 2 and names both
     for command, flags in (
-        ("tp --sigma2 5 --sigma2-grid 100:1000:x10", ("--sigma2 ", "--sigma2-grid")),
-        ("er iso --n 50 --n-grid 100:200:x2 --p 0.1 --reps 10", ("--n ", "--n-grid")),
-        ("er tri --n 50 --n-grid 100:200:x2 --p-mode power --reps 10", ("--n ", "--n-grid")),
         ("er iso --n 100 --p 0.3 --p-mode c-over-n --reps 10", ("--p ", "--p-mode")),
         ("er tri --n 100 --p 0.3 --p-mode power --reps 10", ("--p ", "--p-mode")),
         ("er iso --n 100 --p 0.3 --p-coeff 2 --reps 10", ("--p-coeff", "not const")),
@@ -607,17 +557,37 @@ def test_validation_exit_codes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, message", [
-    ("tp --mu 0", "provide --sigma2 or --sigma2-grid"),
-    ("er iso --p 0.1 --reps 10", "provide --n or --n-grid"),
+    # argparse names both flags of an exclusive pair
+    ("tp --mu 0", "lkllt tp: error: one of the arguments --sigma2 --sigma2-grid is required"),
+    ("er iso --p 0.1 --reps 10",
+     "lkllt er iso: error: one of the arguments --n --n-grid is required"),
+    ("tp --sigma2 5 --sigma2-grid 100:1000:x10",
+     "lkllt tp: error: argument --sigma2-grid: not allowed with argument --sigma2"),
+    ("er iso --n 50 --n-grid 100:200:x2 --p 0.1 --reps 10",
+     "lkllt er iso: error: argument --n-grid: not allowed with argument --n"),
+    ("er tri --n 50 --n-grid 100:200:x2 --p-mode power --reps 10",
+     "lkllt er tri: error: argument --n-grid: not allowed with argument --n"),
     ("bounds --model cw --n 0 --reps 10", "n must be a positive integer"),
     ("bounds --model cw --n 10 --m 1 --reps 10", "the magnetization chain jumps by +-2 only"),
     ("er tri --n 10 --p 1 --reps 10", "p must lie in (0, 1)"),
     ("bounds --model er-iso --n 6 --p 1.5 --reps 10", "p must lie in [0, 1]"),
     ("er iso --n 5 --p 0.5 --reps 1", "replicates must be >= 2"),
+    ("bounds --model er-tri --n 12 --beta 0.9 --reps 10",
+     "--beta is read only under --model cw, not er-tri"),
+    ("bounds --model er-iso --n 6 --h 0.1 --reps 10",
+     "--h is read only under --model cw, not er-iso"),
+    ("bounds --model cw --n 10 --p 0.9 --reps 10",
+     "--p is read only under --model er-iso or er-tri, not cw"),
+    ("verify lk --trials 5 --format csv",
+     "--format is read only with --out, where verify lk writes its table"),
 ])
 def test_validation_messages(command, message, capsys):
-    assert cli.main(command.split()) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    try:
+        assert cli.main(command.split()) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    except SystemExit as exc:  # argparse's own error, after its usage lines
+        assert exc.code == 2 and message.startswith("lkllt ")
+        assert capsys.readouterr().err.endswith(f"\n{message}\n")
 
 
 def _run_capped(command: str, cap: int) -> subprocess.CompletedProcess:
