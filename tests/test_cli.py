@@ -200,12 +200,23 @@ def test_each_pin_has_one_copy():
 @pytest.mark.parametrize("command, threads", [
     (c, t) for c in sorted(PINNED_SHA256) for t in (("1", "2") if "--seed" in c else (None,))
 ])
-def test_benchmark_outputs_match_pins(command, threads, capsys, monkeypatch):
+def test_output_pins(command, threads, capsys, monkeypatch):
     if threads:
         monkeypatch.setenv("LKLLT_THREADS", threads)
     status, out = run_cli(command.split(), capsys)
     assert status == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SHA256[command]
+
+
+def test_verify_lk_output_and_table_match_goldens(tmp_path, capsys):
+    command = ["verify", "lk", "--trials", "500", "--seed", "1"]
+    status, out = run_cli(command, capsys)
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == BENCHMARK_SHA256[" ".join(command)]
+    path = tmp_path / "lk.csv"
+    status, _ = run_cli(command + ["--out", str(path)], capsys)
+    assert status == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == VERIFY_LK_CSV_SHA256
 
 
 # SHA-256 of the stdout of table commands that no benchmark pin covers,
