@@ -10,7 +10,8 @@ draws of earlier replicates.  Wall-clock timing goes to stderr only.
 from __future__ import annotations
 
 import argparse
-import json
+import atexit
+import gc
 import math
 import sys
 import time
@@ -20,6 +21,19 @@ from . import __version__
 from .errors import LklltError, NumericalFailure
 
 _MAX_GRID_POINTS = 10_000  # longest grid parse_grid builds
+_freeze_at_exit = False  # main has registered gc.freeze with atexit
+
+
+def __getattr__(name: str):
+    """``cli.json``, imported on first use (PEP 562): ``--version`` and the
+    CSV commands never load it.  Once loaded it is a module global, which a
+    tracer may wrap."""
+    if name != "json":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    global json
+    import json
+
+    return json
 
 
 def parse_grid(spec: str, integer: bool = True) -> list:
@@ -58,6 +72,7 @@ def _write(doc, args) -> None:
     CSV or, under ``--format json``, as JSON."""
     if isinstance(doc, dict):
         doc["version"] = __version__
+        json = sys.modules[__name__].json  # imported here once, by __getattr__
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     else:
         doc.metadata["version"] = __version__
@@ -333,6 +348,12 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    global _freeze_at_exit
+    if not _freeze_at_exit:
+        # at exit every live object moves to the permanent generation, so the
+        # interpreter's last collections skip numpy's and lkllt's objects
+        atexit.register(gc.freeze)
+        _freeze_at_exit = True
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv).parse_args(argv)
     t0 = time.perf_counter()

@@ -672,7 +672,9 @@ def _triangle_count_block(n: int, p: float, rng: np.random.Generator, count: int
     for start in range(0, count, step):
         k = min(step, count - start)
         bits = _slot_bits(n, p, rng, k)
-        g, e = np.divmod(np.flatnonzero(bits), bits.shape[1])
+        f = np.flatnonzero(bits)
+        g = f // bits.shape[1]
+        e = f - g * bits.shape[1]
         words = np.zeros((k, n_words), dtype=np.uint64)
         packed = np.packbits(bits, axis=1, bitorder="little")
         words.view(np.uint8)[:, :packed.shape[1]] = packed

@@ -11,7 +11,6 @@ functionals be computed from pmf differences.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,10 +76,14 @@ class LatticeDist:
         return self.offset == other.offset and bool(np.all(self.pmf == other.pmf))
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps({"offset": self.offset, "pmf": list(self.pmf)})
 
     @staticmethod
     def from_json(text: str) -> "LatticeDist":
+        import json
+
         obj = json.loads(text)
         if not isinstance(obj, dict) or not {"offset", "pmf"} <= obj.keys():
             raise InvalidDistribution(

@@ -8,7 +8,6 @@ configurations serialize byte-identically; wall time goes to stderr.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +47,8 @@ class RateTable:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
+        import json
+
         payload = {
             "metadata": self._clean_meta(),
             "columns": {

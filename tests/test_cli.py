@@ -1,4 +1,6 @@
 import ast
+import atexit
+import gc
 import hashlib
 import importlib
 import json
@@ -306,19 +308,10 @@ def test_rate_rows_are_built_only_in_rate_table():
     ],
 )
 def test_openblas_thread_count_does_not_change_bytes(command):
-    src = str(Path(cli.__file__).resolve().parents[1])
-    command = command.split()
-    outs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        run = subprocess.run(
-            [sys.executable, "-c",
-             "import sys; from lkllt.cli import main; sys.exit(main(sys.argv[1:]))",
-             *command],
-            env=env, capture_output=True, check=True, timeout=120,
-        )
-        outs.append(run.stdout)
+    outs = [
+        _fresh(["-m", "lkllt.cli", *command.split()], check=True, OPENBLAS_NUM_THREADS=threads).stdout
+        for threads in ("1", "2")
+    ]
     assert outs[0] == outs[1]
 
 
@@ -760,16 +753,24 @@ def test_replicate_prefix_stability():
     assert np.array_equal(short, long[:5000])
 
 
-_ON_USE = ("concurrent.futures", "statistics", "fractions", "numpy")
+def _fresh(args, check=False, **env) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh process that imports lkllt from this
+    checkout, with ``env`` added to the environment."""
+    env = dict(os.environ, **env)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, check=check, timeout=120
+    )
+
+
+_ON_USE = ("concurrent.futures", "statistics", "fractions", "json", "numpy")
 
 
 def _modules_after(commands, threads):
     """Which of ``_ON_USE`` and of the lkllt submodules a fresh process has
     loaded after importing ``lkllt.cli`` and running ``commands`` through
     ``cli.main`` at ``LKLLT_THREADS=threads``."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, LKLLT_THREADS=threads)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     script = (
         "import sys, io, contextlib; from lkllt.cli import main\n"
         f"for c in {commands!r}:\n"
@@ -781,11 +782,7 @@ def _modules_after(commands, threads):
         "    assert status == 0, c\n"
         f"print(' '.join(m for m in sys.modules if m in {_ON_USE!r} or m.startswith('lkllt.')))\n"
     )
-    run = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
-        check=True, timeout=120,
-    )
-    return set(run.stdout.split())
+    return set(_fresh(["-c", script], check=True, LKLLT_THREADS=threads).stdout.decode().split())
 
 
 def test_samplers_import_no_module_they_do_not_use():
@@ -823,18 +820,72 @@ def test_modules_are_imported_where_they_are_used(command, module):
             {"lkllt.cli", "lkllt.errors", "lkllt.lattice", "lkllt.report", "lkllt.tp",
              "numpy", "statistics", "fractions"},
         ),
-        # no rate-experiment module: tp, report, metrics, lattice
+        # no rate-experiment module: tp, report, metrics, lattice; json for the document
         (
             "bounds --model er-iso --n 6 --p 0.5 --reps 2200 --seed 1",
-            {"lkllt.cli", "lkllt.errors", "lkllt.er", "lkllt.rngutil", "lkllt.smoothing", "numpy"},
+            {"lkllt.cli", "lkllt.errors", "lkllt.er", "lkllt.rngutil", "lkllt.smoothing", "numpy",
+             "json"},
         ),
         # the exact law is a LatticeDist; the rate experiment's modules stay out
         (
             "bounds --model cw --n 1000 --beta 0.5 --reps 2200 --seed 1",
             {"lkllt.cli", "lkllt.errors", "lkllt.curie_weiss", "lkllt.lattice", "lkllt.rngutil",
-             "lkllt.smoothing", "numpy"},
+             "lkllt.smoothing", "numpy", "json"},
         ),
     ],
 )
 def test_commands_load_only_the_modules_they_run(command, loaded):
     assert _modules_after([command], "1") == loaded
+
+
+# A success, a domain error (exit 2) and an argparse rejection (SystemExit(2)).
+_EXITS = [
+    ("er oracle --n 4 --p 0.5 --stat isolated", 0),
+    ("bounds --model cw --n 10 --p 0.5", 2),
+    ("tp --mu 0", 2),
+]
+
+
+@pytest.mark.parametrize("command,status", _EXITS)
+def test_main_leaves_the_collector_as_it_found_it(command, status, capsys):
+    """The exit hook acts only at interpreter exit: during and after main the
+    collector runs and nothing is frozen; main registers the hook once."""
+    before = gc.isenabled(), gc.get_freeze_count()
+    callbacks = atexit._ncallbacks()
+    for _ in range(2):
+        try:
+            assert cli.main(command.split()) == status
+        except SystemExit as exc:
+            assert exc.code == status
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+    assert atexit._ncallbacks() <= callbacks + 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command,status", [("--version", 0), *_EXITS])
+def test_objects_are_frozen_at_exit(command, status):
+    """An exit handler registered before main runs after main's own, and by
+    then every object sits in the permanent generation."""
+    probe = (
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print('frozen at exit', gc.get_freeze_count(), file=sys.stderr))\n"
+        "from lkllt.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    run = _fresh(["-c", probe, *command.split()])
+    assert run.returncode == status
+    *_, name, count = run.stderr.decode().split()
+    assert name == "exit" and int(count) > 0
+
+
+def test_fresh_processes_write_the_pinned_bytes(tmp_path):
+    """Each output is written before the exit hook runs: in a process of
+    its own, a JSON and a CSV command print their pinned bytes, and the CSV
+    command's --out file holds its stdout."""
+    csv = "tp --mu 0 --sigma2-grid 100:100000000:x10"
+    for command in ("er oracle --n 7 --p 0.5 --stat isolated", csv):
+        out = _fresh(["-m", "lkllt.cli", *command.split()], check=True).stdout
+        assert hashlib.sha256(out).hexdigest() == BENCHMARK_SHA256[command]
+    path = tmp_path / "tp.csv"
+    assert _fresh(["-m", "lkllt.cli", *csv.split(), "--out", str(path)], check=True).stdout == b""
+    assert path.read_bytes() == out
