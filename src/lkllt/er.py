@@ -31,6 +31,7 @@ _CHUNK_CELLS = 1 << 18  # adjacency cells per evaluation sub-chunk: a few MB of 
 _TWO_STEP_CELLS = _CHUNK_CELLS // 8  # per two-step triangle sub-chunk: 0.85 MB tracemalloc peak
 _SAMPLE_CELLS = _CHUNK_CELLS // 4  # per triangle-count sub-chunk: about 1 MB of temporaries
 _ISO_POSITIONS = 1 << 14  # gap positions per isolated-count sub-chunk: 128 KB per int64 array
+_LOW_SLOTS = 16  # pair slots of the enumeration's low table: 2^16 edge masks per chunk
 
 
 def _qpow(p: float, k: float) -> float:
@@ -388,51 +389,44 @@ class ERPairModel(PairModel):
 # exhaustive enumeration oracle (n <= 7)
 
 
-@lru_cache(maxsize=8)
-def _enumeration_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edge-mask tables of the n-vertex graphs, bit e standing for pair slot e:
-    ``inc[v]``, the edges that touch vertex v; ``within[S]``, the edges with
-    both ends in the vertex set S (bit v of S for vertex v), for all 2^n sets;
-    ``tri``, the three edges of each triangle a < b < c, in lexicographic order.
-    """
+def _low_table(n: int, iso: bool):
+    """(low, planes, inc, within) of the n-vertex edge masks, bit e for pair
+    slot e: ``low``, the masks of the first min(C(n,2), 16) slots in order;
+    ``within[S]``, the edges inside the vertex set S; ``inc[2^v]``, the edges
+    at vertex v.  Per low mask, ``planes`` holds for "isolated" the vertex
+    sets of low degree 0 and 1 (bit v for vertex v), and for triangles, keyed
+    by the high slots they need, how many have all their low edges set."""
     ii, jj = _triu_index_arrays(n)
-    bit = np.left_shift(np.uint32(1), np.arange(len(ii), dtype=np.uint32))
-    inc = np.zeros(n, dtype=np.uint32)
-    np.bitwise_or.at(inc, ii, bit)
-    np.bitwise_or.at(inc, jj, bit)
     sets = np.arange(1 << n)[:, None]
-    inside = ((sets >> ii) & (sets >> jj) & 1).astype(bool)
-    within = np.bitwise_or.reduce(np.where(inside, bit, np.uint32(0)), axis=1, dtype=np.uint32)
-    tri = within[[(1 << a) | (1 << b) | (1 << c) for a, b, c in combinations(range(n), 3)]]
-    for table in (inc, within, tri):
-        table.flags.writeable = False
-    return inc, within, tri
+    within = ((sets >> ii & sets >> jj & 1) << np.arange(len(ii))).sum(axis=1).astype(np.uint32)
+    inc = {1 << v: int(within[-1] ^ within[-1 - (1 << v)]) for v in range(n)}
+    low = np.arange(1 << min(len(ii), _LOW_SLOTS), dtype=np.uint32)
+    if iso:  # OR the bit planes [deg_v = d] << v over the vertices v
+        planes, d = np.zeros((2, len(low)), dtype=np.uint8), np.arange(2)[:, None]
+        for bit, edges in inc.items():
+            planes |= (np.bitwise_count(low & edges) == d).view(np.uint8) * np.uint8(bit)
+        return low, planes, inc, within
+    planes = {0: np.zeros(len(low), dtype=np.uint8)}
+    for m3 in within[[1 << a | 1 << b | 1 << c for a, b, c in combinations(range(n), 3)]].tolist():
+        lo3, hi3 = m3 & (len(low) - 1), m3 >> _LOW_SLOTS
+        planes[hi3] = planes.get(hi3, 0) + ((low & lo3) == lo3).view(np.uint8)
+    return low, planes, inc, within
 
 
-def _enumerated_iso_counts(n: int, masks: np.ndarray):
-    """(W, W1, E2) of every graph in an array of edge masks, as int64.
-
-    A vertex's degree is the popcount of the mask under its incidence mask;
-    the vertices of degree 0 and 1 are packed into two vertex sets, whose
-    popcounts are W and W1, and E2 counts the edges inside the degree-1 set.
-    """
-    inc, within, _ = _enumeration_tables(n)
-    isolated = np.zeros(len(masks), dtype=np.uint8)
-    one = np.zeros(len(masks), dtype=np.uint8)
-    for v in range(n):
-        deg = np.bitwise_count(masks & inc[v])
-        isolated |= (deg == 0).view(np.uint8) << np.uint8(v)
-        one |= (deg == 1).view(np.uint8) << np.uint8(v)
-    e2 = masks & within[one]
-    return tuple(np.bitwise_count(s).astype(np.int64) for s in (isolated, one, e2))
-
-
-def _enumerated_triangles(n: int, masks: np.ndarray) -> np.ndarray:
-    """Triangle count of every graph in an array of edge masks."""
-    tri = np.zeros(len(masks), dtype=np.int64)
-    for m3 in _enumeration_tables(n)[2]:
-        tri += (masks & m3) == m3
-    return tri
+def _chunk_counts(table: tuple, h: int) -> tuple:
+    """(W, W1, E2), or (T,) from triangle planes, as uint8 arrays over the
+    chunk of masks h << 16 | low of ``table`` = ``_low_table(n, iso)``.  A
+    vertex is isolated when its low and high degree (a Python int per chunk)
+    are 0, of degree one when one is 1 and the other 0; a triangle counts
+    through its plane in the chunks that hold all its high edges."""
+    low, planes, inc, within = table
+    if isinstance(planes, dict):
+        return (sum(t for hi3, t in planes.items() if h & hi3 == hi3),)
+    high = h << _LOW_SLOTS
+    zero, one = (sum(b for b, e in inc.items() if (high & e).bit_count() == d) for d in (0, 1))
+    one = (planes[1] & zero) | (planes[0] & one)
+    e2 = np.bitwise_count(within.take(one, mode="wrap") & (low | high))
+    return np.bitwise_count(planes[0] & zero), np.bitwise_count(one), e2
 
 
 def _exact_means(tally: np.ndarray, pe: np.ndarray, powers: dict) -> dict:
@@ -440,26 +434,24 @@ def _exact_means(tally: np.ndarray, pe: np.ndarray, powers: dict) -> dict:
     monomial x = prod(counts[i] ** powers[name][i]).
 
     ``tally[e, *counts]`` is the number of graphs with e edges and those
-    counts, and ``pe[e]`` the weight of one e-edge graph.  The terms take
-    few distinct values, so each is taken once per key, the keys' terms are
-    summed exactly as fractions and the sum is rounded once, which is the
-    correctly rounded value math.fsum returns, without a Python float per
-    graph.
+    counts, and ``pe[e]`` the weight of one e-edge graph.  Each key's term,
+    an integer over a power of two, is brought to the largest denominator:
+    the integers sum exactly and one int / int division rounds correctly.
     """
-    from fractions import Fraction
-
     nonzero = np.nonzero(tally)
     groups = [
         (count, float(pe[e]), vals)
         for count, (e, *vals) in zip(tally[nonzero].tolist(), zip(*(i.tolist() for i in nonzero)))
     ]
-    return {
-        name: float(sum(
-            count * Fraction(pe * math.prod(v ** a for v, a in zip(vals, exps)))
+    means = {}
+    for name, exps in powers.items():
+        terms = [
+            (count, (pe * math.prod(v ** a for v, a in zip(vals, exps))).as_integer_ratio())
             for count, pe, vals in groups
-        ))
-        for name, exps in powers.items()
-    }
+        ]
+        den = max(d for _, (_, d) in terms)
+        means[name] = sum(count * num * (den // d) for count, (num, d) in terms) / den
+    return means
 
 
 # moment name -> exponents of (W, W1, E2), or of the triangle count
@@ -469,16 +461,17 @@ _ISO_MOMENTS = {
     "e_e2sq": (0, 0, 2), "e_w1e2": (0, 1, 1),
 }
 _TRI_MOMENTS = {"e_t": (1,), "e_t2": (2,), "e_t3": (3,), "e_t4": (4,)}
-_ORACLE_MASKS = 1 << 16  # edge masks per enumeration chunk: a few MB of temporaries
 
 
 def _enumeration_tally(n: int, p: float, iso: bool):
-    """(tally, weights, pe) over all 2^C(n,2) edge masks (n <= 7), in chunks.
+    """(tally, weights, pe) over all 2^C(n,2) edge masks (n <= 7), one chunk
+    of ``_low_table`` masks per value h of the high pair slots, h in order.
 
     ``tally[e, W, W1, E2]`` (``tally[e, T]`` when not ``iso``) counts the
     graphs with e edges and those counts, ``weights`` is the law of W (of T)
     summed in mask order, and ``pe[e]`` = p^e (1-p)^(C(n,2)-e) is the weight
     of one e-edge graph; the chunking does not change a bit of any of them.
+    A chunk's keys, below 22 * 8^3 at n = 7, are uint16, its counts uint8.
     """
     if n > 7:
         raise TooLarge("enumeration oracle is capped at n = 7")
@@ -492,13 +485,20 @@ def _enumeration_tally(n: int, p: float, iso: bool):
     top = n if iso else comb(n, 3)
     tally = np.zeros((E + 1,) + (top + 1,) * (3 if iso else 1), dtype=np.int64)
     weights = np.zeros(top + 1)
-    for start in range(0, 1 << E, _ORACLE_MASKS):
-        masks = np.arange(start, min(start + _ORACLE_MASKS, 1 << E), dtype=np.uint32)
-        e_count = np.bitwise_count(masks)
-        counts = _enumerated_iso_counts(n, masks) if iso else (_enumerated_triangles(n, masks),)
-        keys = np.ravel_multi_index((e_count, *counts), tally.shape)
-        tally += np.bincount(keys, minlength=tally.size).reshape(tally.shape)
-        np.add.at(weights, counts[0], pe[e_count])
+    table = _low_table(n, iso)
+    e_low = np.bitwise_count(table[0]).astype(np.intp)
+    stride_e, *strides = (np.uint16(s // tally.itemsize) for s in tally.strides)
+    base = e_low.astype(np.uint16) * stride_e
+    index, prob = np.empty_like(e_low), np.empty(len(e_low))  # reused: no fresh pages per chunk
+    for h in range((1 << E) // len(e_low)):
+        counts = _chunk_counts(table, h)
+        keys = base + stride_e * np.uint16(h.bit_count())
+        for c, s in zip(counts, strides):
+            keys += c * s
+        np.copyto(index, keys)
+        tally += np.bincount(index, minlength=tally.size).reshape(tally.shape)
+        np.copyto(index, counts[0])
+        np.add.at(weights, index, np.take(pe[h.bit_count():], e_low, out=prob, mode="wrap"))
     return tally, weights, pe
 
 

@@ -7,6 +7,7 @@ test, so agreement is meaningful.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -17,13 +18,7 @@ import numpy as np
 
 import lkllt.er
 from lkllt.curie_weiss import CWPairModel, CWParams, _q_arrays
-from lkllt.er import (
-    _ISO_MOMENTS,
-    _TRI_MOMENTS,
-    _enumerated_iso_counts,
-    _enumerated_triangles,
-    _iso_q_from_counts,
-)
+from lkllt.er import _ISO_MOMENTS, _TRI_MOMENTS, _iso_q_from_counts
 from lkllt.lattice import LatticeDist, dist_from_weights, smooth_uniform, span_difference
 from lkllt.rngutil import map_blocks
 from lkllt.errors import DegenerateChain
@@ -372,15 +367,30 @@ def all_graph_masks(n: int, p: float):
     return masks, e_count, prob
 
 
+@functools.lru_cache(maxsize=1)
+def enumerated_counts(n: int, statistic: str) -> tuple:
+    """(W, W1, E2), or (T,), of every graph on n vertices in mask order, from
+    ``enumerated_iso_counts_per_edge`` or ``enumerated_triangles_per_triple``;
+    read-only int8 arrays, so that one cached n = 7 entry stays at 6 MB."""
+    masks = np.arange(1 << comb(n, 2), dtype=np.uint32)
+    if statistic == "isolated":
+        counts = enumerated_iso_counts_per_edge(n, masks)
+    else:
+        counts = (enumerated_triangles_per_triple(n, masks),)
+    counts = tuple(c.astype(np.int8) for c in counts)
+    for c in counts:
+        c.flags.writeable = False
+    return counts
+
+
 def enumerate_graphs_oracle_unchunked(n: int, p: float, statistic: str):
     """Every graph at once: the law by one weighted bincount over all masks,
-    the moments from one tally over all (e, *counts) keys.  The reference
-    for ``enumerate_graphs_oracle``'s bytes."""
-    masks, e_count, prob = all_graph_masks(n, p)
-    if statistic == "isolated":
-        counts, powers = _enumerated_iso_counts(n, masks), _ISO_MOMENTS
-    else:
-        counts, powers = (_enumerated_triangles(n, masks),), _TRI_MOMENTS
+    the moments from one tally over all (e, *counts) keys, the counts from
+    ``enumerated_counts``, which shares no code with the oracle's kernel.
+    The reference for ``enumerate_graphs_oracle``'s bytes."""
+    _, e_count, prob = all_graph_masks(n, p)
+    counts = enumerated_counts(n, statistic)
+    powers = _ISO_MOMENTS if statistic == "isolated" else _TRI_MOMENTS
     dims = tuple(int(x.max()) + 1 for x in (e_count, *counts))
     keys = np.ravel_multi_index((e_count, *counts), dims)
     tally = np.bincount(keys, minlength=math.prod(dims)).reshape(dims)

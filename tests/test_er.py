@@ -20,14 +20,14 @@ from lkllt.er import (
     _SAMPLE_CELLS,
     _TWO_STEP_CELLS,
     ERPairModel,
-    _enumerated_iso_counts,
-    _enumerated_triangles,
+    _chunk_counts,
     _gap_chunk,
     _geometric_gaps,
     _gnp_adjacency,
     _isolated_count_block,
     _iso_counts,
     _iso_q_from_counts,
+    _low_table,
     _slot_bits,
     _slot_decoder,
     _tri_bound_columns,
@@ -52,8 +52,7 @@ from helpers import (
     chain_step_probabilities,
     decode_pairs_by_searchsorted,
     enumerate_graphs_oracle_unchunked,
-    enumerated_iso_counts_per_edge,
-    enumerated_triangles_per_triple,
+    enumerated_counts,
     graph_stats,
     iso_exact_pair_stats_per_graph,
     iso_q11_two_step,
@@ -198,16 +197,16 @@ def test_oracle_pmf_examples():
 def test_oracle_moments_equal_fsum_over_every_graph(n, statistic):
     # the oracle groups graphs by edge count; the sum over every graph's own
     # term must come out the same to the last bit
-    masks, _, _ = all_graph_masks(n, 0.5)
+    counts = [c.astype(np.int64) for c in enumerated_counts(n, statistic)]
     if statistic == "isolated":
-        w, w1, e2 = _enumerated_iso_counts(n, masks)
+        w, w1, e2 = counts
         terms = {
             "e_w": w, "e_w2": w ** 2, "e_w3": w ** 3, "e_w4": w ** 4,
             "e_w1": w1, "e_e2": e2, "e_w1sq": w1 ** 2,
             "e_e2sq": e2 ** 2, "e_w1e2": w1 * e2,
         }
     else:
-        t = _enumerated_triangles(n, masks)
+        (t,) = counts
         terms = {"e_t": t, "e_t2": t ** 2, "e_t3": t ** 3, "e_t4": t ** 4}
     for p in (0.1, 0.3, 0.5):
         _, _, prob = all_graph_masks(n, p)
@@ -228,26 +227,42 @@ def test_oracle_bytes_equal_the_unchunked_reference(n, statistic):
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_enumerated_counts_equal_the_per_edge_reference(n):
-    masks = np.arange(1 << comb(n, 2), dtype=np.uint32)
-    got = (*_enumerated_iso_counts(n, masks), _enumerated_triangles(n, masks))
-    want = (*enumerated_iso_counts_per_edge(n, masks), enumerated_triangles_per_triple(n, masks))
-    for g, w in zip(got, want):
-        # int64, so that the oracle's powers such as W^4 cannot wrap
-        assert g.dtype == np.int64
-        assert np.array_equal(g, w)
+    # every chunk of the kernel, in chunk order, against the per-edge and
+    # per-triple counts of every mask
+    for statistic in ("isolated", "triangles"):
+        table = _low_table(n, statistic == "isolated")
+        chunks = [_chunk_counts(table, h) for h in range(2 ** comb(n, 2) // len(table[0]))]
+        want = enumerated_counts(n, statistic)
+        for i, w in enumerate(want):
+            got = np.concatenate([c[i] for c in chunks])
+            # uint8 counts: the tally adds them as int64 and the moments
+            # raise them to powers as Python ints, so no W^4 can wrap
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, w), (statistic, i)
+        # every key fits the uint16 keys of a chunk, and the tally is int64
+        top = n if statistic == "isolated" else comb(n, 3)
+        assert (comb(n, 2) + 1) * (top + 1) ** len(want) <= 2**16
+        tally, _, _ = lkllt.er._enumeration_tally(n, 0.5, statistic == "isolated")
+        assert tally.dtype == np.int64 and tally.sum() == 2 ** comb(n, 2)
+    # the moments take powers of Python ints: 255^4 wraps in 32 bits
+    tally = np.zeros((1, 256), dtype=np.int64)
+    tally[0, 255] = 3
+    assert lkllt.er._exact_means(tally, np.ones(1), {"m": (4,)}) == {"m": 3.0 * 255 ** 4}
 
 
 def test_oracle_memory_is_bounded_by_mask_chunks():
     # all 2^21 graphs at n = 7 at once held about 150 MB of bit planes,
-    # degrees and per-graph counts
-    tracemalloc.start()
-    try:
-        law, _ = enumerate_graphs_oracle(7, 0.3, "isolated")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(law.pmf) == 8
-    assert peak < 48 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    # degrees and per-graph counts; the low table and one chunk's
+    # temporaries take about 3 MB
+    for statistic, support in (("isolated", 8), ("triangles", 36)):
+        tracemalloc.start()
+        try:
+            law, _ = enumerate_graphs_oracle(7, 0.3, statistic)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(law.pmf) == support
+        assert peak < 8 * 2**20, f"{statistic}: peak {peak / 2**20:.1f} MB"
 
 
 def _iso_q(adj: np.ndarray, p: float, m: int) -> tuple[float, ...]:
@@ -491,7 +506,7 @@ def test_iso_exact_pair_stats_rejects_bad_input_before_enumerating(monkeypatch, 
     def enumerated(*args):
         raise AssertionError("enumerated before the inputs were checked")
 
-    monkeypatch.setattr(lkllt.er, "_enumerated_iso_counts", enumerated)
+    monkeypatch.setattr(lkllt.er, "_low_table", enumerated)
     with pytest.raises(error):
         iso_exact_pair_stats(n, p, m)
 
