@@ -112,14 +112,14 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_tp(args) -> int:
     from .report import RateTable
-    from .tp import tp_normal_gaps, tp_params
+    from .tp import tp_normal_gaps
 
     table = RateTable(
         ["mu", "sigma2", "local_gap", "dk", "dw"],
         metadata={"command": "tp", "mu": args.mu},
     )
     for s2 in args.sigma2_grid or [args.sigma2]:
-        gaps = tp_normal_gaps(tp_params(args.mu, s2))
+        gaps = tp_normal_gaps(args.mu, s2)
         table.add(args.mu, float(s2), *gaps)
     _write(table, args)
     return 0

@@ -12,7 +12,6 @@ constant C = sqrt(2): (n=2, p=q=r=1) and (n=3, p=q=inf, r=1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,53 +56,36 @@ _COMBO_BETA = {
 }
 
 
-@dataclass(frozen=True)
-class LKCombo:
-    """One row of the metric interpolation table.
+def lk_sides(F: LatticeDist, G: LatticeDist, d1: str, d2: str, l: int) -> tuple[float, float, float]:
+    """Both sides of one row of the metric interpolation table for a pair of
+    lattice laws, without any constant: (lhs, rhs_core, ratio).
 
     d1 is the stronger metric being bounded, d2 the weaker metric on the
     right-hand side, both keys of :func:`metrics.distances`; l is the
     difference order of the smoothness norms; beta comes from the table.
-    """
-
-    d1: str
-    d2: str
-    l: int
-
-    def __post_init__(self):
-        if self.l < 1:
-            raise InvalidParameter("l must be a positive integer")
-        if (self.d1, self.d2) not in _COMBO_BETA:
-            raise InvalidParameter(f"unsupported metric combination {(self.d1, self.d2)}")
-
-    @property
-    def beta(self) -> float:
-        return _COMBO_BETA[(self.d1, self.d2)](self.l)
-
-
-def lk_sides(F: LatticeDist, G: LatticeDist, combo: LKCombo) -> tuple[float, float, float]:
-    """Both sides of the inequality for a pair of lattice laws, without any
-    constant: (lhs, rhs_core, ratio).
-
     lhs is d1(F, G); rhs_core is d2(F, G)^(1-beta) * (sum of the two
     order-(l+1) CDF-difference norms)^beta; ratio = lhs / rhs_core (zero
     when both sides vanish).  The first CDF difference is the pmf shifted one
     point, so each norm is the order-l, span-1 smoothing term.
     """
+    if l < 1:
+        raise InvalidParameter("l must be a positive integer")
+    if (d1, d2) not in _COMBO_BETA:
+        raise InvalidParameter(f"unsupported metric combination {(d1, d2)}")
+    beta = _COMBO_BETA[d1, d2](l)
     gaps = distances(F, G)
-    lhs, d2 = gaps[combo.d1], gaps[combo.d2]
-    norms = smoothing_term(F, combo.l, 1) + smoothing_term(G, combo.l, 1)
-    beta = combo.beta
-    rhs_core = d2 ** (1.0 - beta) * norms ** beta
+    lhs = gaps[d1]
+    norms = smoothing_term(F, l, 1) + smoothing_term(G, l, 1)
+    rhs_core = gaps[d2] ** (1.0 - beta) * norms ** beta
     return lhs, rhs_core, lhs / rhs_core if rhs_core > 0 else 0.0
 
 
-# the two known-constant cases: case name -> LKCombo, its (n, p, q, r) above it
+# the two known-constant cases: case name -> (d1, d2, l), its (n, p, q, r) above it
 KNOWN_CASES = {
     # n=2, p=q=r=1: total variation vs Wasserstein with first-order smoothness
-    "n2_p1q1r1": LKCombo("dtv", "dw", l=1),
+    "n2_p1q1r1": ("dtv", "dw", 1),
     # n=3, p=q=inf, r=1: local vs Kolmogorov with second-order smoothness
-    "n3_pinf_qinf_r1": LKCombo("dloc", "dk", l=2),
+    "n3_pinf_qinf_r1": ("dloc", "dk", 2),
 }
 
 
@@ -156,6 +138,6 @@ def lk_fuzz(trials: int, seed: int, cases: tuple[str, ...]) -> tuple[dict[str, f
             F = random_dist(rng)
             G = random_dist(rng)
             for case in cases:
-                rows[case].append((start + t, case, *lk_sides(F, G, KNOWN_CASES[case])))
+                rows[case].append((start + t, case, *lk_sides(F, G, *KNOWN_CASES[case])))
     worst = {case: max(0.0, *(row[4] for row in rows[case])) for case in cases}
     return worst, [row for case in cases for row in rows[case]]

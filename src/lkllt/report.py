@@ -67,14 +67,14 @@ def rate_table(columns, metadata, grid, point, replicates=None) -> RateTable:
     standard error of one of its masses.  Rows follow the order of ``columns``.
     """
     from .metrics import distance, distances
-    from .tp import tp_dist, tp_params
+    from .tp import tp_dist
 
     if replicates is not None and replicates < 2:
         raise InvalidParameter("replicates must be >= 2")
     table = RateTable(columns, metadata=metadata)
     for x in grid:
         law, mu, sigma2, row = point(x)
-        target = tp_dist(tp_params(mu, sigma2))
+        target = tp_dist(mu, sigma2)
         row.update(distances(law, target))
         if "dloc2" in columns:
             row["dloc2"] = distance(law, target, 2)

@@ -196,9 +196,7 @@ def rgg_experiment(b: float, d: int, lambda_grid, replicates: int, seed: int) ->
         return empirical_dist(w), mean_w, var_w, {
             "lam": float(lam), "r": r,
             "mean_w": mean_w, "var_w": var_w, "var_w_over_lam": var_w / lam,
-            # the diagnostic is nan on every replicate or on none (d != 1 or
-            # r > 1/6); nanmean would warn on an all-nan column
-            "empty_annulus_frac": math.nan if np.isnan(ann).all() else float(np.nanmean(ann)),
+            "empty_annulus_frac": float(ann.mean()),
         }
 
     metadata = {

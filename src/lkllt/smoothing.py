@@ -215,7 +215,7 @@ def exact_pair_stats(
     qm: np.ndarray,
     qpp: np.ndarray,
     qmm: np.ndarray,
-    m: int = 1,
+    m: int,
 ) -> PairChainStats:
     """Pair-chain quantities computed exactly from a finite stationary law.
 

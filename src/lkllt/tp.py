@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,27 +19,6 @@ from .lattice import LatticeDist
 _EPS = 1e-12  # omitted Poisson mass of every truncated TP law
 _MAX_WINDOW = 2 ** 24  # points of the widest Poisson window: sigma2 up to about 4.9e11
 _CHUNK = 8192  # lattice points per piece of the tp_normal_gaps walk
-
-
-@dataclass(frozen=True)
-class TPParams:
-    mu: float
-    sigma2: float
-    shift: int
-    gamma: float
-    lam: float  # Poisson mean: sigma2 + gamma
-
-
-def tp_params(mu: float, sigma2: float) -> TPParams:
-    """Resolve (mu, sigma2) into the integer shift and Poisson mean."""
-    if not 0 < sigma2 < math.inf:
-        raise InvalidParameter("sigma2 must be positive and finite")
-    # beyond 2^53 neighbouring lattice points are no longer distinct floats
-    if not abs(mu) <= 2.0 ** 53:
-        raise InvalidParameter("mu must be finite, with |mu| <= 2^53")
-    shift = math.floor(mu - sigma2)
-    gamma = mu - sigma2 - shift
-    return TPParams(float(mu), float(sigma2), shift, gamma, sigma2 + gamma)
 
 
 def _poisson_block(lam: float, eps: float) -> tuple[int, np.ndarray]:
@@ -91,11 +69,17 @@ def _poisson_block(lam: float, eps: float) -> tuple[int, np.ndarray]:
         half = int(half * 1.5) + 10
 
 
-def tp_dist(params: TPParams) -> LatticeDist:
-    """The TP law as a LatticeDist, truncated so omitted mass < _EPS."""
-    lo, pm = _poisson_block(params.lam, _EPS)
+def tp_dist(mu: float, sigma2: float) -> LatticeDist:
+    """TP(mu, sigma2) as a LatticeDist, truncated so omitted mass < _EPS."""
+    if not 0 < sigma2 < math.inf:
+        raise InvalidParameter("sigma2 must be positive and finite")
+    # beyond 2^53 neighbouring lattice points are no longer distinct floats
+    if not abs(mu) <= 2.0 ** 53:
+        raise InvalidParameter("mu must be finite, with |mu| <= 2^53")
+    shift = math.floor(mu - sigma2)
+    lo, pm = _poisson_block(sigma2 + (mu - sigma2 - shift), _EPS)
     pm /= pm.sum()
-    return LatticeDist(params.shift + lo, pm)
+    return LatticeDist(shift + lo, pm)
 
 
 def _std_cdf(z: np.ndarray) -> np.ndarray:
@@ -107,7 +91,7 @@ def _phi(z: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
 
 
-def tp_normal_gaps(params: TPParams) -> tuple[float, float, float]:
+def tp_normal_gaps(mu: float, sigma2: float) -> tuple[float, float, float]:
     """(local gap, Kolmogorov distance, Wasserstein distance) of TP vs N(mu, sigma2).
 
     * local gap: sup over integers k of |TP{k} - normal density at k|.
@@ -128,8 +112,8 @@ def tp_normal_gaps(params: TPParams) -> tuple[float, float, float]:
     """
     from statistics import NormalDist
 
-    F = tp_dist(params)
-    mu, sigma = params.mu, math.sqrt(params.sigma2)
+    F = tp_dist(mu, sigma2)
+    mu, sigma = float(mu), math.sqrt(sigma2)
     inv_cdf = NormalDist().inv_cdf
     pmf = F.pmf
     term = np.empty(len(pmf))  # of the intervals that Phi does not cross

@@ -482,10 +482,18 @@ def poisson_block_indexed_recursion(lam: float, eps: float) -> tuple[int, np.nda
         half = int(half * 1.5) + 10
 
 
-def tp_normal_gaps_whole_window(params) -> tuple[float, float, float]:
+def tp_shift_and_lam(mu: float, sigma2: float) -> tuple[int, float]:
+    """The integer shift floor(mu - sigma2) of TP(mu, sigma2) and the mean
+    sigma2 + (mu - sigma2 - shift) of its Poisson part."""
+    shift = math.floor(mu - sigma2)
+    return shift, sigma2 + (mu - sigma2 - shift)
+
+
+def tp_normal_gaps_whole_window(mu: float, sigma2: float) -> tuple[float, float, float]:
     """``tp.tp_normal_gaps`` as it was before it walked its window in pieces:
     every array spans the whole window, and the CDF is one ``np.cumsum``.
-    The law comes from ``poisson_block_indexed_recursion``."""
+    The law comes from ``tp_shift_and_lam`` and
+    ``poisson_block_indexed_recursion``."""
     from statistics import NormalDist
 
     from lkllt.tp import _EPS
@@ -496,9 +504,10 @@ def tp_normal_gaps_whole_window(params) -> tuple[float, float, float]:
     def phi_(z):
         return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
 
-    lo, pm = poisson_block_indexed_recursion(params.lam, _EPS)
-    F = LatticeDist(params.shift + lo, pm / pm.sum())
-    mu, sigma = params.mu, math.sqrt(params.sigma2)
+    shift, lam = tp_shift_and_lam(mu, sigma2)
+    lo, pm = poisson_block_indexed_recursion(lam, _EPS)
+    F = LatticeDist(shift + lo, pm / pm.sum())
+    sigma = math.sqrt(sigma2)
     # every lattice point of the support and the end point one past it
     k = np.arange(F.offset, F.support_end + 1)
     z = (k - mu) / sigma

@@ -30,7 +30,7 @@ from lkllt.metrics import smoothing_term, smoothing_term_dual
 from lkllt.rgg import rgg_experiment, rgg_independence
 from lkllt.rngutil import block_rng
 from lkllt.smoothing import PairChainStats, pair_bound_d1, pair_bound_d2, pair_stats
-from lkllt.tp import tp_dist, tp_params
+from lkllt.tp import tp_dist
 
 from helpers import (
     chain_step_probabilities,
@@ -118,13 +118,13 @@ def test_criterion_5_translated_poisson_contract():
     for _ in range(100):
         mu = float(rng.uniform(-100, 100))
         s2 = float(rng.uniform(1, 1e4))
-        d = tp_dist(tp_params(mu, s2))
+        d = tp_dist(mu, s2)
         ok = ok and abs(d.mean() - mu) <= 1e-8 * s2
         ok = ok and s2 <= d.variance() <= s2 + 1
     slopes = {}
     sigmas = np.arange(10, 101, 10, dtype=float)
     for k in (1, 2, 3):
-        vals = [smoothing_term(tp_dist(tp_params(0.0, s * s)), k, 1) for s in sigmas]
+        vals = [smoothing_term(tp_dist(0.0, s * s), k, 1) for s in sigmas]
         slope = float(np.polyfit(np.log(sigmas), np.log(vals), 1)[0])
         slopes[k] = slope
         ok = ok and (-k - 0.2 <= slope <= -k + 0.2)

@@ -275,7 +275,7 @@ def test_rate_rows_are_built_only_in_rate_table():
     over no argument: each hands its grid and per-point function to
     report.rate_table, the one place a rate row's target and distance
     columns are built."""
-    built_there = {"tp_dist", "tp_params", "distance", "distances"}
+    built_there = {"tp_dist", "distance", "distances"}
 
     def calls(node) -> list[str]:  # called names, without any module prefix
         return [

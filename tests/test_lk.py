@@ -8,7 +8,6 @@ from lkllt.lattice import dist_from_weights, smooth_uniform
 from lkllt.lk import (
     _COMBO_BETA,
     KNOWN_CASES,
-    LKCombo,
     SQRT2,
     beta_exponent,
     lk_fuzz,
@@ -16,7 +15,7 @@ from lkllt.lk import (
     random_dist,
 )
 from lkllt.metrics import distances, smoothing_term
-from lkllt.tp import tp_dist, tp_params
+from lkllt.tp import tp_dist
 
 from helpers import binomial_dist
 
@@ -49,20 +48,21 @@ def test_table_betas_from_exponent_formula(l):
     assert beta_exponent(1, n, 1, INF, 1)[1] == pytest.approx(2 / (l + 1))
     # (tv, wasserstein): q = p = 1
     assert beta_exponent(1, n, 1, 1, 1)[1] == pytest.approx(1 / (l + 1))
-    assert LKCombo("dloc", "dtv", l).beta == pytest.approx(1 / l)
-    assert LKCombo("dloc", "dk", l).beta == pytest.approx(1 / l)
-    assert LKCombo("dloc", "dw", l).beta == pytest.approx(2 / (l + 1))
-    assert LKCombo("dtv", "dw", l).beta == pytest.approx(1 / (l + 1))
-    assert LKCombo("dk", "dw", l).beta == pytest.approx(1 / (l + 1))
+    assert _COMBO_BETA["dloc", "dtv"](l) == pytest.approx(1 / l)
+    assert _COMBO_BETA["dloc", "dk"](l) == pytest.approx(1 / l)
+    assert _COMBO_BETA["dloc", "dw"](l) == pytest.approx(2 / (l + 1))
+    assert _COMBO_BETA["dtv", "dw"](l) == pytest.approx(1 / (l + 1))
+    assert _COMBO_BETA["dk", "dw"](l) == pytest.approx(1 / (l + 1))
 
 
 def test_combo_validation():
-    with pytest.raises(InvalidParameter):
-        LKCombo("dw", "dloc", 1)
-    with pytest.raises(InvalidParameter):
-        LKCombo("dloc", "dk", 0)
-    with pytest.raises(InvalidParameter):
-        LKCombo("local", "kolmogorov", 2)
+    F = dist_from_weights(0, [1, 2, 1])
+    with pytest.raises(InvalidParameter, match="unsupported metric combination"):
+        lk_sides(F, F, "dw", "dloc", 1)
+    with pytest.raises(InvalidParameter, match="l must be a positive integer"):
+        lk_sides(F, F, "dloc", "dk", 0)
+    with pytest.raises(InvalidParameter, match="unsupported metric combination"):
+        lk_sides(F, F, "local", "kolmogorov", 2)
 
 
 def test_combo_table_is_keyed_by_the_keys_of_distances():
@@ -86,15 +86,15 @@ def test_smoothness_norms_are_cdf_difference_norms():
 
 def test_lk_sides_equal_inputs():
     F = binomial_dist(12, 0.4)
-    lhs, _, ratio = lk_sides(F, F, LKCombo("dloc", "dk", 2))
+    lhs, _, ratio = lk_sides(F, F, "dloc", "dk", 2)
     assert lhs == 0.0 and ratio == 0.0
 
 
 def test_lk_sides_binomial_vs_tp():
     F = binomial_dist(20, 0.5)
-    G = tp_dist(tp_params(10.0, 5.0))
-    assert lk_sides(F, G, LKCombo("dloc", "dk", l=2))[2] <= SQRT2 + 1e-12
-    assert lk_sides(F, G, LKCombo("dtv", "dw", l=1))[2] <= SQRT2 + 1e-12
+    G = tp_dist(10.0, 5.0)
+    assert lk_sides(F, G, "dloc", "dk", 2)[2] <= SQRT2 + 1e-12
+    assert lk_sides(F, G, "dtv", "dw", 1)[2] <= SQRT2 + 1e-12
 
 
 def test_smoothing_monotone_under_block_average():
@@ -110,7 +110,7 @@ def test_smoothing_monotone_under_block_average():
 
 def test_fuzz_trivial_equal_pair():
     F = dist_from_weights(0, [1, 2, 1])
-    assert lk_sides(F, F, KNOWN_CASES["n2_p1q1r1"])[2] == 0.0
+    assert lk_sides(F, F, *KNOWN_CASES["n2_p1q1r1"])[2] == 0.0
 
 
 @pytest.mark.parametrize("case", sorted(KNOWN_CASES))
@@ -158,7 +158,7 @@ def test_all_table_rows_on_random_pairs():
         ("dk", "dw", 1),
     }
     combos = [
-        LKCombo(d1, d2, l)
+        (d1, d2, l)
         for (d1, d2) in (
             ("dloc", "dtv"),
             ("dloc", "dk"),
@@ -170,11 +170,10 @@ def test_all_table_rows_on_random_pairs():
     ]
     rng = np.random.default_rng(99)
     observed = {}
-    for combo in combos:
+    for key in combos:
         worst = 0.0
         for _ in range(300):
-            worst = max(worst, lk_sides(random_dist(rng), random_dist(rng), combo)[2])
-        key = (combo.d1, combo.d2, combo.l)
+            worst = max(worst, lk_sides(random_dist(rng), random_dist(rng), *key)[2])
         observed[key] = worst
         assert math.isfinite(worst) and worst >= 0.0
         if key in asserted:

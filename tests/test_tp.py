@@ -9,55 +9,68 @@ import lkllt.tp
 from lkllt.errors import InvalidParameter, TooLarge
 from lkllt.lattice import LatticeDist
 from lkllt.metrics import smoothing_term
-from lkllt.tp import _poisson_block, tp_dist, tp_normal_gaps, tp_params
+from lkllt.tp import _EPS, _poisson_block, tp_dist, tp_normal_gaps
 
-from helpers import poisson_block_indexed_recursion, tp_normal_gaps_whole_window
+from helpers import poisson_block_indexed_recursion, tp_normal_gaps_whole_window, tp_shift_and_lam
+
+
+def _tp_reference(mu, sigma2):
+    """TP(mu, sigma2) from the reference shift, Poisson mean and recursion."""
+    shift, lam = tp_shift_and_lam(mu, sigma2)
+    lo, pm = poisson_block_indexed_recursion(lam, _EPS)
+    return LatticeDist(shift + lo, pm / pm.sum())
 
 
 def test_params_fractional():
-    p = tp_params(5.3, 4.0)
-    assert p.shift == 1
-    assert p.gamma == pytest.approx(0.3)
-    assert p.lam == pytest.approx(4.3)
-    assert p.shift + p.lam == pytest.approx(p.mu, abs=1e-12)
+    shift, lam = tp_shift_and_lam(5.3, 4.0)
+    assert shift == 1
+    assert lam == pytest.approx(4.3)
+    assert tp_dist(5.3, 4.0) == _tp_reference(5.3, 4.0)
 
 
 def test_params_integer_offset():
-    p = tp_params(3.0, 2.0)
-    assert (p.shift, p.gamma, p.lam) == (1, 0.0, 2.0)
-    p = tp_params(0.0, 10.0)
-    assert (p.shift, p.gamma, p.lam) == (-10, 0.0, 10.0)
+    assert tp_shift_and_lam(3, 2) == (1, 2)
+    assert tp_dist(3, 2) == _tp_reference(3, 2)
+    assert tp_shift_and_lam(0, 10) == (-10, 10)
+    assert tp_dist(0, 10) == _tp_reference(0, 10)
 
 
 def test_params_validation():
-    with pytest.raises(InvalidParameter):
-        tp_params(1.0, 0.0)
-    with pytest.raises(InvalidParameter):
-        tp_params(1.0, -2.0)
+    sigma2_message = "sigma2 must be positive and finite"
+    for sigma2 in (0.0, -2.0, math.inf, math.nan):
+        for fn in (tp_dist, tp_normal_gaps):
+            with pytest.raises(InvalidParameter, match=f"^{sigma2_message}$"):
+                fn(1.0, sigma2)
+            # sigma2 is checked before mu
+            with pytest.raises(InvalidParameter, match=f"^{sigma2_message}$"):
+                fn(1e300, sigma2)
+    for fn in (tp_dist, tp_normal_gaps):
+        with pytest.raises(InvalidParameter, match=r"^mu must be finite, with \|mu\| <= 2\^53$"):
+            fn(1e300, 1.0)
 
 
 def test_dist_mean_variance_small():
-    d = tp_dist(tp_params(3.0, 2.0))
+    d = tp_dist(3.0, 2.0)
     assert d.mean() == pytest.approx(3.0, abs=1e-9)
     assert 2.0 - 1e-6 <= d.variance() <= 3.0
 
 
 def test_dist_point_mass_value():
-    d = tp_dist(tp_params(0.0, 1.0))
+    d = tp_dist(0.0, 1.0)
     assert d.pmf[-d.offset] == pytest.approx(math.exp(-1.0), abs=1e-12)
 
 
 def test_dist_normalized():
-    d = tp_dist(tp_params(5.3, 4.0))
+    d = tp_dist(5.3, 4.0)
     assert d.pmf.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_shift_equivariance_exact():
     # dyadic parameters keep the float arithmetic exact, so equality is exact
     for mu, s2 in ((2.75, 5.5), (-1.0625, 3.25), (0.5, 12.0)):
-        base = tp_dist(tp_params(mu, s2))
+        base = tp_dist(mu, s2)
         for j in (-3, 1, 11):
-            shifted = tp_dist(tp_params(mu + j, s2))
+            shifted = tp_dist(mu + j, s2)
             assert shifted.offset == base.offset + j
             assert np.array_equal(shifted.pmf, base.pmf)
 
@@ -67,7 +80,7 @@ def test_mean_variance_contract_random():
     for _ in range(100):
         mu = float(rng.uniform(-50, 50))
         s2 = float(rng.uniform(1, 1e4))
-        d = tp_dist(tp_params(mu, s2))
+        d = tp_dist(mu, s2)
         assert abs(d.mean() - mu) <= 1e-8 * s2 + 1e-12
         assert s2 <= d.variance() <= s2 + 1
 
@@ -84,7 +97,7 @@ def test_normal_gaps_scaling():
     sigmas = np.array([10.0, 20.0, 40.0, 80.0])
     scaled_local, scaled_dk, dws = [], [], []
     for s in sigmas:
-        local_gap, dk, dw = tp_normal_gaps(tp_params(0.0, s * s))
+        local_gap, dk, dw = tp_normal_gaps(0.0, s * s)
         scaled_local.append(local_gap * s * s)
         scaled_dk.append(dk * s)
         dws.append(dw)
@@ -100,7 +113,7 @@ def test_normal_gaps_scaling():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_smoothing_decay_slope(k):
     sigmas = np.arange(10, 101, 10, dtype=float)
-    vals = [smoothing_term(tp_dist(tp_params(0.0, s * s)), k, 1) for s in sigmas]
+    vals = [smoothing_term(tp_dist(0.0, s * s), k, 1) for s in sigmas]
     slope = np.polyfit(np.log(sigmas), np.log(vals), 1)[0]
     assert -k - 0.2 <= slope <= -k + 0.2
 
@@ -110,7 +123,7 @@ def _gaps_by_intervals(mu, sigma2):
     at a time: NormalDist for the density, the CDF and the crossing points,
     and a sign split of |c - Phi| on every [k, k+1), integrated with the
     antiderivative A(z) = z*Phi(z) + phi(z) of the standard CDF (math.erf)."""
-    law = tp_dist(tp_params(mu, sigma2))
+    law = tp_dist(mu, sigma2)
     normal = NormalDist(mu, math.sqrt(sigma2))
     sigma = normal.stdev
 
@@ -158,7 +171,7 @@ def _gaps_by_intervals(mu, sigma2):
 def test_normal_gaps_match_per_interval_integration(mu, sigma2):
     local, dk, dw, crossings = _gaps_by_intervals(mu, sigma2)
     assert crossings > 0
-    got = tp_normal_gaps(tp_params(mu, sigma2))
+    got = tp_normal_gaps(mu, sigma2)
     for a, b in zip(got, (local, dk, dw)):
         assert abs(a - b) <= 1e-12
 
@@ -172,8 +185,7 @@ def test_streamed_gaps_equal_the_whole_window_reference():
     @hypothesis.example(mu=0.0, sigma2=1e6)  # a window of 24,061 points: three pieces
     @hypothesis.example(mu=-7.25, sigma2=0.5)
     def check(mu, sigma2):
-        params = tp_params(mu, sigma2)
-        assert tp_normal_gaps(params) == tp_normal_gaps_whole_window(params)
+        assert tp_normal_gaps(mu, sigma2) == tp_normal_gaps_whole_window(mu, sigma2)
 
     check()
 
@@ -181,18 +193,15 @@ def test_streamed_gaps_equal_the_whole_window_reference():
 @pytest.mark.parametrize("chunk", [1, 2, 7, "window - 1", "window", "window + 1"])
 @pytest.mark.parametrize("mu, sigma2", [(0.3, 0.5), (-17.625, 7.5), (1234.7, 333.3)])
 def test_gaps_do_not_depend_on_the_piece_size(chunk, mu, sigma2, monkeypatch):
-    params = tp_params(mu, sigma2)
-    window = len(tp_dist(params).pmf)
+    window = len(tp_dist(mu, sigma2).pmf)
     sizes = {"window - 1": window - 1, "window": window, "window + 1": window + 1}
     monkeypatch.setattr(lkllt.tp, "_CHUNK", sizes.get(chunk, chunk))
-    assert tp_normal_gaps(params) == tp_normal_gaps_whole_window(params)
+    assert tp_normal_gaps(mu, sigma2) == tp_normal_gaps_whole_window(mu, sigma2)
 
 
 def test_tp_dist_equals_the_normalized_indexed_recursion():
     for mu, sigma2 in ((0.3, 0.5), (-17.625, 7.5), (0.0, 1e8)):
-        params = tp_params(mu, sigma2)
-        lo, pm = poisson_block_indexed_recursion(params.lam, 1e-12)
-        assert tp_dist(params) == LatticeDist(params.shift + lo, pm / pm.sum())
+        assert tp_dist(mu, sigma2) == _tp_reference(mu, sigma2)
 
 
 def test_gaps_memory_is_bounded_by_the_pmf_and_one_term_array():
@@ -200,7 +209,7 @@ def test_gaps_memory_is_bounded_by_the_pmf_and_one_term_array():
     # 20.9 MB over the 240,061 points at sigma2 = 1e8
     tracemalloc.start()
     try:
-        tp_normal_gaps(tp_params(0.0, 1e8))
+        tp_normal_gaps(0.0, 1e8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -211,7 +220,7 @@ def test_window_cap_raises_before_any_allocation():
     tracemalloc.start()
     try:
         with pytest.raises(TooLarge, match="sigma2 must keep the TP window within 16777216"):
-            tp_dist(tp_params(0.0, 1e20))
+            tp_dist(0.0, 1e20)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
